@@ -38,8 +38,8 @@ from .khintchine import (
     KacDivergenceError,
     KpEvaluator,
     PValueError,
+    constants_from_kp,
     decay_rate,
-    norm_equivalence_constants,
 )
 from .models import DrinfeldJimboModel, InvalidModelError, parse_model_spec
 from .rootsys import DomainError, InvalidRootSystemError, NonDominantWeightError
@@ -299,14 +299,7 @@ def _cmd_constants(args):
             "kp-inconclusive",
             exit_code=EXIT_INCONCLUSIVE,
         )
-    report = norm_equivalence_constants(
-        model,
-        args.p,
-        args.r,
-        tol=args.tol,
-        max_length=args.max_length,
-        precision_bits=args.precision_bits,
-    )
+    report = constants_from_kp(kp_report, args.r)
     payload = {
         "p": _fmt(report.p, digits),
         "r": _fmt(report.r, digits),
@@ -471,7 +464,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="write the report to this path")
         p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with default options")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument(
+            "--workers", type=int, default=None, help="accepted and ignored; summation is serial"
+        )
         if name in ("dims", "table", "kp", "constants"):
             p.add_argument("--max-length", dest="max_length", type=int, default=None)
         if name in ("kp", "constants", "table"):

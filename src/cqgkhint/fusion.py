@@ -69,7 +69,8 @@ def _decompose(rule: str, k: int, l: int) -> tuple[tuple[int, int], ...]:
     if rule == "so3":
         _mul_into(acc, dict(_decompose(rule, k, l - 1)), -1)
     cleaned = {label: mult for label, mult in acc.items() if mult != 0}
-    assert all(m > 0 for m in cleaned.values()), "fusion multiplicities went negative"
+    if any(m < 0 for m in cleaned.values()):
+        raise ArithmeticError(f"fusion multiplicities of {k} (x) {l} went negative")
     return tuple(sorted(cleaned.items()))
 
 

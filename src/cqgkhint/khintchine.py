@@ -26,12 +26,13 @@ contributes a term >= 1), never via timeout.
 from __future__ import annotations
 
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+
 import mpmath
+import numpy as np
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from .exact import as_fraction
 from .models import (
@@ -53,6 +54,7 @@ __all__ = [
     "certified_tail",
     "decay_rate",
     "norm_equivalence_constants",
+    "constants_from_kp",
     "DEFAULT_PRECISION_BITS",
 ]
 
@@ -156,6 +158,41 @@ def _iv_pow(x, e: Fraction):
     return iv.exp(iv.log(x) * _iv_from_fraction(e))
 
 
+class _PsiTable:
+    """``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)`` at one working precision.
+
+    Values are kept as raw mpf mantissas and exponents indexed by ``m``, so a
+    product of table values is an exact integer product; ``scale`` is
+    ``1 / prod_beta psi(h_beta)`` over the ``rho`` pairings.
+    """
+
+    def __init__(self, q: Fraction, p: Fraction, rho_pairing):
+        self.q = q
+        self.sigma = _mpf_from_fraction(2 - Fraction(2) / p)
+        self.power = _mpf_from_fraction(-Fraction(2) / p)
+        self.mans: list[int] = [0]
+        self.exps = np.zeros(1, dtype=np.int64)
+        self.scale = 1 / math.prod(self._psi(h) for h in rho_pairing)
+
+    def _psi(self, m: int) -> mpmath.mpf:
+        a, b = self.q.numerator, self.q.denominator
+        am, bm = a**m, b**m
+        # q^-m - q^m = (b^2m - a^2m) / (a^m b^m), exact, rounded once
+        x = mp.make_mpf(from_rational(bm * bm - am * am, am * bm, mp.prec, round_nearest))
+        return mp.power(m, self.sigma) * mp.power(x, self.power)
+
+    def extend(self, top: int):
+        """Tabulate ``psi(m)`` for every ``m <= top``."""
+        if top < len(self.mans):
+            return
+        exps = self.exps.tolist()
+        for m in range(len(self.mans), top + 1):
+            _, man, exp, _ = self._psi(m)._mpf_
+            self.mans.append(man)
+            exps.append(exp)
+        self.exps = np.array(exps, dtype=np.int64)
+
+
 def _check_p(p, minimum=2) -> Fraction:
     p = as_fraction(p)
     if p < minimum:
@@ -166,12 +203,15 @@ def _check_p(p, minimum=2) -> Fraction:
 class KpEvaluator:
     """Per-model cache of exact level data plus the certified summation.
 
-    Level data (the exact ``(n, d, chi_sup)`` triples of every label of a
-    given length) is computed once and shared across values of ``p``.  The
-    caches are only written with values that are functions of the key, so
-    concurrent use is safe; parallel workers only pre-fill the exact caches,
-    while every floating accumulation runs in a fixed ascending-length order,
-    making reports bit-identical for any worker count.
+    Per-level data is computed once and shared across values of ``p``: the
+    exact ``(n, d, chi_sup)`` triples of the graded families and, for
+    Drinfeld-Jimbo models, the integer root pairings ``(mu + rho, beta)`` of
+    every label.  A Drinfeld-Jimbo summand is a product of one scalar
+    function ``psi`` at those integers, tabulated once per ``(p, precision)``
+    (see :meth:`level_term_sum`).  The summation order is fixed (ascending
+    length, then label order), so reports are bit-identical from run to run.
+    ``level_entries`` is the exact reference used by ``decay_rate`` and the
+    tests.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -203,16 +243,14 @@ class KpEvaluator:
         self._rho_pairing = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
         self._rho_prod = math.prod(self._rho_pairing)
         self._qpow: list[Fraction] = [Fraction(1)]
-        self._qpow_lock = threading.Lock()
         self._q = q
+        self._pairing_matrix = np.array(self._pairing, dtype=np.int64).T
+        self._root_pairings: dict[int, np.ndarray] = {}
+        self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
 
     def _q_power(self, m: int) -> Fraction:
-        # extended under a lock: prefetch workers share this cache, and an
-        # unsynchronised read-check-append could double-append an entry
-        if len(self._qpow) <= m:
-            with self._qpow_lock:
-                while len(self._qpow) <= m:
-                    self._qpow.append(self._qpow[-1] * self._q)
+        while len(self._qpow) <= m:
+            self._qpow.append(self._qpow[-1] * self._q)
         return self._qpow[m]
 
     def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
@@ -236,7 +274,8 @@ class KpEvaluator:
             bn, bd = self._bases
             self._running.append((self._step(bn, pn, cn), self._step(bd, pd, cd)))
         n_frac, d_frac = self._running[k]
-        assert n_frac.denominator == 1
+        if n_frac.denominator != 1:
+            raise ArithmeticError(f"classical dimension at length {k} is not an integer")
         return int(n_frac), d_frac
 
     def _dj_level(self, k: int) -> list[tuple[int, Fraction, int]]:
@@ -255,16 +294,36 @@ class KpEvaluator:
                 n_num *= m
                 qm = self._q_power(m)
                 d_num *= qm - 1 / qm
-            n = n_num // self._rho_prod
-            assert n * self._rho_prod == n_num
+            n, rem = divmod(n_num, self._rho_prod)
+            if rem:
+                raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
             d = d_num / denom
             out.append((n, d, n))
         return out
 
+    def _level_root_pairings(self, k: int) -> np.ndarray:
+        """Integer ``(mu + rho, beta)``, one row per label of length ``k``, one column per root."""
+        rows = self._root_pairings.get(k)
+        if rows is None:
+            labels = np.array(self.model.enumerate_level(k), dtype=np.int64) + 1
+            rows = self._root_pairings[k] = labels @ self._pairing_matrix
+        return rows
+
     # -- floating accumulation ----------------------------------------------
 
     def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
-        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision."""
+        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision.
+
+        For Drinfeld-Jimbo models ``chi = n`` and the Weyl product formulas
+        factor over positive roots, so the summand is
+        ``prod_beta psi(m_beta) / prod_beta psi(h_beta)`` with
+        ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and
+        ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``.  The table values of
+        ``psi`` are multiplied and summed over the level exactly, as integer
+        mantissas, and the level sum is rounded once.
+        """
+        if isinstance(self.model, DrinfeldJimboModel):
+            return self._dj_term_sum(k, p)
         e1 = Fraction(2) - Fraction(4) / p
         e2 = Fraction(2) / p
         e1_m = _mpf_from_fraction(e1)
@@ -276,6 +335,21 @@ class KpEvaluator:
             term = mp.power(mp.mpf(chi), e1_m) * mp.power(ratio, e2_m)
             total += term
         return total
+
+    def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
+        rows = self._level_root_pairings(k)
+        key = (p, mp.prec)
+        table = self._psi_tables.get(key)
+        if table is None:
+            table = self._psi_tables[key] = _PsiTable(self._q, p, self._rho_pairing)
+        table.extend(int(rows.max()))
+        exps = table.exps[rows].sum(axis=1)
+        e0 = int(exps.min())
+        mantissa = table.mans.__getitem__
+        total = 0
+        for row, shift in zip(rows.tolist(), (exps - e0).tolist()):
+            total += math.prod(map(mantissa, row)) << shift
+        return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
 
     # -- certified tails ------------------------------------------------------
 
@@ -416,14 +490,11 @@ class KpEvaluator:
             raise ValueError(f"tol must be positive, got {tol}")
         if max_length < 1:
             raise ValueError("max_length must be >= 1")
-        chunk = 32
         with mp.workprec(self.precision_bits):
             if self.model.is_kac():
                 return self._divergent_report(p, min(max_length, 8))
             partial = mp.mpf(0)
             for L in range(0, max_length + 1):
-                if workers > 1 and L % chunk == 0:
-                    self._prefetch(range(L, min(L + chunk, max_length + 1)), workers)
                 partial += self.level_term_sum(L, p)
                 tail = self.tail_bound(L, p)
                 if tail is not None and tail <= tol:
@@ -454,14 +525,6 @@ class KpEvaluator:
                 precision_bits=self.precision_bits,
             )
 
-    def _prefetch(self, lengths, workers: int):
-        # warm the exact caches in parallel; the graded recursion is cheap and
-        # sequential, so only the per-level Drinfeld-Jimbo data is farmed out
-        if not isinstance(self.model, DrinfeldJimboModel):
-            return
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(self.level_entries, lengths))
-
     def _divergent_report(self, p: Fraction, sample_levels: int) -> KpReport:
         # Kac: n = d for every label, so each level contributes
         # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1.
@@ -490,7 +553,11 @@ def kp_constant(
     precision_bits: int = DEFAULT_PRECISION_BITS,
     workers: int = 1,
 ) -> KpReport:
-    """Certified ``K_p`` evaluation; see :class:`KpEvaluator`."""
+    """Certified ``K_p`` evaluation; see :class:`KpEvaluator`.
+
+    ``workers`` is accepted for compatibility and ignored: the summation is
+    serial and its order is fixed.
+    """
     return KpEvaluator(construct_model(model), precision_bits).kp_constant(
         p, tol=tol, max_length=max_length, workers=workers
     )
@@ -581,6 +648,16 @@ def _is_dyadic_power(p: Fraction) -> bool:
     return n >= 4 and (n & (n - 1)) == 0
 
 
+def _check_constants_args(p, r) -> tuple[Fraction, Fraction]:
+    p = _check_p(p, minimum=4)
+    if not _is_dyadic_power(p):
+        raise PValueError(f"p must be a power of 2 with p >= 4, got {p}")
+    r = as_fraction(r)
+    if r < 1:
+        raise ValueError(f"r >= 1 is required, got {r}")
+    return p, r
+
+
 def norm_equivalence_constants(
     model,
     p,
@@ -596,13 +673,14 @@ def norm_equivalence_constants(
     dyadic power >= 4 and ``r >= 1``; raises :class:`KpNotConvergedError` when
     the underlying ``K_p`` evaluation is divergent or inconclusive.
     """
-    p = _check_p(p, minimum=4)
-    if not _is_dyadic_power(p):
-        raise PValueError(f"p must be a power of 2 with p >= 4, got {p}")
-    r = as_fraction(r)
-    if r < 1:
-        raise ValueError(f"r >= 1 is required, got {r}")
+    p, r = _check_constants_args(p, r)
     report = kp_constant(model, p, tol=tol, max_length=max_length, precision_bits=precision_bits)
+    return constants_from_kp(report, r)
+
+
+def constants_from_kp(report: KpReport, r) -> ConstantsReport:
+    """The constants of :func:`norm_equivalence_constants` from a finished ``K_p`` report."""
+    p, r = _check_constants_args(report.p, r)
     if not report.converged:
         raise KpNotConvergedError(
             f"K_p is {report.verdict} for {report.model_spec}; "
@@ -611,7 +689,7 @@ def norm_equivalence_constants(
     exp21 = p / (p - 2)
     exp_p1 = (2 * p - 2) / (p - 2)
     exp_r1 = 2 * p * (r - 1) / (r * (p - 2))
-    with mp.workprec(precision_bits):
+    with mp.workprec(report.precision_bits):
         upper = report.kp_interval[1]
         return ConstantsReport(
             model_spec=report.model_spec,
@@ -624,5 +702,5 @@ def norm_equivalence_constants(
             c_p_1=mp.power(upper, _mpf_from_fraction(exp_p1)),
             c_r_1=mp.power(upper, _mpf_from_fraction(exp_r1)),
             kp_upper=upper,
-            precision_bits=precision_bits,
+            precision_bits=report.precision_bits,
         )

@@ -331,9 +331,10 @@ class RootSystem:
         for idx in range(len(self.positive_roots)):
             num *= self.root_pairing(shifted, idx)
             den *= self.root_pairing(self.rho, idx)
-        dim = Fraction(num, den)
-        assert dim.denominator == 1, "Weyl dimension must be an integer"
-        return int(dim)
+        dim, rem = divmod(num, den)
+        if rem:
+            raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
+        return dim
 
     def weight_system(self, mu: Sequence[int]) -> dict[Weight, int]:
         """Full weight multiplicity map of the irreducible module ``mu``.
@@ -372,7 +373,8 @@ class RootSystem:
             diff = tuple(mu[i] - nu[i] for i in range(self.rank))
             denom = self.inner_product(upper, diff)
             value = 2 * acc / denom
-            assert value.denominator == 1 and value > 0, "Freudenthal gave a non-integer"
+            if value.denominator != 1 or value <= 0:
+                raise ArithmeticError(f"Freudenthal gave the multiplicity {value} at {nu}")
             mults[nu] = int(value)
 
         system = {w: mults[self.dominant_conjugate(w)] for w in candidates}

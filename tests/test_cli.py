@@ -124,6 +124,24 @@ def test_constants_command(capsys):
     assert report["exponents"] == {"c_2_1": "2", "c_p_1": "3", "c_r_1": "8/3"}
 
 
+def test_constants_evaluates_kp_once(capsys, monkeypatch):
+    from cqgkhint.khintchine import KpEvaluator
+
+    calls = []
+    original = KpEvaluator.kp_constant
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(KpEvaluator, "kp_constant", counting)
+    code, out, err = run_cli(
+        capsys, "constants", "--model", "djq:A1:1/2", "--p", "4", "--r", "3"
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_constants_kac_rejected(capsys):
     code, out, err = run_cli(capsys, "constants", "--model", "aut:4:3", "--p", "4", "--r", "2")
     assert code == 2

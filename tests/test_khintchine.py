@@ -173,6 +173,39 @@ def test_workers_bit_identical():
     assert serial.terms_summed == parallel.terms_summed
 
 
+def _oracle_level_sum(ev, k, p):
+    e1 = _mpf(2 - 4 / p)
+    e2 = _mpf(2 / p)
+    return mp.fsum(
+        mp.power(n, e1) * mp.power(mp.mpf(n) * d.denominator / d.numerator, e2)
+        for n, d, _ in ev.level_entries(k)
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/2", "djq:A3:1/2", "djq:C3:3/4"]
+)
+def test_dj_table_sum_matches_exact_level_entries(spec):
+    # the psi-table sum against the summand built from the exact (n, d, chi)
+    ev = KpEvaluator(parse_model_spec(spec))
+    with mp.workprec(320):
+        for p in (Fraction(3), Fraction(4), Fraction(6), Fraction(16)):
+            for k in range(13):
+                ref = _oracle_level_sum(ev, k, p)
+                assert abs(ev.level_term_sum(k, p) - ref) < mpmath.mpf("1e-50") * ref
+
+
+def test_dj_table_cache_keyed_by_p_and_precision():
+    model = parse_model_spec("djq:B2:3/4")
+    shared = KpEvaluator(model)
+    for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
+        fresh = KpEvaluator(model)
+        with mp.workprec(bits):
+            for k in range(20):
+                got = shared.level_term_sum(k, Fraction(p))
+                assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
+
+
 # -- decay rates ----------------------------------------------------------------------
 
 
