@@ -22,6 +22,7 @@ arithmetic, so their bounds are certified enclosures, not estimates.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -44,6 +45,21 @@ __all__ = [
 
 class OutsideDomainError(ValueError):
     code = "outside-domain"
+
+
+@contextmanager
+def interval_precision():
+    """Run mpmath interval arithmetic at the current ``mp.prec``.
+
+    ``iv.prec`` is global to mpmath; it is restored on exit, so a caller's
+    interval precision is never changed by this package.
+    """
+    saved = iv.prec
+    iv.prec = mp.prec
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 def _is_exact(t) -> bool:
@@ -165,16 +181,16 @@ def envelope(k: int, t) -> ChebEnvelope:
     ``u^{-2(k+1)}``.
     """
     k = _check_k(k)
-    iv.prec = mp.prec
-    t_iv = _iv_from(t)
-    if not (t_iv > 2):
-        raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
-    u = (t_iv + iv.sqrt(t_iv * t_iv - 4)) / 2
-    denom = u - 1 / u
-    top = u ** (k + 1) / denom
-    bottom = top * (1 - u ** (-2 * (k + 1)))
-    lower = mp.mpf(bottom.a)
-    upper = mp.mpf(top.b)
+    with interval_precision():
+        t_iv = _iv_from(t)
+        if not (t_iv > 2):
+            raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
+        u = (t_iv + iv.sqrt(t_iv * t_iv - 4)) / 2
+        denom = u - 1 / u
+        top = u ** (k + 1) / denom
+        bottom = top * (1 - u ** (-2 * (k + 1)))
+        lower = mp.mpf(bottom.a)
+        upper = mp.mpf(top.b)
     if _is_exact(t):
         frac = Fraction(t)
         t_mid = mp.mpf(frac.numerator) / frac.denominator

@@ -34,6 +34,7 @@ import numpy as np
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
+from .chebyshev import interval_precision
 from .exact import as_fraction
 from .models import (
     DrinfeldJimboModel,
@@ -211,7 +212,9 @@ class KpEvaluator:
     (see :meth:`level_term_sum`).  The summation order is fixed (ascending
     length, then label order), so reports are bit-identical from run to run.
     ``level_entries`` is the exact reference used by ``decay_rate`` and the
-    tests.
+    tests.  The summation cutoff is found by a search over the certified
+    tail (see :meth:`_cutoff`), which relies on that tail being monotone
+    nonincreasing in the length.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -364,17 +367,15 @@ class KpEvaluator:
             raise KacDivergenceError(
                 "Kac-type model: terms do not vanish, no finite tail bound exists"
             )
-        iv.prec = mp.prec
         e1 = Fraction(2) - Fraction(4) / p
         e2 = Fraction(2) / p
         model = self.model
-        if isinstance(model, DrinfeldJimboModel):
-            bound = self._dj_tail(L, e1, e2)
-        elif isinstance(model, FreeOrthogonalModel):
-            bound = self._oplus_tail(L, e1, e2)
-        else:
-            bound = self._aut_tail(L, e1, e2)
-        return bound
+        with interval_precision():
+            if isinstance(model, DrinfeldJimboModel):
+                return self._dj_tail(L, e1, e2)
+            if isinstance(model, FreeOrthogonalModel):
+                return self._oplus_tail(L, e1, e2)
+            return self._aut_tail(L, e1, e2)
 
     @staticmethod
     def _geometric(first, ratio) -> mpmath.mpf | None:
@@ -478,6 +479,34 @@ class KpEvaluator:
 
     # -- the evaluator --------------------------------------------------------
 
+    def _cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple[int, mpmath.mpf] | None:
+        """Smallest ``L <= max_length`` with a certified tail ``<= tol``, and that tail.
+
+        The certified tail is monotone nonincreasing in ``L`` (see
+        :func:`certified_tail`), so the search gallops through
+        ``L = 0, 1, 3, 7, ...`` and then bisects: O(log L) tail evaluations
+        find the ``L`` a level-by-level scan would.  None when no
+        ``L <= max_length`` certifies.
+        """
+
+        def certified(L: int) -> mpmath.mpf | None:
+            tail = self.tail_bound(L, p)
+            return tail if tail is not None and tail <= tol else None
+
+        failing, L = -1, 0
+        while (tail := certified(L)) is None:
+            if L == max_length:
+                return None
+            failing, L = L, min(2 * L + 1, max_length)
+        while L - failing > 1:
+            mid = (failing + L) // 2
+            mid_tail = certified(mid)
+            if mid_tail is None:
+                failing = mid
+            else:
+                L, tail = mid, mid_tail
+        return L, tail
+
     def kp_constant(
         self,
         p,
@@ -485,6 +514,14 @@ class KpEvaluator:
         max_length: int = 4000,
         workers: int = 1,
     ) -> KpReport:
+        """Certified ``K_p`` with a dropped tail of at most ``tol``.
+
+        The cutoff ``L`` is the first length whose certified tail is
+        ``<= tol``, found by :meth:`_cutoff` (which depends on the tail being
+        monotone in ``L``); levels ``0..L`` are then summed in order.  When
+        no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
+        levels ``0..max_length`` summed.  ``workers`` is ignored.
+        """
         p = _check_p(p)
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol}")
@@ -493,34 +530,24 @@ class KpEvaluator:
         with mp.workprec(self.precision_bits):
             if self.model.is_kac():
                 return self._divergent_report(p, min(max_length, 8))
+            cutoff = self._cutoff(p, tol, max_length)
+            if cutoff is None:
+                last, tail = max_length, self.tail_bound(max_length, p)
+            else:
+                last, tail = cutoff
             partial = mp.mpf(0)
-            for L in range(0, max_length + 1):
+            for L in range(0, last + 1):
                 partial += self.level_term_sum(L, p)
-                tail = self.tail_bound(L, p)
-                if tail is not None and tail <= tol:
-                    kp2 = (partial, partial + tail)
-                    return KpReport(
-                        model_spec=self.model.spec_string(),
-                        p=p,
-                        terms_summed=L,
-                        partial_sum=partial,
-                        tail_bound=tail,
-                        verdict="converged",
-                        kp2_interval=kp2,
-                        kp_interval=(mp.sqrt(kp2[0]), mp.sqrt(kp2[1])),
-                        term_lower_bound=None,
-                        precision_bits=self.precision_bits,
-                    )
-            tail = self.tail_bound(max_length, p)
+            kp2 = None if cutoff is None else (partial, partial + tail)
             return KpReport(
                 model_spec=self.model.spec_string(),
                 p=p,
-                terms_summed=max_length,
+                terms_summed=last,
                 partial_sum=partial,
                 tail_bound=tail,
-                verdict="inconclusive",
-                kp2_interval=None,
-                kp_interval=None,
+                verdict="inconclusive" if kp2 is None else "converged",
+                kp2_interval=kp2,
+                kp_interval=None if kp2 is None else (mp.sqrt(kp2[0]), mp.sqrt(kp2[1])),
                 term_lower_bound=None,
                 precision_bits=self.precision_bits,
             )
@@ -555,6 +582,8 @@ def kp_constant(
 ) -> KpReport:
     """Certified ``K_p`` evaluation; see :class:`KpEvaluator`.
 
+    The summation cutoff is searched for, which relies on the certified tail
+    being monotone nonincreasing in the length (see :func:`certified_tail`).
     ``workers`` is accepted for compatibility and ignored: the summation is
     serial and its order is fixed.
     """
@@ -572,7 +601,8 @@ def certified_tail(
     """A number T with ``sum of terms of length > L <= T``.
 
     Monotone nonincreasing in ``L`` (infinite while the ratio test is not yet
-    conclusive).  Raises :class:`KacDivergenceError` for Kac models.
+    conclusive); the cutoff search of :meth:`KpEvaluator.kp_constant` depends
+    on this.  Raises :class:`KacDivergenceError` for Kac models.
     """
     if L < 0:
         raise ValueError("L must be >= 0")
@@ -593,8 +623,7 @@ def decay_rate(
         raise ValueError("horizon must be >= 1")
     model = construct_model(model)
     ev = KpEvaluator(model, precision_bits)
-    with mp.workprec(precision_bits):
-        iv.prec = mp.prec
+    with mp.workprec(precision_bits), interval_precision():
         polynomial = False
         if model.is_kac():
             theoretical = mp.mpf(1)

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import iv, mp
 
 from conftest import q_integer
+from cqgkhint.chebyshev import envelope
 from cqgkhint.khintchine import (
     KacDivergenceError,
     KpEvaluator,
@@ -136,6 +138,21 @@ def test_certified_tail_monotone_and_small():
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize(
+    "spec", ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5", "djq:B2:3/4"]
+)
+def test_certified_tail_monotone_after_ratio_test(spec):
+    # the cutoff search in kp_constant relies on this: once the ratio test
+    # passes, the tail stays certified and never grows
+    ev = KpEvaluator(parse_model_spec(spec))
+    for p in (Fraction(4), Fraction(16)):
+        with mp.workprec(192):
+            first = next(L for L in range(400) if ev.tail_bound(L, p) is not None)
+            tails = [ev.tail_bound(L, p) for L in range(first, 300)]
+        assert None not in tails
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+
+
 def test_certified_tail_kac_fails_loudly():
     with pytest.raises(KacDivergenceError):
         certified_tail("oplus:3:3", 4, 10)
@@ -171,6 +188,108 @@ def test_workers_bit_identical():
     assert serial.partial_sum == parallel.partial_sum
     assert serial.tail_bound == parallel.tail_bound
     assert serial.terms_summed == parallel.terms_summed
+
+
+def _scan_cutoffs(ev, p, tols, max_length):
+    """First ``L`` whose certified tail is ``<= tol``, by a level-by-level scan."""
+    found = {}
+    with mp.workprec(ev.precision_bits):
+        for L in range(max_length + 1):
+            tail = ev.tail_bound(L, p)
+            for tol in tols:
+                if tol not in found and tail is not None and tail <= tol:
+                    found[tol] = (L, tail)
+            if len(found) == len(tols):
+                break
+    return found
+
+
+CUTOFF_CASES = [
+    ("oplus:2:5/2", (Fraction(5, 2), Fraction(4), Fraction(16))),
+    ("oplus:3:7/2", (Fraction(5, 2), Fraction(4))),
+    ("aut:4:5", (Fraction(5, 2), Fraction(4), Fraction(16))),
+    ("aut:5:5", (Fraction(5, 2), Fraction(4))),
+    ("djq:A2:1/2", (Fraction(5, 2), Fraction(4), Fraction(16))),
+    ("djq:B2:3/4", (Fraction(3), Fraction(16))),
+    ("djq:G2:1/2", (Fraction(5, 2), Fraction(6), Fraction(16))),
+]
+
+
+@pytest.mark.parametrize("spec,ps", CUTOFF_CASES, ids=[c[0] for c in CUTOFF_CASES])
+def test_cutoff_search_matches_linear_scan(spec, ps):
+    ev = KpEvaluator(parse_model_spec(spec))
+    tols = (1e3, 1e-5, 1e-10, 1e-20)
+    for p in ps:
+        scanned = _scan_cutoffs(ev, p, tols, 3000)
+        with mp.workprec(ev.precision_bits):
+            for tol in tols:
+                L, tail = scanned[tol]
+                assert ev._cutoff(p, tol, 3000) == (L, tail)
+                # the cap lands exactly on the cutoff, or just before it
+                assert ev._cutoff(p, tol, max(L, 1)) == (L, tail)
+                if L > 1:
+                    assert ev._cutoff(p, tol, L - 1) is None
+
+
+def test_cutoff_edge_cases_in_reports():
+    # L* = 0 under a loose tol
+    loose = kp_constant("aut:5:5", Fraction(5, 2), tol=1e3)
+    assert loose.converged and loose.terms_summed == 0
+    # no cutoff within max_length: inconclusive after summing every level
+    ev = KpEvaluator(parse_model_spec("oplus:3:7/2"))
+    with mp.workprec(ev.precision_bits):
+        assert ev._cutoff(Fraction(4), 1e-10, 100) is None
+    report = ev.kp_constant(4, tol=1e-10, max_length=100)
+    assert report.verdict == "inconclusive"
+    assert report.terms_summed == 100
+    with mp.workprec(ev.precision_bits):
+        direct = mp.fsum(ev.level_term_sum(k, Fraction(4)) for k in range(101))
+        assert abs(report.partial_sum - direct) < mpmath.mpf("1e-40") * direct
+        assert report.tail_bound == ev.tail_bound(100, Fraction(4))
+
+
+@pytest.mark.parametrize(
+    "spec,p,tol",
+    [
+        ("oplus:3:7/2", 4, 1e-30),
+        ("oplus:2:5/2", 16, 1e-10),
+        ("aut:5:5", 8, 1e-30),
+        ("aut:4:5", 3, 1e-20),
+        ("djq:B2:3/4", 4, 1e-10),
+        ("djq:A2:1/2", 16, 1e-10),
+        ("djq:G2:1/2", Fraction(5, 2), 1e3),
+    ],
+)
+def test_kp_constant_tail_call_budget(spec, p, tol):
+    ev = KpEvaluator(parse_model_spec(spec))
+    calls = []
+    tail_bound = ev.tail_bound
+
+    def counted(L, p):
+        calls.append(L)
+        return tail_bound(L, p)
+
+    ev.tail_bound = counted
+    report = ev.kp_constant(p, tol=tol)
+    assert report.converged
+    assert len(calls) <= 2 * math.ceil(math.log2(report.terms_summed + 2)) + 2
+
+
+def test_interval_precision_is_restored():
+    saved = iv.prec
+    try:
+        iv.prec = 53
+        kp_constant("oplus:3:7/2", 4, tol=1e-10, precision_bits=320)
+        assert iv.prec == 53
+        certified_tail("djq:A2:1/2", 4, 40, precision_bits=128)
+        assert iv.prec == 53
+        decay_rate("aut:5:5", horizon=10, precision_bits=256)
+        assert iv.prec == 53
+        with mp.workprec(300):
+            envelope(10, Fraction(7, 2))
+        assert iv.prec == 53
+    finally:
+        iv.prec = saved
 
 
 def _oracle_level_sum(ev, k, p):
