@@ -514,6 +514,9 @@ def _apply_config(args):
         raise _CliError("precision_bits must be at least 64", "bad-precision")
     if hasattr(args, "tol") and not args.tol > 0:
         raise _CliError("tol must be positive", "bad-tolerance")
+    if hasattr(args, "tol") and args.tol < 2.0**-args.precision_bits:
+        message = f"tol is below 2^-{args.precision_bits}; raise --precision-bits"
+        raise _CliError(message, "tol-below-precision")
     if hasattr(args, "max_length") and args.max_length < 1:
         raise _CliError("max_length must be >= 1", "bad-max-length")
     if getattr(args, "workers", 1) < 1:

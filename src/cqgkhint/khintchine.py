@@ -202,19 +202,18 @@ def _check_p(p, minimum=2) -> Fraction:
 
 
 class KpEvaluator:
-    """Per-model cache of exact level data plus the certified summation.
+    """Certified summation over one model's level data.
 
-    Per-level data is computed once and shared across values of ``p``: the
-    exact ``(n, d, chi_sup)`` triples of the graded families and, for
-    Drinfeld-Jimbo models, the integer root pairings ``(mu + rho, beta)`` of
-    every label.  A Drinfeld-Jimbo summand is a product of one scalar
-    function ``psi`` at those integers, tabulated once per ``(p, precision)``
-    (see :meth:`level_term_sum`).  The summation order is fixed (ascending
-    length, then label order), so reports are bit-identical from run to run.
-    ``level_entries`` is the exact reference used by ``decay_rate`` and the
-    tests.  The summation cutoff is found by a search over the certified
-    tail (see :meth:`_cutoff`), which relies on that tail being monotone
-    nonincreasing in the length.
+    The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
+    ``level_data``; the evaluator holds no level cache of its own.  For
+    Drinfeld-Jimbo models it caches the integer root pairings
+    ``(mu + rho, beta)`` of every label, shared across values of ``p``: a
+    summand is a product of one scalar function ``psi`` at those integers,
+    tabulated once per ``(p, precision)`` (see :meth:`level_term_sum`).  The
+    summation order is fixed (ascending length, then label order), so reports
+    are bit-identical from run to run.  The summation cutoff is found by a
+    search over the certified tail (see :meth:`_cutoff`), which relies on that
+    tail being monotone nonincreasing in the length.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -222,87 +221,19 @@ class KpEvaluator:
             raise ValueError("precision_bits must be at least 64")
         self.model = construct_model(model)
         self.precision_bits = int(precision_bits)
-        self._levels: dict[int, list[tuple[int, Fraction, int]]] = {}
         if isinstance(self.model, DrinfeldJimboModel):
-            self._prepare_drinfeld_jimbo()
-        elif isinstance(self.model, FreeOrthogonalModel):
-            self._bases = (Fraction(self.model.N), self.model.Nq)
-            self._running = [(Fraction(1), Fraction(1)), self._bases]
-            self._step = lambda t, prev, cur: t * cur - prev
-        else:
-            self._bases = (Fraction(self.model.dimB), self.model.d1 + 1)
-            self._running = [
-                (Fraction(1), Fraction(1)),
-                (self._bases[0] - 1, self._bases[1] - 1),
-            ]
-            self._step = lambda t, prev, cur: (t - 2) * cur - prev
+            rs = self.model.root_system
+            self._pairing = rs.root_weight_pairing
+            self._rho_pairing = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
+            self._pairing_matrix = np.array(self._pairing, dtype=np.int64).T
+            self._root_pairings: dict[int, np.ndarray] = {}
+            self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
 
     # -- exact level data --------------------------------------------------
 
-    def _prepare_drinfeld_jimbo(self):
-        rs = self.model.root_system
-        q = self.model.q
-        self._pairing = rs.root_weight_pairing
-        self._rho_pairing = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
-        self._rho_prod = math.prod(self._rho_pairing)
-        self._qpow: list[Fraction] = [Fraction(1)]
-        self._q = q
-        self._pairing_matrix = np.array(self._pairing, dtype=np.int64).T
-        self._root_pairings: dict[int, np.ndarray] = {}
-        self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
-
-    def _q_power(self, m: int) -> Fraction:
-        while len(self._qpow) <= m:
-            self._qpow.append(self._qpow[-1] * self._q)
-        return self._qpow[m]
-
     def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
         """Exact ``(n, d, chi_sup)`` for every label of length ``k``."""
-        cached = self._levels.get(k)
-        if cached is not None:
-            return cached
-        model = self.model
-        if isinstance(model, DrinfeldJimboModel):
-            entries = self._dj_level(k)
-        else:
-            n, d = self._graded_dims(k)
-            chi = k + 1 if isinstance(model, FreeOrthogonalModel) else 2 * k + 1
-            entries = [(n, d, chi)]
-        self._levels[k] = entries
-        return entries
-
-    def _graded_dims(self, k: int) -> tuple[int, Fraction]:
-        while len(self._running) <= k:
-            (pn, pd), (cn, cd) = self._running[-2], self._running[-1]
-            bn, bd = self._bases
-            self._running.append((self._step(bn, pn, cn), self._step(bd, pd, cd)))
-        n_frac, d_frac = self._running[k]
-        if n_frac.denominator != 1:
-            raise ArithmeticError(f"classical dimension at length {k} is not an integer")
-        return int(n_frac), d_frac
-
-    def _dj_level(self, k: int) -> list[tuple[int, Fraction, int]]:
-        model = self.model
-        rs = model.root_system
-        out = []
-        denom = Fraction(1)
-        for h in self._rho_pairing:
-            denom *= self._q_power(h) - 1 / self._q_power(h)
-        for mu in model.enumerate_level(k):
-            shifted = tuple(c + 1 for c in mu)
-            n_num = 1
-            d_num = Fraction(1)
-            for idx, w in enumerate(self._pairing):
-                m = sum(shifted[i] * w[i] for i in range(rs.rank))
-                n_num *= m
-                qm = self._q_power(m)
-                d_num *= qm - 1 / qm
-            n, rem = divmod(n_num, self._rho_prod)
-            if rem:
-                raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
-            d = d_num / denom
-            out.append((n, d, n))
-        return out
+        return [(data.n, data.d, data.chi_sup) for data in self.model.level_data(k)]
 
     def _level_root_pairings(self, k: int) -> np.ndarray:
         """Integer ``(mu + rho, beta)``, one row per label of length ``k``, one column per root."""
@@ -344,7 +275,7 @@ class KpEvaluator:
         key = (p, mp.prec)
         table = self._psi_tables.get(key)
         if table is None:
-            table = self._psi_tables[key] = _PsiTable(self._q, p, self._rho_pairing)
+            table = self._psi_tables[key] = _PsiTable(self.model.q, p, self._rho_pairing)
         table.extend(int(rows.max()))
         exps = table.exps[rows].sum(axis=1)
         e0 = int(exps.min())
@@ -520,11 +451,14 @@ class KpEvaluator:
         ``<= tol``, found by :meth:`_cutoff` (which depends on the tail being
         monotone in ``L``); levels ``0..L`` are then summed in order.  When
         no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
-        levels ``0..max_length`` summed.  ``workers`` is ignored.
+        levels ``0..max_length`` summed.  A ``tol`` below
+        ``2^-precision_bits`` raises :class:`ValueError`.  ``workers`` is ignored.
         """
         p = _check_p(p)
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol}")
+        if tol < 2.0**-self.precision_bits:
+            raise ValueError(f"tol {tol!r} is below the working precision 2^-{self.precision_bits}")
         if max_length < 1:
             raise ValueError("max_length must be >= 1")
         with mp.workprec(self.precision_bits):

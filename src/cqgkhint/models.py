@@ -5,6 +5,11 @@ classical dimension ``n``, quantum dimension ``d``, the sup norm of the
 character, and the length of the label.  Parameters are normalised to exact
 rationals on construction, so ``n`` and ``d`` are exact for every label.
 
+Level data is a cached stream owned by the model: each length is computed
+once, the graded families extending one running recursion by a step per new
+length.  Callers receive immutable data (tuples of frozen records), so they
+cannot corrupt the cache.
+
 Family conventions
 ------------------
 * ``DrinfeldJimboModel(lie_type, rank, q)`` — labels are dominant weights;
@@ -24,12 +29,12 @@ Family conventions
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .chebyshev import chebyshev_f, chebyshev_g
 from .exact import as_fraction
 from .rootsys import InvalidRootSystemError, RootSystem, build_root_system
 
@@ -63,7 +68,7 @@ class IrrData:
 
 
 class QuantumGroupModel:
-    """Common surface of the three families; immutable after construction."""
+    """Common surface of the three families; its observable data is immutable."""
 
     family: str
 
@@ -83,8 +88,8 @@ class QuantumGroupModel:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    def level_data(self, k: int) -> list[IrrData]:
-        return [self.irr_data(label) for label in self.enumerate_level(k)]
+    def level_data(self, k: int) -> tuple[IrrData, ...]:
+        return tuple(map(self.irr_data, self.enumerate_level(k)))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
@@ -113,17 +118,48 @@ class DrinfeldJimboModel(QuantumGroupModel):
         self.lie_type = self.root_system.lie_type
         self.rank = self.root_system.rank
         self.q = q
+        rs = self.root_system
+        rho = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
+        self._rho_prod = math.prod(rho)
+        self._rho_sum = sum(rho)
+        self._q_factors: list[int] = []
+        self._q_denom = math.prod(map(self._q_factor, rho))
+        self._levels: dict[int, tuple[IrrData, ...]] = {}
 
     def is_kac(self) -> bool:
         # a genuine deformation (0 < q < 1) is never of Kac type
         return False
 
-    def irr_data(self, label) -> IrrData:
-        mu = tuple(int(c) for c in label)
-        rs = self.root_system
-        n = rs.weyl_dimension(mu)
-        d = rs.quantum_dimension_product(mu, self.q)
+    def _q_factor(self, m: int) -> int:
+        """``a^2m - b^2m`` for ``q = a/b``: ``q^m - q^-m`` times ``(ab)^m``, tabulated."""
+        table, a, b = self._q_factors, self.q.numerator, self.q.denominator
+        table.extend(a ** (2 * j) - b ** (2 * j) for j in range(len(table), m + 1))
+        return table[m]
+
+    def _irr(self, mu: tuple[int, ...]) -> IrrData:
+        """Weyl and q-Weyl products over ``m_b = (mu + rho, b)``, ``h_b = (rho, b)``;
+        ``d`` is put over the shared denominator ``(ab)^(sum m_b - sum h_b)`` and reduced once.
+        """
+        pairing = self.root_system.root_weight_pairing
+        ms = [sum((c + 1) * w for c, w in zip(mu, row)) for row in pairing]
+        n, rem = divmod(math.prod(ms), self._rho_prod)
+        if rem:
+            raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
+        ab = self.q.numerator * self.q.denominator
+        d = Fraction(
+            math.prod(map(self._q_factor, ms)),
+            self._q_denom * ab ** (sum(ms) - self._rho_sum),
+        )
         return IrrData(label=mu, n=n, d=d, chi_sup=n, length=sum(mu))
+
+    def irr_data(self, label) -> IrrData:
+        return self._irr(self.root_system._check_dominant(label))
+
+    def level_data(self, k: int) -> tuple[IrrData, ...]:
+        level = self._levels.get(k)
+        if level is None:
+            level = self._levels[k] = tuple(map(self._irr, self.enumerate_level(k)))
+        return level
 
     def enumerate_level(self, k: int) -> list[tuple[int, ...]]:
         k = _check_length(k)
@@ -146,8 +182,48 @@ def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-class FreeOrthogonalModel(QuantumGroupModel):
+class _GradedModel(QuantumGroupModel):
+    """One label per length, with ``n`` and ``d`` obeying ``x_{k+1} = c x_k - x_{k-1}``.
+
+    The records form one stream that is extended by one recursion step per
+    new length and never rerun, so any sequence of requests up to length
+    ``K`` costs ``K - 1`` steps in total.  ``chi_sup = chi_slope * k + 1``.
+    """
+
+    chi_slope: int
+
+    def _start_stream(self, c_n: int, c_d: Fraction, n1: int, d1: Fraction):
+        self._coefficients = (c_n, c_d)
+        self._stream = [self._record(0, 1, Fraction(1)), self._record(1, n1, d1)]
+
+    def _record(self, k: int, n: int | Fraction, d: Fraction) -> IrrData:
+        if n.denominator != 1:
+            raise ArithmeticError(f"classical dimension at length {k} is not an integer")
+        return IrrData(label=k, n=int(n), d=d, chi_sup=self.chi_slope * k + 1, length=k)
+
+    def _step(self):
+        prev, cur = self._stream[-2:]
+        c_n, c_d = self._coefficients
+        self._stream.append(
+            self._record(len(self._stream), c_n * cur.n - prev.n, c_d * cur.d - prev.d)
+        )
+
+    def irr_data(self, label) -> IrrData:
+        k = _check_length(label)
+        while len(self._stream) <= k:
+            self._step()
+        return self._stream[k]
+
+    def enumerate_level(self, k: int) -> list[int]:
+        return [_check_length(k)]
+
+    def trivial_label(self):
+        return 0
+
+
+class FreeOrthogonalModel(_GradedModel):
     family = "free-orthogonal"
+    chi_slope = 1
 
     def __init__(self, N: int, Nq):
         if int(N) != N or N < 2:
@@ -162,28 +238,19 @@ class FreeOrthogonalModel(QuantumGroupModel):
             )
         self.N = int(N)
         self.Nq = Nq
+        # f_{k+1}(t) = t f_k(t) - f_{k-1}(t), f_1(t) = t
+        self._start_stream(self.N, Nq, self.N, Nq)
 
     def is_kac(self) -> bool:
         return self.Nq == self.N
-
-    def irr_data(self, label) -> IrrData:
-        k = _check_length(label)
-        n = int(chebyshev_f(k, self.N))
-        d = chebyshev_f(k, self.Nq)
-        return IrrData(label=k, n=n, d=d, chi_sup=k + 1, length=k)
-
-    def enumerate_level(self, k: int) -> list[int]:
-        return [_check_length(k)]
-
-    def trivial_label(self):
-        return 0
 
     def spec_string(self) -> str:
         return f"oplus:{self.N}:{self.Nq}"
 
 
-class QuantumAutomorphismModel(QuantumGroupModel):
+class QuantumAutomorphismModel(_GradedModel):
     family = "quantum-automorphism"
+    chi_slope = 2
 
     def __init__(self, dimB: int, d1):
         if int(dimB) != dimB or dimB < 4:
@@ -200,21 +267,11 @@ class QuantumAutomorphismModel(QuantumGroupModel):
                 code="d1-below-minimum",
             )
         self.d1 = d1
+        # g_{k+1}(x) = (x - 2) g_k(x) - g_{k-1}(x), g_1(x) = x - 1, at x = dimB and d1 + 1
+        self._start_stream(self.dimB - 2, d1 - 1, self.n1, d1)
 
     def is_kac(self) -> bool:
         return self.d1 == self.n1
-
-    def irr_data(self, label) -> IrrData:
-        k = _check_length(label)
-        n = int(chebyshev_g(k, self.dimB))
-        d = chebyshev_g(k, self.d1 + 1)
-        return IrrData(label=k, n=n, d=d, chi_sup=2 * k + 1, length=k)
-
-    def enumerate_level(self, k: int) -> list[int]:
-        return [_check_length(k)]
-
-    def trivial_label(self):
-        return 0
 
     def spec_string(self) -> str:
         return f"aut:{self.dimB}:{self.d1}"

@@ -105,6 +105,13 @@ def test_kp_inconclusive_exit_code(capsys):
     assert report["verdict"] == "inconclusive"
 
 
+def test_kp_tol_below_precision_refused(capsys):
+    code, out, err = run_cli(capsys, "kp", "--model", "oplus:3:7/2", "--tol", "1e-300")
+    assert code == 2
+    assert out == ""
+    assert "error[tol-below-precision]" in err
+
+
 # -- decay / constants -----------------------------------------------------------------
 
 

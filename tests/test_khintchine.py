@@ -108,6 +108,14 @@ def test_p_below_two_rejected():
         kp_constant("oplus:3:3.5", 4, tol=0)
 
 
+def test_tol_below_working_precision_rejected():
+    with pytest.raises(ValueError, match="precision"):
+        kp_constant("oplus:3:7/2", 4, tol=1e-300)
+    with pytest.raises(ValueError, match="precision"):
+        kp_constant("djq:A2:1/2", 4, tol=2.0**-65, precision_bits=64)
+    assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).converged
+
+
 # -- structural properties ------------------------------------------------------------
 
 

@@ -1,8 +1,12 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import q_integer
+from cqgkhint.chebyshev import chebyshev_f, chebyshev_g
+from cqgkhint.khintchine import KpEvaluator
 from cqgkhint.models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
@@ -175,6 +179,89 @@ def test_chi_sup_values_per_family():
     for k in range(6):
         assert oplus.irr_data(k).chi_sup == k + 1
         assert aut.irr_data(k).chi_sup == 2 * k + 1
+
+
+# -- the cached level-data stream ------------------------------------------------------
+
+
+def _graded_oracle(model, k):
+    if isinstance(model, FreeOrthogonalModel):
+        return chebyshev_f(k, model.N), chebyshev_f(k, model.Nq), k + 1
+    return chebyshev_g(k, model.dimB), chebyshev_g(k, model.d1 + 1), 2 * k + 1
+
+
+GRADED_SPECS = ["oplus:2:5/2", "oplus:3:7/2", "oplus:3:3", "aut:4:5", "aut:5:5", "aut:4:3"]
+
+
+@pytest.mark.parametrize("spec", GRADED_SPECS)
+def test_graded_stream_matches_chebyshev_in_any_order(spec):
+    model = parse_model_spec(spec)
+    order = list(range(401))
+    random.Random(spec).shuffle(order)
+    for i, k in enumerate(order):
+        if i % 2:
+            (data,) = model.level_data(k)
+        else:
+            data = model.irr_data(k)
+        n, d, chi = _graded_oracle(model, k)
+        assert (data.label, data.n, data.d, data.chi_sup, data.length) == (k, n, d, chi, k)
+        assert type(data.n) is int
+
+
+@pytest.mark.parametrize("spec", ["djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/3", "djq:C3:3/4"])
+def test_dj_level_data_matches_weyl_products(spec):
+    model = parse_model_spec(spec)
+    rs = model.root_system
+    order = list(range(9))
+    random.Random(spec).shuffle(order)
+    for k in order:
+        level = model.level_data(k)
+        assert [data.label for data in level] == model.enumerate_level(k)
+        for data in level:
+            mu = data.label
+            n = rs.weyl_dimension(mu)
+            d = rs.quantum_dimension_product(mu, model.q)
+            assert (data.n, data.d, data.chi_sup, data.length) == (n, d, n, k)
+            assert model.irr_data(list(mu)) == data
+
+
+@pytest.mark.parametrize("spec", ["oplus:3:7/2", "aut:5:5"])
+def test_graded_stream_work_is_linear(spec):
+    model = parse_model_spec(spec)
+    steps = 0
+    step = model._step
+
+    def counted():
+        nonlocal steps
+        steps += 1
+        step()
+
+    model._step = counted
+    forward = [model.level_data(k) for k in range(601)]
+    backward = [model.level_data(k) for k in range(600, -1, -1)]
+    assert backward[::-1] == forward
+    assert [model.irr_data(k) for k in range(600, -1, -1)] == [level[0] for level in backward]
+    assert steps <= 600
+
+
+@pytest.mark.parametrize("spec", ["djq:B2:3/4", "oplus:3:7/2", "aut:4:5"])
+def test_level_data_cannot_be_corrupted_by_callers(spec):
+    fresh = parse_model_spec(spec)
+    model = parse_model_spec(spec)
+    expected = fresh.level_data(4)
+    level = model.level_data(4)
+    with pytest.raises(TypeError):
+        level[0] = level[-1]
+    with pytest.raises(AttributeError):
+        level.append(level[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        level[0].n = 0
+    entries = KpEvaluator(model).level_entries(4)
+    entries[0] = (0, Fraction(0), 0)
+    entries.clear()
+    assert model.level_data(4) == expected
+    assert KpEvaluator(model).level_entries(4) == [(x.n, x.d, x.chi_sup) for x in expected]
+    assert model.irr_data(model.enumerate_level(4)[0]) == expected[0]
 
 
 # -- spec strings --------------------------------------------------------------------
