@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
@@ -172,7 +171,7 @@ class _PsiTable:
         self.sigma = _mpf_from_fraction(2 - Fraction(2) / p)
         self.power = _mpf_from_fraction(-Fraction(2) / p)
         self.mans: list[int] = [0]
-        self.exps = np.zeros(1, dtype=np.int64)
+        self.exps: list[int] = [0]
         self.scale = 1 / math.prod(self._psi(h) for h in rho_pairing)
 
     def _psi(self, m: int) -> mpmath.mpf:
@@ -184,14 +183,10 @@ class _PsiTable:
 
     def extend(self, top: int):
         """Tabulate ``psi(m)`` for every ``m <= top``."""
-        if top < len(self.mans):
-            return
-        exps = self.exps.tolist()
         for m in range(len(self.mans), top + 1):
             _, man, exp, _ = self._psi(m)._mpf_
             self.mans.append(man)
-            exps.append(exp)
-        self.exps = np.array(exps, dtype=np.int64)
+            self.exps.append(exp)
 
 
 def _check_p(p, minimum=2) -> Fraction:
@@ -206,14 +201,15 @@ class KpEvaluator:
 
     The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
     ``level_data``; the evaluator holds no level cache of its own.  For
-    Drinfeld-Jimbo models it caches the integer root pairings
-    ``(mu + rho, beta)`` of every label, shared across values of ``p``: a
-    summand is a product of one scalar function ``psi`` at those integers,
-    tabulated once per ``(p, precision)`` (see :meth:`level_term_sum`).  The
-    summation order is fixed (ascending length, then label order), so reports
-    are bit-identical from run to run.  The summation cutoff is found by a
-    search over the certified tail (see :meth:`_cutoff`), which relies on that
-    tail being monotone nonincreasing in the length.
+    Drinfeld-Jimbo models a summand is a product of one scalar function
+    ``psi`` at the integer root pairings ``(mu + rho, beta)`` of the label,
+    which the model owns (pure Python, memoised per level, shared across
+    values of ``p``; see :meth:`DrinfeldJimboModel.level_pairings`); ``psi``
+    is tabulated once per ``(p, precision)`` (see :meth:`level_term_sum`).
+    The summation order is fixed (ascending length, then label order), so
+    reports are bit-identical from run to run.  The summation cutoff is found
+    by a search over the certified tail (see :meth:`_cutoff`), which relies on
+    that tail being monotone nonincreasing in the length.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -221,27 +217,13 @@ class KpEvaluator:
             raise ValueError("precision_bits must be at least 64")
         self.model = construct_model(model)
         self.precision_bits = int(precision_bits)
-        if isinstance(self.model, DrinfeldJimboModel):
-            rs = self.model.root_system
-            self._pairing = rs.root_weight_pairing
-            self._rho_pairing = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
-            self._pairing_matrix = np.array(self._pairing, dtype=np.int64).T
-            self._root_pairings: dict[int, np.ndarray] = {}
-            self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
+        self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
 
     # -- exact level data --------------------------------------------------
 
     def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
         """Exact ``(n, d, chi_sup)`` for every label of length ``k``."""
         return [(data.n, data.d, data.chi_sup) for data in self.model.level_data(k)]
-
-    def _level_root_pairings(self, k: int) -> np.ndarray:
-        """Integer ``(mu + rho, beta)``, one row per label of length ``k``, one column per root."""
-        rows = self._root_pairings.get(k)
-        if rows is None:
-            labels = np.array(self.model.enumerate_level(k), dtype=np.int64) + 1
-            rows = self._root_pairings[k] = labels @ self._pairing_matrix
-        return rows
 
     # -- floating accumulation ----------------------------------------------
 
@@ -271,18 +253,21 @@ class KpEvaluator:
         return total
 
     def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
-        rows = self._level_root_pairings(k)
+        model = self.model
+        rows = model.level_pairings(k)
         key = (p, mp.prec)
         table = self._psi_tables.get(key)
         if table is None:
-            table = self._psi_tables[key] = _PsiTable(self.model.q, p, self._rho_pairing)
-        table.extend(int(rows.max()))
-        exps = table.exps[rows].sum(axis=1)
-        e0 = int(exps.min())
-        mantissa = table.mans.__getitem__
+            table = self._psi_tables[key] = _PsiTable(model.q, p, model.rho_pairing)
+        # rows grow with mu: the level's largest entry is max_beta h_beta + k max_i (omega_i, beta)
+        pairing = model.root_system.root_weight_pairing
+        table.extend(max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing)))
+        exponent, mantissa = table.exps.__getitem__, table.mans.__getitem__
+        exps = [sum(map(exponent, row)) for row in rows]
+        e0 = min(exps)
         total = 0
-        for row, shift in zip(rows.tolist(), (exps - e0).tolist()):
-            total += math.prod(map(mantissa, row)) << shift
+        for row, e in zip(rows, exps):
+            total += math.prod(map(mantissa, row)) << (e - e0)
         return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
 
     # -- certified tails ------------------------------------------------------
@@ -379,10 +364,7 @@ class KpEvaluator:
         t_max = model.q**e_min
         tau = _iv_pow(_iv_from_fraction(t_max), e2)
         # n_mu <= prod_over_roots (1 + C_a k) with C_a = max_i (omega_i, a)/(rho, a)
-        cs = []
-        for idx, w in enumerate(self._pairing):
-            h = self._rho_pairing[idx]
-            cs.append(Fraction(max(w), h))
+        cs = [Fraction(max(w), h) for w, h in zip(rs.root_weight_pairing, model.rho_pairing)]
         sigma = e1 + e2  # = 2 - 2/p
 
         def poly(k: int) -> Fraction:

@@ -8,7 +8,10 @@ rationals on construction, so ``n`` and ``d`` are exact for every label.
 Level data is a cached stream owned by the model: each length is computed
 once, the graded families extending one running recursion by a step per new
 length.  Callers receive immutable data (tuples of frozen records), so they
-cannot corrupt the cache.
+cannot corrupt the cache.  Drinfeld-Jimbo models also own the integer root
+pairings ``(mu + rho, beta)`` of every label (``level_pairings``), built
+incrementally in pure Python; both their level data and the ``K_p`` sum of
+:mod:`cqgkhint.khintchine` read them.
 
 Family conventions
 ------------------
@@ -33,6 +36,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 from .exact import as_fraction
@@ -102,6 +106,14 @@ def _check_length(k: int) -> int:
 
 
 class DrinfeldJimboModel(QuantumGroupModel):
+    """Drinfeld-Jimbo deformation ``G_q`` of a simple compact Lie group.
+
+    The model owns the one source of root pairings: ``rho_pairing`` holds
+    ``h_beta = (rho, beta)`` and :meth:`level_pairings` the memoised rows
+    ``m_beta = (mu + rho, beta)`` of each level, from which :meth:`level_data`
+    forms the Weyl and q-Weyl products.
+    """
+
     family = "drinfeld-jimbo"
 
     def __init__(self, lie_type: str, rank: int, q):
@@ -119,11 +131,16 @@ class DrinfeldJimboModel(QuantumGroupModel):
         self.rank = self.root_system.rank
         self.q = q
         rs = self.root_system
-        rho = [rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))]
-        self._rho_prod = math.prod(rho)
-        self._rho_sum = sum(rho)
+        # h_b = (rho, b) per positive root, and column i of the pairing matrix: (omega_i, b)
+        self.rho_pairing: tuple[int, ...] = tuple(
+            rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))
+        )
+        self._columns = tuple(zip(*rs.root_weight_pairing))
+        self._rho_prod = math.prod(self.rho_pairing)
+        self._rho_sum = sum(self.rho_pairing)
         self._q_factors: list[int] = []
-        self._q_denom = math.prod(map(self._q_factor, rho))
+        self._q_denom = math.prod(map(self._q_factor, self.rho_pairing))
+        self._partial_rows: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._levels: dict[int, tuple[IrrData, ...]] = {}
 
     def is_kac(self) -> bool:
@@ -136,12 +153,38 @@ class DrinfeldJimboModel(QuantumGroupModel):
         table.extend(a ** (2 * j) - b ** (2 * j) for j in range(len(table), m + 1))
         return table[m]
 
-    def _irr(self, mu: tuple[int, ...]) -> IrrData:
+    def level_pairings(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """``m_b = (mu + rho, b)`` over the positive roots ``b``, one row per label of
+        :meth:`enumerate_level`, in the same order; memoised and pure Python."""
+        return self._partials(0, _check_length(k))
+
+    def _partials(self, j: int, t: int) -> tuple[tuple[int, ...], ...]:
+        """Rows ``rho_pairing + sum_{i >= j} c_i column_i`` over the compositions
+        ``(c_j, ..., c_{r-1})`` of ``t``, in descending lex order.
+
+        Built from the shorter compositions one part at a time, so a new level
+        costs about one tuple addition per label; rows with ``c_j = 0`` are shared.
+        """
+        rows = self._partial_rows.get((j, t))
+        if rows is None:
+            column = self._columns[j]
+            if j == self.rank - 1:
+                rows = (tuple(h + t * c for h, c in zip(self.rho_pairing, column)),)
+            else:
+                built: list[tuple[int, ...]] = []
+                for f in range(t, 0, -1):
+                    shift = [f * c for c in column]
+                    rest = self._partials(j + 1, t - f)
+                    built.extend(tuple(map(add, shift, row)) for row in rest)
+                built.extend(self._partials(j + 1, t))
+                rows = tuple(built)
+            self._partial_rows[(j, t)] = rows
+        return rows
+
+    def _irr(self, mu: tuple[int, ...], ms: tuple[int, ...]) -> IrrData:
         """Weyl and q-Weyl products over ``m_b = (mu + rho, b)``, ``h_b = (rho, b)``;
         ``d`` is put over the shared denominator ``(ab)^(sum m_b - sum h_b)`` and reduced once.
         """
-        pairing = self.root_system.root_weight_pairing
-        ms = [sum((c + 1) * w for c, w in zip(mu, row)) for row in pairing]
         n, rem = divmod(math.prod(ms), self._rho_prod)
         if rem:
             raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
@@ -153,12 +196,16 @@ class DrinfeldJimboModel(QuantumGroupModel):
         return IrrData(label=mu, n=n, d=d, chi_sup=n, length=sum(mu))
 
     def irr_data(self, label) -> IrrData:
-        return self._irr(self.root_system._check_dominant(label))
+        mu = self.root_system._check_dominant(label)
+        k = sum(mu)
+        return self.level_data(k)[self.enumerate_level(k).index(mu)]
 
     def level_data(self, k: int) -> tuple[IrrData, ...]:
         level = self._levels.get(k)
         if level is None:
-            level = self._levels[k] = tuple(map(self._irr, self.enumerate_level(k)))
+            level = self._levels[k] = tuple(
+                map(self._irr, self.enumerate_level(k), self.level_pairings(k))
+            )
         return level
 
     def enumerate_level(self, k: int) -> list[tuple[int, ...]]:

@@ -305,21 +305,6 @@ class RootSystem:
             else:
                 return w
 
-    def weyl_orbit(self, weight: Sequence[int]) -> set[Weight]:
-        start = tuple(int(x) for x in weight)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in range(self.rank):
-                    r = self.reflect(w, i)
-                    if r not in seen:
-                        seen.add(r)
-                        new.append(r)
-            frontier = new
-        return seen
-
     # -- dimensions and weight systems --------------------------------------
 
     def weyl_dimension(self, mu: Sequence[int]) -> int:
@@ -380,9 +365,6 @@ class RootSystem:
         system = {w: mults[self.dominant_conjugate(w)] for w in candidates}
         self._weight_system_cache[mu] = dict(system)
         return system
-
-    def weight_multiplicities(self, mu: Sequence[int]) -> dict[Weight, int]:
-        return self.weight_system(mu)
 
     def _saturated_weights(self, mu: Weight) -> set[Weight]:
         """All weights of V_mu: the saturated set below mu.

@@ -23,8 +23,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .exact import Radical, as_fraction
 from .rootsys import QSpectrum
 
@@ -327,6 +325,8 @@ class CentralSeries:
     """Finite central series ``sum_a x_a (x) chi_a`` with matrix coefficients."""
 
     def __init__(self, dim: int, terms: Mapping, spectra: Mapping):
+        import numpy as np  # loaded on first use: nothing else in the package needs it
+
         self.dim = int(dim)
         self.spectra = dict(spectra)
         self.terms = {}
@@ -344,9 +344,7 @@ class CentralSeries:
 
 def series_norm_squared_direct(series: CentralSeries) -> float:
     """Shortcut ``sum_a tr(x_a^* x_a)`` using orthonormality of characters."""
-    return float(
-        sum(np.trace(x.conj().T @ x).real for x in series.terms.values())
-    )
+    return float(sum((x.conj().T @ x).trace().real for x in series.terms.values()))
 
 
 def series_norm_squared_expanded(series: CentralSeries) -> float:
@@ -362,7 +360,7 @@ def series_norm_squared_expanded(series: CentralSeries) -> float:
         spec = series.spectra[label]
         diag = spec.diagonal()
         d = float(_exact_q(spec.trace()))
-        coeff = float(np.trace(x.conj().T @ x).real)
+        coeff = float((x.conj().T @ x).trace().real)
         for i in range(spec.n):
             for j in range(spec.n):
                 if i != j:
@@ -397,7 +395,7 @@ def l2_khintchine_check(series: CentralSeries, k2: float | None = None) -> L2Khi
     lhs_sq_dir = series_norm_squared_direct(series)
     lhs = lhs_sq_exp**0.5
     gram = sum(x.conj().T @ x for x in series.terms.values())
-    square_function = float(np.trace(gram).real) ** 0.5
+    square_function = float(gram.trace().real) ** 0.5
     if k2 is None:
         k2 = (
             1.0

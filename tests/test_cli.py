@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,3 +301,26 @@ def test_kp_csv_divergent_row(capsys):
     lines = [line for line in out.splitlines() if not line.startswith("#")]
     assert lines[0].startswith("p,terms_summed,partial_sum,tail_bound,verdict")
     assert ",divergent,," in lines[1]
+
+
+def test_cli_commands_do_not_import_numpy():
+    # numpy is loaded only when schur.CentralSeries is built; no CLI command needs it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import contextlib, io, sys\n"
+        "from cqgkhint.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['kp', '--model', 'djq:A2:1/2', '--p', '4']) == 0\n"
+        "    assert main(['dims', '--model', 'aut:5:5', '--max-length', '20']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

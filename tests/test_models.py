@@ -225,6 +225,31 @@ def test_dj_level_data_matches_weyl_products(spec):
             assert model.irr_data(list(mu)) == data
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "djq:A1:1/2", "djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/3",
+        "djq:A3:1/2", "djq:C3:3/4", "djq:A4:1/2",
+    ],
+)
+def test_dj_level_pairings_match_direct_root_pairings(spec):
+    # the incremental rows against (mu + rho, beta) from the invariant form,
+    # with the longest level requested first and the trivial one last
+    model = parse_model_spec(spec)
+    rs = model.root_system
+    roots = [rs._omega_coords(beta) for beta in rs.positive_roots]
+    middle = list(range(1, 12))
+    random.Random(spec).shuffle(middle)
+    for k in [12, *middle, 0]:
+        rows = model.level_pairings(k)
+        expected = [
+            tuple(rs.inner_product([c + 1 for c in mu], beta) for beta in roots)
+            for mu in model.enumerate_level(k)
+        ]
+        assert list(rows) == expected
+        assert all(type(m) is int for row in rows for m in row)
+
+
 @pytest.mark.parametrize("spec", ["oplus:3:7/2", "aut:5:5"])
 def test_graded_stream_work_is_linear(spec):
     model = parse_model_spec(spec)
