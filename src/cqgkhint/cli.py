@@ -488,7 +488,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args):
+def _config_value(action: argparse.Action, value):
+    """A config value read as its flag would read ``str(value)`` on the command line."""
+    key = action.dest
+    try:
+        value = action.type(str(value)) if action.type else str(value)
+    except (ValueError, ArithmeticError) as exc:
+        raise _CliError(f"config key {key!r}: cannot read {value!r}", "bad-config") from exc
+    if action.choices is not None and value not in action.choices:
+        message = f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
+        raise _CliError(message, "bad-config")
+    return value
+
+
+def _apply_config(args, parser: argparse.ArgumentParser):
     config = {}
     if getattr(args, "config", None):
         try:
@@ -496,17 +509,18 @@ def _apply_config(args):
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _CliError(f"cannot read config {args.config!r}: {exc}", "bad-config") from exc
+        if not isinstance(config, dict):
+            raise _CliError(f"config {args.config!r} is not a JSON object", "bad-config")
         unknown = set(config) - set(_CONFIG_KEYS)
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}", "bad-config")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {action.dest: action for action in commands.choices[args.command]._actions}
     for key in _CONFIG_KEYS:
         if not hasattr(args, key):
             continue
-        if getattr(args, key) is None and key in config:
-            value = config[key]
-            if key in ("p", "r") and value is not None:
-                value = Fraction(str(value))
-            setattr(args, key, value)
+        if getattr(args, key) is None and config.get(key) is not None:
+            setattr(args, key, _config_value(flags[key], config[key]))
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -531,7 +545,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_OK
     try:
-        args = _apply_config(args)
+        args = _apply_config(args, parser)
         handler = _HANDLERS[args.command]
         report, rows, exit_code = handler(args)
         _emit(report, rows, args.format, args.output)

@@ -6,9 +6,10 @@ Labels are nonnegative integers.  The generator rules are
 * ``so3``:  ``k (x) 1 = (k-1) (+) (k) (+) (k+1)``  (quantum automorphism side),
 
 with ``0 (x) 1 = 1`` in both.  General products are *derived* from the
-generator rule alone, by resolving ``l = (l-1)(x)1 - (l-2) [- (l-1)]``
-recursively; the textbook closed forms (Clebsch-Gordan ladders) are used only
-as independent oracles in the tests.  Multiplicities are exact integers.
+generator rule alone, by applying ``l = (l-1)(x)1 - (l-2) [- (l-1)]``
+upward from ``l = 0``; the textbook closed forms (Clebsch-Gordan ladders) are
+used only as independent oracles in the tests.  Multiplicities are exact
+integers.
 """
 
 from __future__ import annotations
@@ -58,20 +59,22 @@ def _mul_into(acc: dict[int, int], parts: Mapping[int, int], factor: int) -> Non
 def _decompose(rule: str, k: int, l: int) -> tuple[tuple[int, int], ...]:
     if l > k:
         k, l = l, k
-    if l == 0:
-        return ((k, 1),)
-    if l == 1:
-        return tuple(sorted(tensor_with_generator(rule, k).items()))
-    acc: dict[int, int] = {}
-    for label, mult in _decompose(rule, k, l - 1):
-        _mul_into(acc, tensor_with_generator(rule, label), mult)
-    _mul_into(acc, dict(_decompose(rule, k, l - 2)), -1)
-    if rule == "so3":
-        _mul_into(acc, dict(_decompose(rule, k, l - 1)), -1)
-    cleaned = {label: mult for label, mult in acc.items() if mult != 0}
-    if any(m < 0 for m in cleaned.values()):
-        raise ArithmeticError(f"fusion multiplicities of {k} (x) {l} went negative")
-    return tuple(sorted(cleaned.items()))
+    # k (x) j for j = step - 1 and step - 2, built upward from k (x) 0 = k
+    prev: dict[int, int] = {}
+    cur = {k: 1}
+    for step in range(1, l + 1):
+        acc: dict[int, int] = {}
+        for label, mult in cur.items():
+            _mul_into(acc, tensor_with_generator(rule, label), mult)
+        if step >= 2:
+            _mul_into(acc, prev, -1)
+            if rule == "so3":
+                _mul_into(acc, cur, -1)
+        cleaned = {label: mult for label, mult in acc.items() if mult != 0}
+        if any(m < 0 for m in cleaned.values()):
+            raise ArithmeticError(f"fusion multiplicities of {k} (x) {step} went negative")
+        prev, cur = cur, cleaned
+    return tuple(sorted(cur.items()))
 
 
 def tensor_decompose(rule: str, k: int, l: int) -> dict[int, int]:

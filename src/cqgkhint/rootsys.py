@@ -324,8 +324,14 @@ class RootSystem:
     def weight_system(self, mu: Sequence[int]) -> dict[Weight, int]:
         """Full weight multiplicity map of the irreducible module ``mu``.
 
-        Dominant multiplicities come from the Freudenthal recursion; the rest
-        of the system is filled in through dominant conjugates (weights are
+        The weights are found level by level from ``mu``, subtracting simple
+        roots.  By the alpha-string property of a finite-dimensional module,
+        ``w - alpha_i`` is a weight exactly when ``p + w_i >= 1``, where ``p``
+        counts the weights ``w + alpha_i, w + 2 alpha_i, ...``; those lie on
+        earlier levels, so they are all known when ``w`` is expanded.  The
+        level of ``nu`` is the height of ``mu - nu``, which orders the
+        dominant weights for the Freudenthal recursion.  The rest of the
+        system is filled in through dominant conjugates (weights are
         Weyl-invariant with their multiplicities).
         """
         mu = self._check_dominant(mu)
@@ -333,21 +339,38 @@ class RootSystem:
         if cached is not None:
             return dict(cached)
 
-        candidates = self._saturated_weights(mu)
-        dominants = [w for w in candidates if all(c >= 0 for c in w)]
-        dominants.sort(key=lambda w: self._height_below(mu, w))
+        weights = {mu}
+        dominants = []
+        level = [mu]
+        while level:
+            dominants.extend(w for w in level if all(c >= 0 for c in w))
+            below = []
+            for w in level:
+                # row i of the Cartan matrix is alpha_i in weight coordinates
+                for i, alpha in enumerate(self.cartan):
+                    down = tuple(a - b for a, b in zip(w, alpha))
+                    if down in weights:
+                        continue
+                    p = 0
+                    up = tuple(a + b for a, b in zip(w, alpha))
+                    while up in weights:
+                        p += 1
+                        up = tuple(a + b for a, b in zip(up, alpha))
+                    if p + w[i] >= 1:
+                        weights.add(down)
+                        below.append(down)
+            level = below
+
         mults: dict[Weight, int] = {mu: 1}
         two_rho = tuple(2 for _ in range(self.rank))
-        for nu in dominants:
-            if nu == mu:
-                continue
+        roots_omega = [self._omega_coords(root) for root in self.positive_roots]
+        for nu in dominants[1:]:
             acc = Fraction(0)
-            for idx, root in enumerate(self.positive_roots):
-                beta_omega = self._omega_coords(root)
+            for idx, beta_omega in enumerate(roots_omega):
                 k = 1
                 while True:
                     lam = tuple(nu[i] + k * beta_omega[i] for i in range(self.rank))
-                    if lam not in candidates:
+                    if lam not in weights:
                         break
                     m = mults.get(self.dominant_conjugate(lam), 0)
                     if m == 0:
@@ -362,58 +385,9 @@ class RootSystem:
                 raise ArithmeticError(f"Freudenthal gave the multiplicity {value} at {nu}")
             mults[nu] = int(value)
 
-        system = {w: mults[self.dominant_conjugate(w)] for w in candidates}
+        system = {w: mults[self.dominant_conjugate(w)] for w in weights}
         self._weight_system_cache[mu] = dict(system)
         return system
-
-    def _saturated_weights(self, mu: Weight) -> set[Weight]:
-        """All weights of V_mu: the saturated set below mu.
-
-        BFS from mu subtracting simple roots, pruning anything whose dominant
-        conjugate is not <= mu in the root order.
-        """
-        simple_omega = [self._omega_coords(tuple(1 if j == i else 0 for j in range(self.rank)))
-                        for i in range(self.rank)]
-        keep = {mu}
-        frontier = [mu]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in range(self.rank):
-                    cand = tuple(w[j] - simple_omega[i][j] for j in range(self.rank))
-                    if cand in keep:
-                        continue
-                    if self._below_in_root_order(mu, self.dominant_conjugate(cand)):
-                        keep.add(cand)
-                        new.append(cand)
-            frontier = new
-        return keep
-
-    def _root_coordinates(self, diff: Weight) -> tuple[Fraction, ...] | None:
-        """Express ``diff`` in the simple-root basis; None if not integral."""
-        at_inv = self._cartan_t_inverse()
-        coords = tuple(
-            sum(at_inv[i][j] * diff[j] for j in range(self.rank)) for i in range(self.rank)
-        )
-        return coords
-
-    @lru_cache(maxsize=None)
-    def _cartan_t_inverse(self):
-        return tuple(
-            tuple(row)
-            for row in rational_inverse(
-                [[Fraction(self.cartan[i][j]) for i in range(self.rank)] for j in range(self.rank)]
-            )
-        )
-
-    def _below_in_root_order(self, mu: Weight, lam: Weight) -> bool:
-        diff = tuple(mu[i] - lam[i] for i in range(self.rank))
-        coords = self._root_coordinates(diff)
-        return all(c.denominator == 1 and c >= 0 for c in coords)
-
-    def _height_below(self, mu: Weight, nu: Weight) -> Fraction:
-        diff = tuple(mu[i] - nu[i] for i in range(self.rank))
-        return sum(self._root_coordinates(diff))
 
     # -- modular matrix data -------------------------------------------------
 

@@ -244,6 +244,31 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bad-config" in err
 
 
+@pytest.mark.parametrize(
+    "config,flags,expected_code,expected_err",
+    [
+        ({"tol": "1e-10"}, ["--tol", "1e-10"], 0, ""),
+        ({"max_length": "50"}, ["--max-length", "50"], 3, ""),
+        ({"model": 5}, None, 2, "error[bad-model-spec]: malformed model spec '5'"),
+        (5, None, 2, "error[bad-config]"),
+        ({"format": "xml"}, None, 2, "error[bad-config]: config key 'format'"),
+        ({"precision_bits": 128.5}, None, 2, "error[bad-config]: config key 'precision_bits'"),
+    ],
+)
+def test_config_values_read_like_their_flags(
+    tmp_path, capsys, config, flags, expected_code, expected_err
+):
+    # a value is read by its flag's own type and choices, or refused naming the key
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(config))
+    model = [] if isinstance(config, dict) and "model" in config else ["--model", "oplus:3:3.5"]
+    code, out, err = run_cli(capsys, "kp", "--config", str(path), *model)
+    assert code == expected_code
+    assert err.startswith(expected_err)
+    if flags is not None:
+        assert (code, out) == run_cli(capsys, "kp", *flags, *model)[:2]
+
+
 # -- determinism ------------------------------------------------------------------------------
 
 

@@ -33,9 +33,11 @@ def _so3_closed_form(k, l):
 
 @pytest.mark.parametrize("rule,oracle", [("su2", _su2_closed_form), ("so3", _so3_closed_form)])
 def test_closed_forms_verified_against_recursion(rule, oracle):
-    for k in range(0, 41, 4):
-        for l in range(0, 41, 5):
-            assert tensor_decompose(rule, k, l) == oracle(k, l), (rule, k, l)
+    pairs = [(k, l) for k in range(0, 41, 4) for l in range(0, 41, 5)]
+    # deep enough that resolving l recursively would overflow the stack
+    pairs += [(600, 600), (600, 37)]
+    for k, l in pairs:
+        assert tensor_decompose(rule, k, l) == oracle(k, l), (rule, k, l)
 
 
 @settings(max_examples=60, deadline=None)

@@ -176,12 +176,88 @@ def test_weight_multiplicities_sum_to_weyl_dimension(lie_type, rank, max_len):
             assert sum(ws.values()) == rs.weyl_dimension(mu), mu
 
 
-def test_weight_system_weyl_invariant_samples():
-    rs = build_root_system("B", 2)
-    ws = rs.weight_system((1, 1))
+_INVARIANT_SAMPLES = [
+    ("B", (1, 1)),
+    ("G", (1, 1)),
+    ("G", (0, 2)),
+    ("A", (1, 0, 2)),
+    ("C", (1, 1, 0)),
+    ("F", (1, 0, 0, 0)),
+    ("F", (0, 1, 0, 0)),
+    ("F", (0, 0, 1, 0)),
+    ("F", (0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "lie_type,mu",
+    _INVARIANT_SAMPLES,
+    ids=[f"{t}{len(mu)}:{','.join(map(str, mu))}" for t, mu in _INVARIANT_SAMPLES],
+)
+def test_weight_system_weyl_invariant_samples(lie_type, mu):
+    rs = build_root_system(lie_type, len(mu))
+    ws = rs.weight_system(mu)
     for w, mult in ws.items():
         for i in range(rs.rank):
             assert ws[rs.reflect(w, i)] == mult
+
+
+def _times_sine(poly, m):
+    """Multiply a Laurent polynomial ``{exponent: coefficient}`` by ``x^m - x^-m``."""
+    out = {}
+    for e, c in poly.items():
+        out[e + m] = out.get(e + m, 0) + c
+        out[e - m] = out.get(e - m, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
+def _divide_by_sine(poly, h):
+    """Exact quotient of a Laurent polynomial by ``x^h - x^-h``."""
+    rest = dict(poly)
+    low = min(rest)
+    quotient = {}
+    while rest:
+        top = max(rest)
+        assert top - 2 * h >= low, "not divisible"
+        c = rest.pop(top)
+        quotient[top - h] = c
+        below = rest.get(top - 2 * h, 0) + c
+        if below:
+            rest[top - 2 * h] = below
+        else:
+            rest.pop(top - 2 * h, None)
+    return quotient
+
+
+@pytest.mark.parametrize(
+    "lie_type,mus",
+    [
+        ("A", [(1,), (4,)]),
+        ("A", [(1, 1), (2, 0), (3, 1)]),
+        ("B", [(1, 0), (0, 1), (2, 1)]),
+        ("G", [(1, 0), (0, 1), (1, 1)]),
+        ("A", [(1, 0, 1), (2, 1, 0), (0, 2, 0)]),
+        ("C", [(1, 0, 0), (0, 1, 1), (0, 0, 2)]),
+    ],
+    ids=["A1", "A2", "B2", "G2", "A3", "C3"],
+)
+def test_spectrum_exponents_match_weyl_character_at_two_rho(lie_type, mus):
+    # third route: sum_nu mult(nu) x^{(nu, 2 rho)} is the Weyl character at 2 rho,
+    # prod_beta (x^{m_beta} - x^{-m_beta}) / (x^{h_beta} - x^{-h_beta}),
+    # with m_beta = (mu + rho, beta) and h_beta = (rho, beta)
+    rs = build_root_system(lie_type, len(mus[0]))
+    for mu in mus:
+        by_exponent = {}
+        for nu, mult in rs.weight_system(mu).items():
+            e = rs.two_rho_exponent(nu)
+            by_exponent[e] = by_exponent.get(e, 0) + mult
+        shifted = tuple(c + 1 for c in mu)
+        poly = {0: 1}
+        for idx in range(len(rs.positive_roots)):
+            poly = _times_sine(poly, rs.root_pairing(shifted, idx))
+        for idx in range(len(rs.positive_roots)):
+            poly = _divide_by_sine(poly, rs.root_pairing(rs.rho, idx))
+        assert by_exponent == poly, mu
 
 
 def _compositions(total, parts):
