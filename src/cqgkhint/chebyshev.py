@@ -100,7 +100,7 @@ def chebyshev_f_closed(k: int, t) -> mpmath.mpf:
     t = mp.mpf(t)
     if t <= 2:
         raise OutsideDomainError(f"closed form requires t > 2, got {t}")
-    u = (t + mp.sqrt(t * t - 4)) / 2
+    u = f_growth_base(t)
     return (u ** (k + 1) - u ** (-(k + 1))) / (u - 1 / u)
 
 
@@ -145,6 +145,16 @@ def g_growth_base(x) -> mpmath.mpf:
     return (x - 2 + mp.sqrt(x * (x - 4))) / 2
 
 
+def iv_growth_base(t, t2):
+    """Interval ``u = (t + sqrt(t^2 - 4))/2`` for a trace interval ``t >= 2``.
+
+    ``t2`` is the interval ``t^2``, passed in so that a trace known through its
+    square (``t = sqrt(x)``) is not squared back.  At ``t = 2`` the result is
+    exactly ``[1, 1]``.
+    """
+    return (t + iv.sqrt(t2 - 4)) / 2
+
+
 def limit_value(t) -> mpmath.mpf:
     """Limit of ``f_k(t) u^{-(k+1)}`` as ``k -> oo``: ``1/sqrt(t^2 - 4)``."""
     t = mp.mpf(t)
@@ -185,7 +195,7 @@ def envelope(k: int, t) -> ChebEnvelope:
         t_iv = _iv_from(t)
         if not (t_iv > 2):
             raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
-        u = (t_iv + iv.sqrt(t_iv * t_iv - 4)) / 2
+        u = iv_growth_base(t_iv, t_iv * t_iv)
         denom = u - 1 / u
         top = u ** (k + 1) / denom
         bottom = top * (1 - u ** (-2 * (k + 1)))

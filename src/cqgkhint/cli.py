@@ -123,8 +123,11 @@ def _emit(report: dict, rows: tuple[list[str], list[list]] | None, fmt: str, pat
             writer.writerow(row)
         data = buf.getvalue().encode()
     if path:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _CliError(f"cannot write the report to {path!r}: {exc}", "bad-output") from exc
     else:
         sys.stdout.write(data.decode())
     return len(data)

@@ -10,9 +10,13 @@ interval*: an exact-ordered partial sum (high-precision mpmath arithmetic at a
 fixed precision, so results are bit-stable) plus a rigorous bound on the
 dropped tail, computed with interval arithmetic from growth envelopes:
 
-* free orthogonal / quantum automorphism families: two-sided Chebyshev
-  envelopes give ``n_k/d_k <= C r^k`` with explicit ``C`` and ratio ``r`` the
-  quotient of growth bases; the tail is a dominated geometric series.
+* free orthogonal / quantum automorphism families: one Chebyshev envelope.
+  Level ``k`` is ``(f_j(t_n), f_j(t_d))`` with ``j = s k`` and
+  ``chi_sup = j + 1``: ``s = 1`` at the traces ``N`` and ``Nq`` for
+  ``oplus``, ``s = 2`` at ``sqrt(dimB)`` and ``sqrt(d1 + 1)`` for ``aut``.
+  The closed form of ``f_j`` bounds ``n/d <= C (u_n/u_d)^(j+1)`` (times
+  ``j + 1`` when ``t_n = 2``) with explicit ``C`` and growth bases ``u``; the
+  tail is a dominated geometric series in ``j``.
 * Drinfeld-Jimbo deformations: ``n_mu`` is bounded by an explicit polynomial
   ``prod (1 + C_a k)`` in the length, ``d_mu >= t_max^{-k}`` by the
   modular-matrix sup-norm identity, and the number of dominant weights of
@@ -33,7 +37,7 @@ import mpmath
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
-from .chebyshev import interval_precision
+from .chebyshev import interval_precision, iv_growth_base
 from .exact import as_fraction
 from .models import (
     DrinfeldJimboModel,
@@ -189,6 +193,27 @@ class _PsiTable:
             self.exps.append(exp)
 
 
+def _graded_bases(model) -> tuple:
+    """Interval growth bases ``(u_n, u_d)`` of a graded model's level data.
+
+    Level ``k`` is ``(f_j(t_n), f_j(t_d))`` with ``j = chi_slope * k``: the
+    traces are ``N`` and ``Nq`` for ``oplus:N:Nq``, and ``sqrt(dimB)`` and
+    ``sqrt(d1 + 1)`` for ``aut:dimB:d1``.
+    """
+    if isinstance(model, FreeOrthogonalModel):
+        t_n, t_d = iv.mpf(model.N), _iv_from_fraction(model.Nq)
+        traces = (t_n, t_n * t_n), (t_d, t_d * t_d)
+    else:
+        x_n, x_d = iv.mpf(model.dimB), _iv_from_fraction(model.d1 + 1)
+        traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
+    return tuple(iv_growth_base(t, t2) for t, t2 in traces)
+
+
+def _check_precision(precision_bits: int):
+    if precision_bits < 64:
+        raise ValueError("precision_bits must be at least 64")
+
+
 def _check_p(p, minimum=2) -> Fraction:
     p = as_fraction(p)
     if p < minimum:
@@ -213,8 +238,7 @@ class KpEvaluator:
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
-        if precision_bits < 64:
-            raise ValueError("precision_bits must be at least 64")
+        _check_precision(precision_bits)
         self.model = construct_model(model)
         self.precision_bits = int(precision_bits)
         self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
@@ -289,9 +313,7 @@ class KpEvaluator:
         with interval_precision():
             if isinstance(model, DrinfeldJimboModel):
                 return self._dj_tail(L, e1, e2)
-            if isinstance(model, FreeOrthogonalModel):
-                return self._oplus_tail(L, e1, e2)
-            return self._aut_tail(L, e1, e2)
+            return self._graded_tail(L, e1, e2)
 
     @staticmethod
     def _geometric(first, ratio) -> mpmath.mpf | None:
@@ -299,60 +321,19 @@ class KpEvaluator:
             return None
         return mp.mpf((first / (1 - ratio)).b)
 
-    def _oplus_tail(self, L: int, e1: Fraction, e2: Fraction):
-        model = self.model
-        N = iv.mpf(model.N)
-        Nq = _iv_from_fraction(model.Nq)
-        u_q = (Nq + iv.sqrt(Nq * Nq - 4)) / 2
-        depth = 2 * (L + 2)
-        slack = 1 - u_q ** (-depth)
-        if model.N == 2:
-            # n_k = k + 1 exactly; d_k >= u_q^{k+1} slack / (u_q - 1/u_q)
-            c2 = (u_q - 1 / u_q) / slack
-            rho = _iv_pow(1 / u_q, e2)
-            k0 = L + 1
-            first = (
-                _iv_pow(iv.mpf(k0 + 1), e1 + e2) * _iv_pow(c2, e2) * rho ** (k0 + 1)
-            )
-            ratio = _iv_pow(iv.mpf(k0 + 2) / (k0 + 1), e1 + e2) * rho
-            return self._geometric(first, ratio)
-        u_n = (N + iv.sqrt(N * N - 4)) / 2
-        r = u_n / u_q
-        c = (u_q - 1 / u_q) / ((u_n - 1 / u_n) * slack)
-        rho = _iv_pow(r, e2)
-        k0 = L + 1
-        first = _iv_pow(iv.mpf(k0 + 1), e1) * _iv_pow(c, e2) * rho ** (k0 + 1)
-        ratio = _iv_pow(iv.mpf(k0 + 2) / (k0 + 1), e1) * rho
-        return self._geometric(first, ratio)
-
-    def _aut_tail(self, L: int, e1: Fraction, e2: Fraction):
-        model = self.model
-        xd = _iv_from_fraction(model.d1 + 1)
-        sd = iv.sqrt(xd)
-        u_d = (sd + iv.sqrt(xd - 4)) / 2
-        lam_d = u_d * u_d
-        depth = 2 * (2 * (L + 1) + 1)
-        c_d_low = u_d * (1 - u_d ** (-depth)) / (u_d - 1 / u_d)
-        k0 = L + 1
-        if model.dimB == 4:
-            # n_k = 2k + 1 exactly
-            rho = _iv_pow(1 / lam_d, e2)
-            first = (
-                _iv_pow(iv.mpf(2 * k0 + 1), e1 + e2)
-                * _iv_pow(1 / c_d_low, e2)
-                * rho**k0
-            )
-            ratio = _iv_pow(iv.mpf(2 * k0 + 3) / (2 * k0 + 1), e1 + e2) * rho
-            return self._geometric(first, ratio)
-        xn = iv.mpf(model.dimB)
-        sn = iv.sqrt(xn)
-        u_n = (sn + iv.sqrt(xn - 4)) / 2
-        lam_n = u_n * u_n
-        c_n = u_n / (u_n - 1 / u_n)
-        big_c = c_n / c_d_low
-        rho = _iv_pow(lam_n / lam_d, e2)
-        first = _iv_pow(iv.mpf(2 * k0 + 1), e1) * _iv_pow(big_c, e2) * rho**k0
-        ratio = _iv_pow(iv.mpf(2 * k0 + 3) / (2 * k0 + 1), e1) * rho
+    def _graded_tail(self, L: int, e1: Fraction, e2: Fraction):
+        # level k is (f_j(t_n), f_j(t_d)) with j = s k and chi = j + 1; for j >= j0,
+        # n <= u_n^(j+1) / (u_n - 1/u_n), or n = j + 1 when u_n = 1, and
+        # d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)
+        s = self.model.chi_slope
+        u_n, u_d = _graded_bases(self.model)
+        j0 = s * (L + 1)
+        slack = 1 - u_d ** (-2 * (j0 + 1))
+        a, spread_n = (e1 + e2, 1) if u_n == 1 else (e1, u_n - 1 / u_n)
+        c = (u_d - 1 / u_d) / (spread_n * slack)
+        rho = _iv_pow(u_n / u_d, e2)
+        first = _iv_pow(iv.mpf(j0 + 1), a) * _iv_pow(c, e2) * rho ** (j0 + 1)
+        ratio = _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho**s
         return self._geometric(first, ratio)
 
     def _dj_tail(self, L: int, e1: Fraction, e2: Fraction):
@@ -433,8 +414,10 @@ class KpEvaluator:
         ``<= tol``, found by :meth:`_cutoff` (which depends on the tail being
         monotone in ``L``); levels ``0..L`` are then summed in order.  When
         no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
-        levels ``0..max_length`` summed.  A ``tol`` below
-        ``2^-precision_bits`` raises :class:`ValueError`.  ``workers`` is ignored.
+        levels ``0..max_length`` summed.  A Kac-type model is ``divergent``,
+        with levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
+        below ``2^-precision_bits`` raises :class:`ValueError`.  ``workers`` is
+        ignored.
         """
         p = _check_p(p)
         if not tol > 0:
@@ -445,47 +428,29 @@ class KpEvaluator:
             raise ValueError("max_length must be >= 1")
         with mp.workprec(self.precision_bits):
             if self.model.is_kac():
-                return self._divergent_report(p, min(max_length, 8))
-            cutoff = self._cutoff(p, tol, max_length)
-            if cutoff is None:
-                last, tail = max_length, self.tail_bound(max_length, p)
+                # n = d for every label, so each level contributes
+                # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
+                verdict, last, tail = "divergent", min(max_length, 8), None
+            elif (cutoff := self._cutoff(p, tol, max_length)) is None:
+                verdict, last, tail = "inconclusive", max_length, self.tail_bound(max_length, p)
             else:
-                last, tail = cutoff
+                verdict, (last, tail) = "converged", cutoff
             partial = mp.mpf(0)
             for L in range(0, last + 1):
                 partial += self.level_term_sum(L, p)
-            kp2 = None if cutoff is None else (partial, partial + tail)
+            kp2 = (partial, partial + tail) if verdict == "converged" else None
             return KpReport(
                 model_spec=self.model.spec_string(),
                 p=p,
                 terms_summed=last,
                 partial_sum=partial,
                 tail_bound=tail,
-                verdict="inconclusive" if kp2 is None else "converged",
+                verdict=verdict,
                 kp2_interval=kp2,
                 kp_interval=None if kp2 is None else (mp.sqrt(kp2[0]), mp.sqrt(kp2[1])),
-                term_lower_bound=None,
+                term_lower_bound=1.0 if verdict == "divergent" else None,
                 precision_bits=self.precision_bits,
             )
-
-    def _divergent_report(self, p: Fraction, sample_levels: int) -> KpReport:
-        # Kac: n = d for every label, so each level contributes
-        # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1.
-        partial = mp.mpf(0)
-        for L in range(0, sample_levels + 1):
-            partial += self.level_term_sum(L, p)
-        return KpReport(
-            model_spec=self.model.spec_string(),
-            p=p,
-            terms_summed=sample_levels,
-            partial_sum=partial,
-            tail_bound=None,
-            verdict="divergent",
-            kp2_interval=None,
-            kp_interval=None,
-            term_lower_bound=1.0,
-            precision_bits=self.precision_bits,
-        )
 
 
 def kp_constant(
@@ -537,35 +502,24 @@ def decay_rate(
     """Theoretical and empirical decay base of ``n/d`` along the grading."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    _check_precision(precision_bits)
     model = construct_model(model)
-    ev = KpEvaluator(model, precision_bits)
     with mp.workprec(precision_bits), interval_precision():
-        polynomial = False
         if model.is_kac():
+            theo_iv, polynomial = iv.mpf(1), False
             theoretical = mp.mpf(1)
-            theo_iv = iv.mpf(1)
         elif isinstance(model, DrinfeldJimboModel):
-            e_min = min(model.root_system.two_rho_pairing)
-            theoretical = _mpf_from_fraction(model.q**e_min)
-            theo_iv = _iv_from_fraction(model.q**e_min)
-            polynomial = True
-        elif isinstance(model, FreeOrthogonalModel):
-            n_iv, nq_iv = iv.mpf(model.N), _iv_from_fraction(model.Nq)
-            r_iv = (n_iv + iv.sqrt(n_iv * n_iv - 4)) / (nq_iv + iv.sqrt(nq_iv * nq_iv - 4))
-            theo_iv = r_iv
-            theoretical = mp.mpf(r_iv.mid)
-            polynomial = model.N == 2
+            t_max = model.q ** min(model.root_system.two_rho_pairing)
+            theo_iv, polynomial = _iv_from_fraction(t_max), True
+            theoretical = _mpf_from_fraction(t_max)
         else:
-            xn, xd = iv.mpf(model.dimB), _iv_from_fraction(model.d1 + 1)
-            lam_n = (xn - 2 + iv.sqrt(xn * (xn - 4))) / 2
-            lam_d = (xd - 2 + iv.sqrt(xd * (xd - 4))) / 2
-            theo_iv = lam_n / lam_d
-            theoretical = mp.mpf((lam_n / lam_d).mid)
-            polynomial = model.dimB == 4
+            u_n, u_d = _graded_bases(model)
+            theo_iv, polynomial = (u_n / u_d) ** model.chi_slope, u_n == 1
+            theoretical = mp.mpf(theo_iv.mid)
 
         worst = max(
-            mp.mpf(n) * d.denominator / d.numerator
-            for n, d, _ in ev.level_entries(horizon)
+            mp.mpf(data.n) * data.d.denominator / data.d.numerator
+            for data in model.level_data(horizon)
         )
         empirical = mp.power(worst, mp.mpf(1) / horizon)
 
@@ -573,8 +527,8 @@ def decay_rate(
         envelope = mp.mpf(0)
         for k in range(0, horizon + 1):
             base_k = theo_iv**k
-            for n, d, _ in ev.level_entries(k):
-                ratio = iv.mpf(n) * iv.mpf(d.denominator) / iv.mpf(d.numerator)
+            for data in model.level_data(k):
+                ratio = iv.mpf(data.n) * iv.mpf(data.d.denominator) / iv.mpf(data.d.numerator)
                 envelope = max(envelope, mp.mpf((ratio / base_k).b))
         return DecayReport(
             model_spec=model.spec_string(),

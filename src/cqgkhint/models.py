@@ -235,6 +235,10 @@ class _GradedModel(QuantumGroupModel):
     The records form one stream that is extended by one recursion step per
     new length and never rerun, so any sequence of requests up to length
     ``K`` costs ``K - 1`` steps in total.  ``chi_sup = chi_slope * k + 1``.
+
+    ``chi_slope`` is also the index stride: level ``k`` is ``(f_j(t_n),
+    f_j(t_d))`` with ``j = chi_slope * k``, Chebyshev polynomials at the two
+    traces (see :mod:`cqgkhint.chebyshev`), and ``chi_sup = f_j(2)``.
     """
 
     chi_slope: int

@@ -365,7 +365,7 @@ class RootSystem:
         two_rho = tuple(2 for _ in range(self.rank))
         roots_omega = [self._omega_coords(root) for root in self.positive_roots]
         for nu in dominants[1:]:
-            acc = Fraction(0)
+            acc = 0
             for idx, beta_omega in enumerate(roots_omega):
                 k = 1
                 while True:

@@ -164,6 +164,8 @@ def _graded_checks(model: QuantumGroupModel, horizon: int) -> list[VerifyCheck]:
 
 def verify_model(model, horizon: int = 12) -> VerifyReport:
     """Run the invariant suite for one model; all checks are deterministic."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     model = construct_model(model)
     checks: list[VerifyCheck] = []
 

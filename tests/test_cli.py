@@ -168,6 +168,16 @@ def test_verify_passes(capsys, spec):
     assert report["all_passed"] is True
 
 
+@pytest.mark.parametrize(
+    "spec, horizon", [("djq:A2:1/2", "0"), ("oplus:3:7/2", "-5"), ("aut:5:5", "0")]
+)
+def test_verify_horizon_below_one_refused(capsys, spec, horizon):
+    # a horizon below 1 examines only the trivial label, where n = d for every model
+    code, out, err = run_cli(capsys, "verify", "--model", spec, "--horizon", horizon)
+    assert (code, out) == (2, "")
+    assert err == "error[invalid-input]: horizon must be >= 1\n"
+
+
 # -- table -------------------------------------------------------------------------------
 
 
@@ -270,6 +280,17 @@ def test_config_values_read_like_their_flags(
 
 
 # -- determinism ------------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_output_that_cannot_be_written_is_refused(tmp_path, capsys, target):
+    # a missing directory and a directory: neither may end in a traceback or
+    # in exit 1, which means a failed verify
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "dims", "--model", "oplus:3:7/2", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error[bad-output]: cannot write the report to ")
+    assert not (tmp_path / "missing").exists()
 
 
 def test_kp_reports_byte_identical_across_runs_and_workers(tmp_path):

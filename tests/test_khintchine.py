@@ -166,9 +166,11 @@ def test_certified_tail_kac_fails_loudly():
         certified_tail("oplus:3:3", 4, 10)
 
 
-def test_tail_bound_covers_actual_remainder():
-    # the certified tail must dominate the actually-summed remainder
-    ev = KpEvaluator(parse_model_spec("oplus:3:7/2"))
+@pytest.mark.parametrize("spec", ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"])
+def test_tail_bound_covers_actual_remainder(spec):
+    # the certified tail must dominate the actually-summed remainder, on each
+    # branch of the graded envelope (u_n > 1 and u_n = 1, index stride 1 and 2)
+    ev = KpEvaluator(parse_model_spec(spec))
     p = Fraction(4)
     with mp.workprec(192):
         tail_at_40 = ev.tail_bound(40, p)
