@@ -8,7 +8,15 @@ series::
 summed here by ascending length.  The evaluator returns a *certified
 interval*: an exact-ordered partial sum (high-precision mpmath arithmetic at a
 fixed precision, so results are bit-stable) plus a rigorous bound on the
-dropped tail, computed with interval arithmetic from growth envelopes:
+dropped tail, computed with interval arithmetic from growth envelopes.
+
+A graded summand is ``chi^2 exp((2/p) log(n / (d chi^2)))``: the logarithm is
+taken once per level and precision, at ``prec + guard`` bits with the guard
+sized from ``2 |log chi| + |log(n/d)|``, and shared by every ``p``; each
+``(level, p)`` then costs one product and one ``exp``, rounded once to
+``prec`` bits (see :func:`_graded_log`).  A Drinfeld-Jimbo summand is a
+product of tabulated values of one scalar function (see :class:`_PsiTable`).
+The tails:
 
 * free orthogonal / quantum automorphism families: one Chebyshev envelope.
   Level ``k`` is ``(f_j(t_n), f_j(t_d))`` with ``j = s k`` and
@@ -35,7 +43,15 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, from_rational, round_nearest
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    from_rational,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    round_nearest,
+)
 
 from .chebyshev import interval_precision, iv_growth_base
 from .exact import as_fraction
@@ -193,6 +209,32 @@ class _PsiTable:
             self.exps.append(exp)
 
 
+def _graded_log(n: int, d: Fraction, chi: int, prec: int) -> tuple[int, tuple, tuple]:
+    """``(wp, chi^2, log(n / (d chi^2)))`` for one graded label, raw mpf at ``wp`` bits.
+
+    The summand is ``chi^(2-4/p) (n/d)^(2/p) = chi^2 exp((2/p) L)`` with
+    ``L = log(n / (d chi^2))``.  Write ``n / (d chi^2) = x/y`` and
+    ``b = bitlen(x) - bitlen(y)``; then ``m = |b| + 1`` exceeds
+    ``|log2(x/y)|``, and ``|L| <= 2 |log chi| + |log(n/d)|``.  At ``wp`` bits,
+    ``x/y`` (within ``1.5 * 2^-wp`` relative), ``L``, ``2/p`` and ``(2/p) L``
+    are each rounded once, which puts ``(2/p) L`` within
+    ``4 (1 + |L|) 2^-wp < 2^(3 + bitlen(m) - wp)`` of its exact value.  So
+    ``wp = prec + bitlen(m) + 8`` keeps it within ``2^-(prec + 5)``; with the
+    ``exp`` rounded to ``prec + 8`` bits, ``chi^2 exp((2/p) L)`` is known to a
+    relative ``2^-(prec + 4)`` before its one rounding to ``prec`` bits.  The
+    guard is at least 32 bits, so every level with ``m < 2^24`` shares one
+    ``wp`` (and one rounded ``2/p``) per precision.
+    """
+    x, y = n * d.denominator, d.numerator * chi * chi
+    b = x.bit_length() - y.bit_length()
+    wp = prec + max((abs(b) + 1).bit_length() + 8, 32)
+    # floor(x 2^shift / y) has wp + 2 or wp + 3 bits and is rounded once to wp bits
+    shift = wp + 2 - b
+    quotient = (x << shift) // y if shift >= 0 else (x >> -shift) // y
+    log_ratio = mpf_log(from_man_exp(quotient, -shift, wp, round_nearest), wp, round_nearest)
+    return wp, from_int(chi * chi), log_ratio
+
+
 def _graded_bases(model) -> tuple:
     """Interval growth bases ``(u_n, u_d)`` of a graded model's level data.
 
@@ -225,16 +267,20 @@ class KpEvaluator:
     """Certified summation over one model's level data.
 
     The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
-    ``level_data``; the evaluator holds no level cache of its own.  For
-    Drinfeld-Jimbo models a summand is a product of one scalar function
-    ``psi`` at the integer root pairings ``(mu + rho, beta)`` of the label,
-    which the model owns (pure Python, memoised per level, shared across
-    values of ``p``; see :meth:`DrinfeldJimboModel.level_pairings`); ``psi``
-    is tabulated once per ``(p, precision)`` (see :meth:`level_term_sum`).
-    The summation order is fixed (ascending length, then label order), so
-    reports are bit-identical from run to run.  The summation cutoff is found
-    by a search over the certified tail (see :meth:`_cutoff`), which relies on
-    that tail being monotone nonincreasing in the length.
+    ``level_data``; the evaluator keeps no copy of them, only floating values
+    derived from them.  For Drinfeld-Jimbo models a summand is a product of
+    one scalar function ``psi`` at the integer root pairings
+    ``(mu + rho, beta)`` of the label, which the model owns (pure Python,
+    memoised per level, shared across values of ``p``; see
+    :meth:`DrinfeldJimboModel.level_pairings`); ``psi`` is tabulated once per
+    ``(p, precision)`` (see :meth:`level_term_sum`).  For the graded families
+    the evaluator keeps the logarithm of each level's summand per precision,
+    and the tail's growth bases and decay factor ``rho = (u_n/u_d)^(2/p)`` per
+    precision and ``p``.  The summation order is fixed (ascending length,
+    then label order), so reports are bit-identical from run to run.  The
+    summation cutoff is found by a search over the certified tail (see
+    :meth:`_cutoff`), which relies on that tail being monotone nonincreasing
+    in the length.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -242,6 +288,12 @@ class KpEvaluator:
         self.model = construct_model(model)
         self.precision_bits = int(precision_bits)
         self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
+        # graded families: logarithms per (level, precision), 2/p per (p, log precision),
+        # growth bases per precision and (rho, rho^s) per (2/p, precision)
+        self._logs: dict[tuple[int, int], tuple[int, tuple, tuple]] = {}
+        self._log_exponents: dict[tuple[int, int, int], tuple] = {}
+        self._bases: dict[int, tuple] = {}
+        self._rho: dict[tuple[Fraction, int], tuple] = {}
 
     # -- exact level data --------------------------------------------------
 
@@ -261,20 +313,29 @@ class KpEvaluator:
         ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``.  The table values of
         ``psi`` are multiplied and summed over the level exactly, as integer
         mantissas, and the level sum is rounded once.
+
+        A graded level holds one label, and its summand is
+        ``chi^2 exp((2/p) L)`` with ``L = log(n / (d chi^2))``.  ``L`` is kept
+        per ``(k, precision)`` at ``prec + guard`` bits, and ``2/p`` per ``p``
+        at those bits, so each ``p`` costs one product and one ``exp``; the
+        result is rounded once to ``prec`` bits, within one unit in the last
+        place (the error budget is in :func:`_graded_log`).
         """
         if isinstance(self.model, DrinfeldJimboModel):
             return self._dj_term_sum(k, p)
-        e1 = Fraction(2) - Fraction(4) / p
-        e2 = Fraction(2) / p
-        e1_m = _mpf_from_fraction(e1)
-        e2_m = _mpf_from_fraction(e2)
-        total = mp.mpf(0)
-        for n, d, chi in self.level_entries(k):
-            ratio = mp.mpf(d.numerator) / d.denominator
-            ratio = mp.mpf(n) / ratio
-            term = mp.power(mp.mpf(chi), e1_m) * mp.power(ratio, e2_m)
-            total += term
-        return total
+        prec = mp.prec
+        level = self._logs.get(key := (k, prec))
+        if level is None:
+            ((n, d, chi),) = self.level_entries(k)  # a graded level holds one label
+            level = self._logs[key] = _graded_log(n, d, chi, prec)
+        wp, chi2, log_ratio = level
+        e2 = self._log_exponents.get(key := (p.numerator, p.denominator, wp))
+        if e2 is None:
+            e2 = self._log_exponents[key] = from_rational(
+                2 * p.denominator, p.numerator, wp, round_nearest
+            )
+        power = mpf_exp(mpf_mul(e2, log_ratio, wp, round_nearest), prec + 8, round_nearest)
+        return mp.make_mpf(mpf_mul(chi2, power, prec, round_nearest))
 
     def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         model = self.model
@@ -326,14 +387,22 @@ class KpEvaluator:
         # n <= u_n^(j+1) / (u_n - 1/u_n), or n = j + 1 when u_n = 1, and
         # d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)
         s = self.model.chi_slope
-        u_n, u_d = _graded_bases(self.model)
+        prec = iv.prec
+        bases = self._bases.get(prec)
+        if bases is None:
+            bases = self._bases[prec] = _graded_bases(self.model)
+        u_n, u_d = bases
+        rhos = self._rho.get(key := (e2, prec))
+        if rhos is None:
+            rho = _iv_pow(u_n / u_d, e2)
+            rhos = self._rho[key] = rho, rho**s
+        rho, rho_s = rhos
         j0 = s * (L + 1)
         slack = 1 - u_d ** (-2 * (j0 + 1))
         a, spread_n = (e1 + e2, 1) if u_n == 1 else (e1, u_n - 1 / u_n)
         c = (u_d - 1 / u_d) / (spread_n * slack)
-        rho = _iv_pow(u_n / u_d, e2)
         first = _iv_pow(iv.mpf(j0 + 1), a) * _iv_pow(c, e2) * rho ** (j0 + 1)
-        ratio = _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho**s
+        ratio = _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho_s
         return self._geometric(first, ratio)
 
     def _dj_tail(self, L: int, e1: Fraction, e2: Fraction):

@@ -309,10 +309,13 @@ def test_verify_reports_byte_identical(tmp_path):
 
 
 def test_console_entry_point():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cqgkhint.cli", "fusion", "--rule", "su2", "--k", "1", "--l", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["decomposition"] == [[0, 1], [2, 1]]

@@ -335,6 +335,65 @@ def test_dj_table_cache_keyed_by_p_and_precision():
                 assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
 
 
+GRADED_SPECS = ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"]
+
+
+@pytest.mark.parametrize("spec", GRADED_SPECS)
+def test_graded_term_matches_power_reference(spec):
+    # the one-exp kernel at 192 bits against two mp.power calls at 400 bits:
+    # within one unit in the last place, well inside 1e-54 (a kernel without
+    # its guard bits misses one unit at k = 599, but not 1e-54)
+    ev = KpEvaluator(parse_model_spec(spec))
+    for k in (0, 1, 2, 40, 599):
+        ((n, d, chi),) = ev.level_entries(k)
+        for p in map(Fraction, (2, "5/2", 3, 4, "13/2", 16)):
+            with mp.workprec(192):
+                got = ev.level_term_sum(k, p)
+            with mp.workprec(400):
+                ratio = mp.mpf(n) * d.denominator / d.numerator
+                ref = mp.power(chi, _mpf(2 - 4 / p)) * mp.power(ratio, _mpf(2 / p))
+                assert abs(got - ref) <= mpmath.ldexp(ref, -191)
+
+
+@pytest.mark.parametrize("spec", GRADED_SPECS)
+def test_graded_log_cache_keyed_by_p_and_precision(spec):
+    model = parse_model_spec(spec)
+    shared = KpEvaluator(model)
+    for p, bits in ((6, 128), (3, 192), (6, 192), (4, 192), (4, 128), (6, 128)):
+        fresh = KpEvaluator(model)
+        with mp.workprec(bits):
+            for k in range(60):
+                got = shared.level_term_sum(k, Fraction(p))
+                assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
+
+
+@pytest.mark.parametrize("spec", GRADED_SPECS)
+def test_graded_tail_constants_cache_bit_identical(spec):
+    # the growth bases and rho = (u_n/u_d)^(2/p) are kept on the evaluator; a
+    # tail from an evaluator that has summed other p must match a fresh one
+    model = parse_model_spec(spec)
+    used = KpEvaluator(model)
+    for p in (3, 6):
+        assert used.kp_constant(p, tol=1e-20).converged
+    for bits, p in ((192, Fraction(4)), (192, Fraction(6)), (128, Fraction(6))):
+        with mp.workprec(bits):
+            for L in (0, 5, 40, 200):
+                got = used.tail_bound(L, p)
+                ref = KpEvaluator(model).tail_bound(L, p)
+                assert (got is None) == (ref is None)
+                assert got is None or got._mpf_ == ref._mpf_
+
+
+def test_graded_extreme_p():
+    # the kernel's cost must not grow with the numerator of p
+    huge = kp_constant("oplus:3:7/2", 10**400)
+    assert huge.verdict == "inconclusive" and huge.terms_summed == 4000
+    # at p = 10^400 every summand rounds to chi^2 = (k + 1)^2
+    assert huge.partial_sum == sum((k + 1) ** 2 for k in range(4001))
+    near_two = kp_constant("oplus:3:7/2", Fraction(1000001, 500000), tol=1e-5)
+    assert near_two.verdict == "converged" and near_two.terms_summed == 67
+
+
 # -- decay rates ----------------------------------------------------------------------
 
 
