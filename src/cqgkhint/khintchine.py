@@ -40,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from operator import add, lshift, mul
 
 import mpmath
 from mpmath import iv, mp
@@ -270,14 +272,15 @@ class KpEvaluator:
     ``level_data``; the evaluator keeps no copy of them, only floating values
     derived from them.  For Drinfeld-Jimbo models a summand is a product of
     one scalar function ``psi`` at the integer root pairings
-    ``(mu + rho, beta)`` of the label, which the model owns (pure Python,
-    memoised per level, shared across values of ``p``; see
-    :meth:`DrinfeldJimboModel.level_pairings`); ``psi`` is tabulated once per
-    ``(p, precision)`` (see :meth:`level_term_sum`).  For the graded families
-    the evaluator keeps the logarithm of each level's summand per precision,
-    and the tail's growth bases and decay factor ``rho = (u_n/u_d)^(2/p)`` per
-    precision and ``p``.  The summation order is fixed (ascending length,
-    then label order), so reports are bit-identical from run to run.  The
+    ``(mu + rho, beta)`` of the label, read in blocks of arithmetic
+    progressions (:meth:`DrinfeldJimboModel.level_blocks`) from a ``psi``
+    table built once per ``(p, precision)`` (see :meth:`level_term_sum`); the
+    tail keeps ``tau = t_max^(2/p)`` per ``(2/p, precision)``.  For the
+    graded families the evaluator keeps the logarithm of each level's summand
+    per precision, and the tail's growth bases and decay factor
+    ``rho = (u_n/u_d)^(2/p)`` per precision and ``p``.  The summation order is
+    fixed (ascending length, then label order), so reports are bit-identical
+    from run to run.  The
     summation cutoff is found by a search over the certified tail (see
     :meth:`_cutoff`), which relies on that tail being monotone nonincreasing
     in the length.
@@ -294,6 +297,13 @@ class KpEvaluator:
         self._log_exponents: dict[tuple[int, int, int], tuple] = {}
         self._bases: dict[int, tuple] = {}
         self._rho: dict[tuple[Fraction, int], tuple] = {}
+        # Drinfeld-Jimbo tail: t_max and C_a (see _dj_tail), tau per (2/p, precision)
+        if isinstance(self.model, DrinfeldJimboModel):
+            rs = self.model.root_system
+            self._dj_constants = self.model.q ** min(rs.two_rho_pairing), tuple(
+                map(Fraction, map(max, rs.root_weight_pairing), self.model.rho_pairing)
+            )
+        self._tau: dict[tuple[Fraction, int], tuple] = {}
 
     # -- exact level data --------------------------------------------------
 
@@ -312,7 +322,9 @@ class KpEvaluator:
         ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and
         ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``.  The table values of
         ``psi`` are multiplied and summed over the level exactly, as integer
-        mantissas, and the level sum is rounded once.
+        mantissas, and the level sum is rounded once.  On a block of
+        :meth:`DrinfeldJimboModel.level_blocks` a root reads one strided slice
+        of the table, or one entry (a factor of the whole block) at step 0.
 
         A graded level holds one label, and its summand is
         ``chi^2 exp((2/p) L)`` with ``L = log(n / (d chi^2))``.  ``L`` is kept
@@ -339,20 +351,34 @@ class KpEvaluator:
 
     def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         model = self.model
-        rows = model.level_pairings(k)
         key = (p, mp.prec)
         table = self._psi_tables.get(key)
         if table is None:
             table = self._psi_tables[key] = _PsiTable(model.q, p, model.rho_pairing)
-        # rows grow with mu: the level's largest entry is max_beta h_beta + k max_i (omega_i, beta)
+        # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
         pairing = model.root_system.root_weight_pairing
         table.extend(max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing)))
-        exponent, mantissa = table.exps.__getitem__, table.mans.__getitem__
-        exps = [sum(map(exponent, row)) for row in rows]
-        e0 = min(exps)
-        total = 0
-        for row, e in zip(rows, exps):
-            total += math.prod(map(mantissa, row)) << (e - e0)
+        mans, exps = table.mans, table.exps
+        # per block: step-0 roots give one constant factor, the others' products are
+        # summed exactly over the block's least exponent; no stop m + n s is negative,
+        # as the last pairing m + (n-1) s is at least h_b >= (omega_{r-1}, b) >= -s
+        parts = []
+        for n, starts in model.level_blocks(k):
+            const_man, const_exp, man_cols, exp_cols = 1, 0, [], []
+            for m, s in zip(starts, model.block_steps):
+                if s:
+                    cut = slice(m, m + n * s, s)
+                    man_cols.append(mans[cut])
+                    exp_cols.append(exps[cut])
+                else:
+                    const_man *= mans[m]
+                    const_exp += exps[m]
+            es = list(reduce(partial(map, add), exp_cols))
+            eb = min(es)
+            block = sum(map(lshift, reduce(partial(map, mul), man_cols), map(eb.__rsub__, es)))
+            parts.append((const_man * block, const_exp + eb))
+        e0 = min(e for _, e in parts)
+        total = sum(block << (e - e0) for block, e in parts)
         return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
 
     # -- certified tails ------------------------------------------------------
@@ -406,15 +432,13 @@ class KpEvaluator:
         return self._geometric(first, ratio)
 
     def _dj_tail(self, L: int, e1: Fraction, e2: Fraction):
-        model = self.model
-        rs = model.root_system
-        rank = rs.rank
         # t_max = q^(min_i (omega_i, 2 rho)); d_mu >= t_max^(-|mu|)
-        e_min = min(rs.two_rho_pairing)
-        t_max = model.q**e_min
-        tau = _iv_pow(_iv_from_fraction(t_max), e2)
         # n_mu <= prod_over_roots (1 + C_a k) with C_a = max_i (omega_i, a)/(rho, a)
-        cs = [Fraction(max(w), h) for w, h in zip(rs.root_weight_pairing, model.rho_pairing)]
+        t_max, cs = self._dj_constants
+        rank = self.model.rank
+        tau = self._tau.get(key := (e2, iv.prec))
+        if tau is None:
+            tau = self._tau[key] = _iv_pow(_iv_from_fraction(t_max), e2)
         sigma = e1 + e2  # = 2 - 2/p
 
         def poly(k: int) -> Fraction:

@@ -9,9 +9,10 @@ Level data is a cached stream owned by the model: each length is computed
 once, the graded families extending one running recursion by a step per new
 length.  Callers receive immutable data (tuples of frozen records), so they
 cannot corrupt the cache.  Drinfeld-Jimbo models also own the integer root
-pairings ``(mu + rho, beta)`` of every label (``level_pairings``), built
-incrementally in pure Python; both their level data and the ``K_p`` sum of
-:mod:`cqgkhint.khintchine` read them.
+pairings ``(mu + rho, beta)`` of every label, as blocks of arithmetic
+progressions (``level_blocks``) that the ``K_p`` sum of
+:mod:`cqgkhint.khintchine` reads directly; the level data reads rows expanded
+from them (``level_pairings``), and no rows are kept.
 
 Family conventions
 ------------------
@@ -36,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from operator import add
 from typing import Iterator
 
@@ -109,9 +111,10 @@ class DrinfeldJimboModel(QuantumGroupModel):
     """Drinfeld-Jimbo deformation ``G_q`` of a simple compact Lie group.
 
     The model owns the one source of root pairings: ``rho_pairing`` holds
-    ``h_beta = (rho, beta)`` and :meth:`level_pairings` the memoised rows
-    ``m_beta = (mu + rho, beta)`` of each level, from which :meth:`level_data`
-    forms the Weyl and q-Weyl products.
+    ``h_beta = (rho, beta)``, and :meth:`level_blocks` gives
+    ``m_beta = (mu + rho, beta)`` over a level as arithmetic progressions with
+    steps ``block_steps``.  :meth:`level_data` forms the Weyl and q-Weyl
+    products from the rows of :meth:`level_pairings`.
     """
 
     family = "drinfeld-jimbo"
@@ -136,11 +139,12 @@ class DrinfeldJimboModel(QuantumGroupModel):
             rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))
         )
         self._columns = tuple(zip(*rs.root_weight_pairing))
+        # step of m_b along a block: (omega_r, b) - (omega_{r-1}, b), with omega_0 = 0
+        self.block_steps = tuple(w[-1] - (0, *w)[-2] for w in rs.root_weight_pairing)
         self._rho_prod = math.prod(self.rho_pairing)
         self._rho_sum = sum(self.rho_pairing)
         self._q_factors: list[int] = []
         self._q_denom = math.prod(map(self._q_factor, self.rho_pairing))
-        self._partial_rows: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
         self._levels: dict[int, tuple[IrrData, ...]] = {}
 
     def is_kac(self) -> bool:
@@ -153,33 +157,38 @@ class DrinfeldJimboModel(QuantumGroupModel):
         table.extend(a ** (2 * j) - b ** (2 * j) for j in range(len(table), m + 1))
         return table[m]
 
-    def level_pairings(self, k: int) -> tuple[tuple[int, ...], ...]:
-        """``m_b = (mu + rho, b)`` over the positive roots ``b``, one row per label of
-        :meth:`enumerate_level`, in the same order; memoised and pure Python."""
-        return self._partials(0, _check_length(k))
+    def level_blocks(self, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """The labels of length ``k`` as blocks ``(count, starts)``, in the order of
+        :meth:`enumerate_level`.
 
-    def _partials(self, j: int, t: int) -> tuple[tuple[int, ...], ...]:
-        """Rows ``rho_pairing + sum_{i >= j} c_i column_i`` over the compositions
-        ``(c_j, ..., c_{r-1})`` of ``t``, in descending lex order.
-
-        Built from the shorter compositions one part at a time, so a new level
-        costs about one tuple addition per label; rows with ``c_j = 0`` are shared.
+        A block fixes ``(mu_1, ..., mu_{r-2})`` and runs over the ``count`` labels
+        ``(..., t - i, i)``, ``i = 0..t``; on it ``m_b = (mu + rho, b)`` is
+        ``starts[b] + i * block_steps[b]``.  Rank 1 has one one-label block.
         """
-        rows = self._partial_rows.get((j, t))
-        if rows is None:
-            column = self._columns[j]
-            if j == self.rank - 1:
-                rows = (tuple(h + t * c for h, c in zip(self.rho_pairing, column)),)
-            else:
-                built: list[tuple[int, ...]] = []
-                for f in range(t, 0, -1):
-                    shift = [f * c for c in column]
-                    rest = self._partials(j + 1, t - f)
-                    built.extend(tuple(map(add, shift, row)) for row in rest)
-                built.extend(self._partials(j + 1, t))
-                rows = tuple(built)
-            self._partial_rows[(j, t)] = rows
-        return rows
+        k = _check_length(k)
+        if self.rank == 1:
+            (column,) = self._columns
+            return iter([(1, tuple(map(add, self.rho_pairing, map(k.__mul__, column))))])
+        return self._blocks(0, k, self.rho_pairing)
+
+    def _blocks(self, j: int, t: int, acc: tuple[int, ...]):
+        """Blocks below ``acc = rho_pairing + sum_{i < j} mu_i column_i`` with ``t`` left."""
+        column = self._columns[j]
+        if j == self.rank - 2:
+            yield t + 1, tuple(map(add, acc, map(t.__mul__, column)))
+            return
+        for c in range(t, -1, -1):
+            yield from self._blocks(j + 1, t - c, tuple(map(add, acc, map(c.__mul__, column))))
+
+    def level_pairings(self, k: int) -> Iterator[tuple[int, ...]]:
+        """``m_b = (mu + rho, b)`` over the positive roots ``b``, one row per label of
+        :meth:`enumerate_level`, in the same order; expanded from
+        :meth:`level_blocks` as they are read, and not kept."""
+        steps = self.block_steps
+        return chain.from_iterable(
+            zip(*(range(m, m + n * s, s) if s else repeat(m, n) for m, s in zip(starts, steps)))
+            for n, starts in self.level_blocks(k)
+        )
 
     def _irr(self, mu: tuple[int, ...], ms: tuple[int, ...]) -> IrrData:
         """Weyl and q-Weyl products over ``m_b = (mu + rho, b)``, ``h_b = (rho, b)``;

@@ -1,9 +1,11 @@
 import math
+import operator
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from conftest import q_integer
 from cqgkhint.chebyshev import envelope
@@ -12,12 +14,13 @@ from cqgkhint.khintchine import (
     KpEvaluator,
     KpNotConvergedError,
     PValueError,
+    _PsiTable,
     certified_tail,
     decay_rate,
     kp_constant,
     norm_equivalence_constants,
 )
-from cqgkhint.models import FreeOrthogonalModel, parse_model_spec
+from cqgkhint.models import DrinfeldJimboModel, FreeOrthogonalModel, parse_model_spec
 
 HALF = Fraction(1, 2)
 
@@ -312,7 +315,11 @@ def _oracle_level_sum(ev, k, p):
 
 
 @pytest.mark.parametrize(
-    "spec", ["djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/2", "djq:A3:1/2", "djq:C3:3/4"]
+    "spec",
+    [
+        "djq:A1:1/2", "djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/2",
+        "djq:A3:1/2", "djq:C3:3/4", "djq:D4:1/2",
+    ],
 )
 def test_dj_table_sum_matches_exact_level_entries(spec):
     # the psi-table sum against the summand built from the exact (n, d, chi)
@@ -325,6 +332,7 @@ def test_dj_table_sum_matches_exact_level_entries(spec):
 
 
 def test_dj_table_cache_keyed_by_p_and_precision():
+    # the psi tables and the tail's tau = t_max^(2/p) are kept on the evaluator
     model = parse_model_spec("djq:B2:3/4")
     shared = KpEvaluator(model)
     for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
@@ -333,6 +341,55 @@ def test_dj_table_cache_keyed_by_p_and_precision():
             for k in range(20):
                 got = shared.level_term_sum(k, Fraction(p))
                 assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
+            for L in (0, 30, 94, 200):
+                got = shared.tail_bound(L, Fraction(p))
+                ref = KpEvaluator(model).tail_bound(L, Fraction(p))
+                assert (got is None) == (ref is None)
+                assert got is None or got._mpf_ == ref._mpf_
+
+
+def _row_by_row_level_sum(model, k: int, p: Fraction) -> mpmath.mpf:
+    """A level's psi-table sum, one label at a time, with each label's pairings
+    ``(mu + rho, beta)`` taken from its coordinates; exact before one rounding."""
+    rs = model.root_system
+    pairs = list(zip(model.rho_pairing, rs.root_weight_pairing))
+    rows = [
+        tuple(h + sum(map(operator.mul, mu, w)) for h, w in pairs)
+        for mu in model.enumerate_level(k)
+    ]
+    table = _PsiTable(model.q, p, model.rho_pairing)
+    table.extend(max(map(max, rows)))
+    exps = [sum(table.exps[m] for m in row) for row in rows]
+    e0 = min(exps)
+    total = sum(math.prod(table.mans[m] for m in row) << (e - e0) for row, e in zip(rows, exps))
+    return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "djq:A1:1/2", "djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/3",
+        "djq:A3:1/2", "djq:C3:3/4", "djq:D4:1/2",
+    ],
+)
+def test_dj_block_sum_bit_identical_to_row_by_row(spec):
+    # the strided block kernel must give the row-by-row sum to the last bit
+    model = parse_model_spec(spec)
+    ev = KpEvaluator(model)
+    for bits in (128, 192):
+        with mp.workprec(bits):
+            for p in (Fraction(3), Fraction(4), Fraction(13, 2)):
+                for k in range(16):
+                    got = ev.level_term_sum(k, p)
+                    assert got._mpf_ == _row_by_row_level_sum(model, k, p)._mpf_, (bits, p, k)
+
+
+def test_dj_kp_sum_builds_no_label_rows(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("the K_p sum built per-label pairing rows")
+
+    monkeypatch.setattr(DrinfeldJimboModel, "level_pairings", refuse)
+    assert kp_constant("djq:A3:1/2", 4).converged
 
 
 GRADED_SPECS = ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"]

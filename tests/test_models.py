@@ -229,19 +229,19 @@ def test_dj_level_data_matches_weyl_products(spec):
     "spec",
     [
         "djq:A1:1/2", "djq:A2:1/2", "djq:B2:3/4", "djq:G2:1/3",
-        "djq:A3:1/2", "djq:C3:3/4", "djq:A4:1/2",
+        "djq:A3:1/2", "djq:C3:3/4", "djq:A4:1/2", "djq:D4:1/2",
     ],
 )
 def test_dj_level_pairings_match_direct_root_pairings(spec):
-    # the incremental rows against (mu + rho, beta) from the invariant form,
-    # with the longest level requested first and the trivial one last
+    # the rows read off the blocks against (mu + rho, beta) from the invariant
+    # form, with the longest level requested first and the trivial one last
     model = parse_model_spec(spec)
     rs = model.root_system
     roots = [rs._omega_coords(beta) for beta in rs.positive_roots]
     middle = list(range(1, 12))
     random.Random(spec).shuffle(middle)
     for k in [12, *middle, 0]:
-        rows = model.level_pairings(k)
+        rows = list(model.level_pairings(k))
         expected = [
             tuple(rs.inner_product([c + 1 for c in mu], beta) for beta in roots)
             for mu in model.enumerate_level(k)
