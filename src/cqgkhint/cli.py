@@ -15,13 +15,19 @@ Model specs: ``djq:<type><rank>:<q>``, ``oplus:<N>:<Nq>``, ``aut:<dimB>:<d1>``;
 numbers accept decimals or ``num/den`` rationals.  All reports embed the model
 spec, the bilinear-form normalisation note and the working precision, and are
 byte-identical across runs and worker counts for a fixed configuration.
-A JSON config file (``--config``) may supply defaults; explicit flags win.
+
+Each handler formats its values once and returns them as a JSON payload plus
+one ``(header, rows)`` table.  The CSV form writes that table; list-valued
+payload fields are its rows zipped with the header (``verify`` names the
+``check`` column ``name`` in JSON).  A JSON config file (``--config``) may
+supply defaults under the flag name of any subcommand; explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,19 +36,16 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .chebyshev import OutsideDomainError
 from .exact import ExactArithmeticError
 from .fusion import RULES, tensor_decompose
 from .khintchine import (
     DEFAULT_PRECISION_BITS,
     KacDivergenceError,
     KpEvaluator,
-    PValueError,
     constants_from_kp,
     decay_rate,
 )
-from .models import DrinfeldJimboModel, InvalidModelError, parse_model_spec
-from .rootsys import DomainError, InvalidRootSystemError, NonDominantWeightError
+from .models import DrinfeldJimboModel, parse_model_spec
 from .verify import verify_model
 
 __all__ = ["main"]
@@ -63,20 +66,21 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
-def _digits(precision_bits: int) -> int:
-    return max(17, int(precision_bits * 0.3010299956639812) - 2)
+def _rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a zero denominator like any malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
+_rational.__name__ = "Fraction"  # argparse names the type in "invalid Fraction value"
 
 
 def _fmt(value, digits: int):
     """Deterministic JSON-ready rendering of the numeric types used here."""
-    if value is None:
-        return None
-    if isinstance(value, bool):
+    if value is None or isinstance(value, int):  # bool is an int
         return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, mpmath.mpf):
         if mpmath.isinf(value):
             return "inf"
@@ -94,33 +98,22 @@ def _label_str(label) -> str:
     return str(label)
 
 
-def _report(command: str, model_spec, precision_bits: int, payload: dict) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "command": command,
-        "model": model_spec,
-        "normalization": NORMALIZATION_NOTE,
-        "precision_bits": precision_bits,
-    }
-    out.update(payload)
-    return out
+def _records(header: list[str], rows: list[list]) -> list[dict]:
+    return [dict(zip(header, row)) for row in rows]
 
 
-def _emit(report: dict, rows: tuple[list[str], list[list]] | None, fmt: str, path) -> int:
+def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str, path) -> int:
     """Serialise the report; returns the number of bytes written."""
     if fmt == "json":
         data = (json.dumps(report, indent=2) + "\n").encode()
     else:
-        if rows is None:
-            raise _CliError("this command has no CSV table; use --format json", "no-csv-form")
         buf = io.StringIO()
         for key in ("schema", "command", "model", "normalization", "precision_bits"):
             buf.write(f"# {key}: {report[key]}\n")
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        header, body = rows
+        header, rows = table
         writer.writerow(header)
-        for row in body:
-            writer.writerow(row)
+        writer.writerows(rows)
         data = buf.getvalue().encode()
     if path:
         try:
@@ -150,32 +143,29 @@ def _parse_mu(text: str, rank: int) -> tuple[int, ...]:
 
 
 # -- command handlers --------------------------------------------------------
+#
+# Each takes the parsed arguments and the value formatter and returns
+# ``(model_spec, payload, (header, rows), exit_code)``.
 
 
-def _cmd_dims(args):
+def _levels(args, header: list[str], cells):
+    """One row ``[length, label, *cells(data)]`` per label of lengths ``0..max_length``."""
     model = _require_model(args)
-    digits = _digits(args.precision_bits)
-    rows = []
-    payload_rows = []
-    for k in range(args.max_length + 1):
-        for data in model.level_data(k):
-            label = _label_str(data.label)
-            rows.append([k, label, data.n, str(data.d), data.chi_sup])
-            payload_rows.append(
-                {
-                    "length": k,
-                    "label": label,
-                    "n": data.n,
-                    "d": _fmt(data.d, digits),
-                    "chi_sup": data.chi_sup,
-                }
-            )
-    payload = {"max_length": args.max_length, "rows": payload_rows}
-    report = _report("dims", model.spec_string(), args.precision_bits, payload)
-    return report, (["length", "label", "n", "d", "chi_sup"], rows), EXIT_OK
+    rows = [
+        [k, _label_str(data.label), *cells(data)]
+        for k in range(args.max_length + 1)
+        for data in model.level_data(k)
+    ]
+    payload = {"max_length": args.max_length, "rows": _records(header, rows)}
+    return model.spec_string(), payload, (header, rows), EXIT_OK
 
 
-def _cmd_spectrum(args):
+def _cmd_dims(args, fmt):
+    header = ["length", "label", "n", "d", "chi_sup"]
+    return _levels(args, header, lambda data: [data.n, fmt(data.d), data.chi_sup])
+
+
+def _cmd_spectrum(args, fmt):
     model = _require_model(args)
     if not isinstance(model, DrinfeldJimboModel):
         raise _CliError(
@@ -186,110 +176,72 @@ def _cmd_spectrum(args):
     if not args.mu:
         raise _CliError("--mu is required for spectrum", "missing-weight")
     mu = _parse_mu(args.mu, model.rank)
-    digits = _digits(args.precision_bits)
     rs = model.root_system
     spectrum = rs.q_matrix_spectrum(mu, model.q)
+    entries = [[fmt(v), m] for v, m in spectrum.entries]
     payload = {
         "mu": _label_str(mu),
         "n": spectrum.n,
-        "d": _fmt(rs.quantum_dimension(mu, model.q), digits),
-        "sup_norm": _fmt(rs.q_sup_norm(mu, model.q), digits),
+        "d": fmt(rs.quantum_dimension(mu, model.q)),
+        "sup_norm": fmt(rs.q_sup_norm(mu, model.q)),
         "trace_symmetric": spectrum.is_trace_symmetric(),
-        "entries": [[_fmt(v, digits), m] for v, m in spectrum.entries],
+        "entries": entries,
     }
-    report = _report("spectrum", model.spec_string(), args.precision_bits, payload)
-    rows = [[_fmt(v, digits), m] for v, m in spectrum.entries]
-    return report, (["eigenvalue", "multiplicity"], rows), EXIT_OK
+    return model.spec_string(), payload, (["eigenvalue", "multiplicity"], entries), EXIT_OK
 
 
-def _cmd_fusion(args):
+def _cmd_fusion(args, fmt):
     if args.rule not in RULES:
         raise _CliError(f"--rule must be one of {RULES}", "bad-fusion-rule")
     if args.k is None or args.l is None:
         raise _CliError("--k and --l are required for fusion", "missing-fusion-labels")
-    decomposition = tensor_decompose(args.rule, args.k, args.l)
-    items = sorted(decomposition.items())
-    payload = {
-        "rule": args.rule,
-        "k": args.k,
-        "l": args.l,
-        "decomposition": [[label, mult] for label, mult in items],
-    }
-    model_spec = args.model if args.model else None
-    report = _report("fusion", model_spec, args.precision_bits, payload)
-    return report, (["label", "multiplicity"], [[l, m] for l, m in items]), EXIT_OK
+    items = sorted(tensor_decompose(args.rule, args.k, args.l).items())
+    decomposition = [[label, mult] for label, mult in items]
+    payload = {"rule": args.rule, "k": args.k, "l": args.l, "decomposition": decomposition}
+    return args.model or None, payload, (["label", "multiplicity"], decomposition), EXIT_OK
 
 
-def _cmd_kp(args):
+def _cmd_kp(args, fmt):
     model = _require_model(args)
-    digits = _digits(args.precision_bits)
-    evaluator = KpEvaluator(model, args.precision_bits)
-    report = evaluator.kp_constant(
-        args.p, tol=args.tol, max_length=args.max_length, workers=args.workers
+    report = KpEvaluator(model, args.precision_bits).kp_constant(
+        args.p, tol=args.tol, max_length=args.max_length
     )
     payload = {
-        "p": _fmt(report.p, digits),
+        "p": fmt(report.p),
         "tol": repr(args.tol),
         "max_length": args.max_length,
         "terms_summed": report.terms_summed,
-        "partial_sum": _fmt(report.partial_sum, digits),
-        "tail_bound": _fmt(report.tail_bound, digits),
+        "partial_sum": fmt(report.partial_sum),
+        "tail_bound": fmt(report.tail_bound),
         "verdict": report.verdict,
-        "kp2_interval": _fmt(report.kp2_interval, digits),
-        "kp_interval": _fmt(report.kp_interval, digits),
-        "term_lower_bound": _fmt(report.term_lower_bound, digits),
+        "kp2_interval": fmt(report.kp2_interval),
+        "kp_interval": fmt(report.kp_interval),
+        "term_lower_bound": fmt(report.term_lower_bound),
     }
-    out = _report("kp", report.model_spec, args.precision_bits, payload)
-    rows = (
-        ["p", "terms_summed", "partial_sum", "tail_bound", "verdict", "kp_lower", "kp_upper"],
-        [
-            [
-                _fmt(report.p, digits),
-                report.terms_summed,
-                _fmt(report.partial_sum, digits),
-                _fmt(report.tail_bound, digits),
-                report.verdict,
-                _fmt(report.kp_interval[0], digits) if report.kp_interval else "",
-                _fmt(report.kp_interval[1], digits) if report.kp_interval else "",
-            ]
-        ],
-    )
+    header = ["p", "terms_summed", "partial_sum", "tail_bound", "verdict", "kp_lower", "kp_upper"]
+    row = [payload[key] for key in header[:5]] + (payload["kp_interval"] or ["", ""])
     exit_code = EXIT_INCONCLUSIVE if report.verdict == "inconclusive" else EXIT_OK
-    return out, rows, exit_code
+    return model.spec_string(), payload, (header, [row]), exit_code
 
 
-def _cmd_decay(args):
+def _cmd_decay(args, fmt):
     model = _require_model(args)
-    digits = _digits(args.precision_bits)
     report = decay_rate(model, horizon=args.horizon, precision_bits=args.precision_bits)
     payload = {
         "horizon": report.horizon,
-        "theoretical_base": _fmt(report.theoretical_base, digits),
-        "empirical_base": _fmt(report.empirical_base, digits),
-        "constant_envelope": _fmt(report.constant_envelope, digits),
+        "theoretical_base": fmt(report.theoretical_base),
+        "empirical_base": fmt(report.empirical_base),
+        "constant_envelope": fmt(report.constant_envelope),
         "polynomial_factor": report.polynomial_factor,
     }
-    out = _report("decay", report.model_spec, args.precision_bits, payload)
-    rows = (
-        ["horizon", "theoretical_base", "empirical_base", "constant_envelope", "polynomial_factor"],
-        [
-            [
-                report.horizon,
-                _fmt(report.theoretical_base, digits),
-                _fmt(report.empirical_base, digits),
-                _fmt(report.constant_envelope, digits),
-                report.polynomial_factor,
-            ]
-        ],
-    )
-    return out, rows, EXIT_OK
+    return model.spec_string(), payload, (list(payload), [list(payload.values())]), EXIT_OK
 
 
-def _cmd_constants(args):
+def _cmd_constants(args, fmt):
     model = _require_model(args)
-    digits = _digits(args.precision_bits)
-    evaluator = KpEvaluator(model, args.precision_bits)
-    kp_report = evaluator.kp_constant(args.p, tol=args.tol, max_length=args.max_length)
+    kp_report = KpEvaluator(model, args.precision_bits).kp_constant(
+        args.p, tol=args.tol, max_length=args.max_length
+    )
     if kp_report.verdict == "divergent":
         raise _CliError(
             f"K_p diverges for {kp_report.model_spec} (Kac type); "
@@ -303,100 +255,62 @@ def _cmd_constants(args):
             exit_code=EXIT_INCONCLUSIVE,
         )
     report = constants_from_kp(kp_report, args.r)
-    payload = {
-        "p": _fmt(report.p, digits),
-        "r": _fmt(report.r, digits),
-        "exponents": {
-            "c_2_1": _fmt(report.exp_c_2_1, digits),
-            "c_p_1": _fmt(report.exp_c_p_1, digits),
-            "c_r_1": _fmt(report.exp_c_r_1, digits),
-        },
-        "constants": {
-            "c_2_1": _fmt(report.c_2_1, digits),
-            "c_p_1": _fmt(report.c_p_1, digits),
-            "c_r_1": _fmt(report.c_r_1, digits),
-        },
-        "kp_upper": _fmt(report.kp_upper, digits),
+    exponents = {
+        "c_2_1": fmt(report.exp_c_2_1),
+        "c_p_1": fmt(report.exp_c_p_1),
+        "c_r_1": fmt(report.exp_c_r_1),
     }
-    out = _report("constants", report.model_spec, args.precision_bits, payload)
-    rows = (
-        ["p", "r", "exp_c_2_1", "exp_c_p_1", "exp_c_r_1", "c_2_1", "c_p_1", "c_r_1"],
-        [
-            [
-                _fmt(report.p, digits),
-                _fmt(report.r, digits),
-                str(report.exp_c_2_1),
-                str(report.exp_c_p_1),
-                str(report.exp_c_r_1),
-                _fmt(report.c_2_1, digits),
-                _fmt(report.c_p_1, digits),
-                _fmt(report.c_r_1, digits),
-            ]
-        ],
-    )
-    return out, rows, EXIT_OK
+    constants = {
+        "c_2_1": fmt(report.c_2_1),
+        "c_p_1": fmt(report.c_p_1),
+        "c_r_1": fmt(report.c_r_1),
+    }
+    payload = {
+        "p": fmt(report.p),
+        "r": fmt(report.r),
+        "exponents": exponents,
+        "constants": constants,
+        "kp_upper": fmt(report.kp_upper),
+    }
+    header = ["p", "r", *(f"exp_{key}" for key in exponents), *constants]
+    row = [payload["p"], payload["r"], *exponents.values(), *constants.values()]
+    return model.spec_string(), payload, (header, [row]), EXIT_OK
 
 
-def _cmd_verify(args):
+def _cmd_verify(args, fmt):
     model = _require_model(args)
     report = verify_model(model, horizon=args.horizon)
+    rows = [[c.name, c.passed, c.detail] for c in report.checks]
     payload = {
         "horizon": report.horizon,
         "all_passed": report.all_passed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
-        ],
+        "checks": _records(["name", "passed", "detail"], rows),
     }
-    out = _report("verify", report.model_spec, args.precision_bits, payload)
-    rows = (
-        ["check", "passed", "detail"],
-        [[c.name, c.passed, c.detail] for c in report.checks],
-    )
-    return out, rows, EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+    exit_code = EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
+    return model.spec_string(), payload, (["check", "passed", "detail"], rows), exit_code
 
 
-def _cmd_table(args):
-    model = _require_model(args)
-    digits = _digits(args.precision_bits)
+def _cmd_table(args, fmt):
     if args.kind == "ratios":
-        rows = []
-        payload_rows = []
-        for k in range(args.max_length + 1):
-            for data in model.level_data(k):
-                ratio = mp.mpf(data.n) * data.d.denominator / data.d.numerator
-                label = _label_str(data.label)
-                rows.append([k, label, _fmt(ratio, digits)])
-                payload_rows.append(
-                    {"length": k, "label": label, "n_over_d": _fmt(ratio, digits)}
-                )
-        payload = {"kind": "ratios", "max_length": args.max_length, "rows": payload_rows}
-        out = _report("table", model.spec_string(), args.precision_bits, payload)
-        return out, (["length", "label", "n_over_d"], rows), EXIT_OK
-    if args.kind == "kp":
-        try:
-            p_values = [Fraction(part) for part in args.p_list.split(",")]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _CliError(f"cannot parse --p-list {args.p_list!r}", "bad-p-list") from exc
-        evaluator = KpEvaluator(model, args.precision_bits)
-        rows = []
-        payload_rows = []
-        worst_exit = EXIT_OK
-        for p in p_values:
-            rep = evaluator.kp_constant(
-                p, tol=args.tol, max_length=args.max_length, workers=args.workers
-            )
-            lo = _fmt(rep.kp_interval[0], digits) if rep.kp_interval else ""
-            hi = _fmt(rep.kp_interval[1], digits) if rep.kp_interval else ""
-            rows.append([_fmt(p, digits), lo, hi, rep.verdict])
-            payload_rows.append(
-                {"p": _fmt(p, digits), "kp_lower": lo, "kp_upper": hi, "verdict": rep.verdict}
-            )
-            if rep.verdict == "inconclusive":
-                worst_exit = EXIT_INCONCLUSIVE
-        payload = {"kind": "kp", "rows": payload_rows}
-        out = _report("table", model.spec_string(), args.precision_bits, payload)
-        return out, (["p", "kp_lower", "kp_upper", "verdict"], rows), worst_exit
-    raise _CliError(f"unknown table kind {args.kind!r}", "bad-table-kind")
+        header = ["length", "label", "n_over_d"]
+        spec, payload, table, exit_code = _levels(
+            args, header, lambda data: [fmt(mp.mpf(data.n) * data.d.denominator / data.d.numerator)]
+        )
+        return spec, {"kind": "ratios", **payload}, table, exit_code
+    model = _require_model(args)
+    try:
+        p_values = [_rational(part) for part in args.p_list.split(",")]
+    except ValueError as exc:
+        raise _CliError(f"cannot parse --p-list {args.p_list!r}", "bad-p-list") from exc
+    evaluator = KpEvaluator(model, args.precision_bits)
+    rows = []
+    for p in p_values:
+        rep = evaluator.kp_constant(p, tol=args.tol, max_length=args.max_length)
+        rows.append([fmt(p), *(fmt(rep.kp_interval) or ["", ""]), rep.verdict])
+    header = ["p", "kp_lower", "kp_upper", "verdict"]
+    exit_code = EXIT_INCONCLUSIVE if any(row[-1] == "inconclusive" for row in rows) else EXIT_OK
+    payload = {"kind": "kp", "rows": _records(header, rows)}
+    return model.spec_string(), payload, (header, rows), exit_code
 
 
 _HANDLERS = {
@@ -409,25 +323,6 @@ _HANDLERS = {
     "verify": _cmd_verify,
     "table": _cmd_table,
 }
-
-_CONFIG_KEYS = (
-    "model",
-    "p",
-    "r",
-    "tol",
-    "max_length",
-    "format",
-    "output",
-    "precision_bits",
-    "workers",
-    "horizon",
-    "mu",
-    "rule",
-    "k",
-    "l",
-    "kind",
-    "p_list",
-)
 
 _DEFAULTS = {
     "p": Fraction(4),
@@ -472,11 +367,12 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if name in ("dims", "table", "kp", "constants"):
             p.add_argument("--max-length", dest="max_length", type=int, default=None)
+        if name in ("kp", "constants"):
+            p.add_argument("--p", type=_rational, default=None)
         if name in ("kp", "constants", "table"):
-            p.add_argument("--p", type=Fraction, default=None)
             p.add_argument("--tol", type=float, default=None)
         if name == "constants":
-            p.add_argument("--r", type=Fraction, default=None)
+            p.add_argument("--r", type=_rational, default=None)
         if name == "spectrum":
             p.add_argument("--mu", default=None, help="comma-separated dominant weight")
         if name == "fusion":
@@ -496,7 +392,7 @@ def _config_value(action: argparse.Action, value):
     key = action.dest
     try:
         value = action.type(str(value)) if action.type else str(value)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise _CliError(f"config key {key!r}: cannot read {value!r}", "bad-config") from exc
     if action.choices is not None and value not in action.choices:
         message = f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
@@ -505,8 +401,10 @@ def _config_value(action: argparse.Action, value):
 
 
 def _apply_config(args, parser: argparse.ArgumentParser):
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {action.dest: action for action in commands.choices[args.command]._actions}
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -514,20 +412,17 @@ def _apply_config(args, parser: argparse.ArgumentParser):
             raise _CliError(f"cannot read config {args.config!r}: {exc}", "bad-config") from exc
         if not isinstance(config, dict):
             raise _CliError(f"config {args.config!r} is not a JSON object", "bad-config")
-        unknown = set(config) - set(_CONFIG_KEYS)
+        known = {a.dest for command in commands.choices.values() for a in command._actions}
+        unknown = set(config) - (known - {"help", "config"})
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}", "bad-config")
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {action.dest: action for action in commands.choices[args.command]._actions}
-    for key in _CONFIG_KEYS:
-        if not hasattr(args, key):
-            continue
-        if getattr(args, key) is None and config.get(key) is not None:
-            setattr(args, key, _config_value(flags[key], config[key]))
+    for key, action in flags.items():
+        if config.get(key) is not None and getattr(args, key) is None:
+            setattr(args, key, _config_value(action, config[key]))
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
-    if getattr(args, "precision_bits", 64) < 64:
+    if args.precision_bits < 64:
         raise _CliError("precision_bits must be at least 64", "bad-precision")
     if hasattr(args, "tol") and not args.tol > 0:
         raise _CliError("tol must be positive", "bad-tolerance")
@@ -536,7 +431,7 @@ def _apply_config(args, parser: argparse.ArgumentParser):
         raise _CliError(message, "tol-below-precision")
     if hasattr(args, "max_length") and args.max_length < 1:
         raise _CliError("max_length must be >= 1", "bad-max-length")
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         raise _CliError("workers must be >= 1", "bad-workers")
     return args
 
@@ -549,28 +444,24 @@ def main(argv=None) -> int:
         return EXIT_OK
     try:
         args = _apply_config(args, parser)
-        handler = _HANDLERS[args.command]
-        report, rows, exit_code = handler(args)
-        _emit(report, rows, args.format, args.output)
+        digits = max(17, int(args.precision_bits * 0.3010299956639812) - 2)
+        fmt = functools.partial(_fmt, digits=digits)
+        model_spec, payload, table, exit_code = _HANDLERS[args.command](args, fmt)
+        report = {
+            "schema": SCHEMA,
+            "command": args.command,
+            "model": model_spec,
+            "normalization": NORMALIZATION_NOTE,
+            "precision_bits": args.precision_bits,
+            **payload,
+        }
+        _emit(report, table, args.format, args.output)
         return exit_code
     except _CliError as exc:
         sys.stderr.write(f"error[{exc.code}]: {exc}\n")
         return exc.exit_code
-    except (
-        InvalidModelError,
-        InvalidRootSystemError,
-        NonDominantWeightError,
-        DomainError,
-        PValueError,
-        OutsideDomainError,
-        KacDivergenceError,
-        ExactArithmeticError,
-    ) as exc:
-        code = getattr(exc, "code", "invalid-input")
-        sys.stderr.write(f"error[{code}]: {exc}\n")
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        sys.stderr.write(f"error[invalid-input]: {exc}\n")
+    except (ValueError, KacDivergenceError, ExactArithmeticError) as exc:
+        sys.stderr.write(f"error[{getattr(exc, 'code', 'invalid-input')}]: {exc}\n")
         return EXIT_VALIDATION
 
 

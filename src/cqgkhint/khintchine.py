@@ -499,7 +499,6 @@ class KpEvaluator:
         p,
         tol: float = 1e-10,
         max_length: int = 4000,
-        workers: int = 1,
     ) -> KpReport:
         """Certified ``K_p`` with a dropped tail of at most ``tol``.
 
@@ -509,8 +508,7 @@ class KpEvaluator:
         no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
         levels ``0..max_length`` summed.  A Kac-type model is ``divergent``,
         with levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
-        below ``2^-precision_bits`` raises :class:`ValueError`.  ``workers`` is
-        ignored.
+        below ``2^-precision_bits`` raises :class:`ValueError`.
         """
         p = _check_p(p)
         if not tol > 0:
@@ -552,17 +550,14 @@ def kp_constant(
     tol: float = 1e-10,
     max_length: int = 4000,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    workers: int = 1,
 ) -> KpReport:
     """Certified ``K_p`` evaluation; see :class:`KpEvaluator`.
 
     The summation cutoff is searched for, which relies on the certified tail
     being monotone nonincreasing in the length (see :func:`certified_tail`).
-    ``workers`` is accepted for compatibility and ignored: the summation is
-    serial and its order is fixed.
     """
     return KpEvaluator(construct_model(model), precision_bits).kp_constant(
-        p, tol=tol, max_length=max_length, workers=workers
+        p, tol=tol, max_length=max_length
     )
 
 

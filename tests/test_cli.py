@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from cqgkhint.cli import main
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -234,6 +236,21 @@ def test_rational_literals_accepted(capsys):
     assert json.loads(out)["model"] == "oplus:3:7/2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kp", "--model", "oplus:3:4", "--p", "1/0"],
+        ["constants", "--model", "oplus:3:4", "--r", "1/0"],
+    ],
+)
+def test_zero_denominator_flag_is_a_usage_error(capsys, argv):
+    # a zero denominator reads like any malformed number: exit 2, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid Fraction value: '1/0'" in capsys.readouterr().err
+
+
 # -- config file -----------------------------------------------------------------------------
 
 
@@ -263,6 +280,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
         (5, None, 2, "error[bad-config]"),
         ({"format": "xml"}, None, 2, "error[bad-config]: config key 'format'"),
         ({"precision_bits": 128.5}, None, 2, "error[bad-config]: config key 'precision_bits'"),
+        ({"p": "1/0"}, None, 2, "error[bad-config]: config key 'p': cannot read '1/0'"),
     ],
 )
 def test_config_values_read_like_their_flags(
@@ -277,6 +295,84 @@ def test_config_values_read_like_their_flags(
     assert err.startswith(expected_err)
     if flags is not None:
         assert (code, out) == run_cli(capsys, "kp", *flags, *model)[:2]
+
+
+# -- one table for JSON and CSV -----------------------------------------------------------------
+
+_ENVELOPE = ("schema", "command", "model", "normalization", "precision_bits")
+
+
+def _csv_view(report):
+    """The ``(header, rows)`` the CSV form must carry, read off the JSON report."""
+    body = {key: value for key, value in report.items() if key not in _ENVELOPE}
+    command = report["command"]
+    if command in ("dims", "table"):
+        header = list(body["rows"][0])
+        assert all(list(record) == header for record in body["rows"])
+        return header, [list(record.values()) for record in body["rows"]]
+    if command == "verify":
+        assert all(list(check) == ["name", "passed", "detail"] for check in body["checks"])
+        return ["check", "passed", "detail"], [list(check.values()) for check in body["checks"]]
+    if command == "spectrum":
+        return ["eigenvalue", "multiplicity"], body["entries"]
+    if command == "fusion":
+        return ["label", "multiplicity"], body["decomposition"]
+    if command == "kp":
+        keys = ["p", "terms_summed", "partial_sum", "tail_bound", "verdict"]
+        row = [body[key] for key in keys] + (body["kp_interval"] or ["", ""])
+        return keys + ["kp_lower", "kp_upper"], [row]
+    if command == "constants":
+        exponents, constants = body["exponents"], body["constants"]
+        header = ["p", "r", *(f"exp_{key}" for key in exponents), *constants]
+        return header, [[body["p"], body["r"], *exponents.values(), *constants.values()]]
+    assert command == "decay"
+    return list(body), [list(body.values())]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "--model", "oplus:3:7/2", "--max-length", "3"],
+        ["dims", "--model", "djq:A2:1/2", "--max-length", "2"],
+        ["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"],
+        ["fusion", "--rule", "so3", "--k", "2", "--l", "3"],
+        ["kp", "--model", "oplus:3:7/2", "--p", "4"],
+        ["kp", "--model", "oplus:3:3"],
+        ["kp", "--model", "oplus:3:7/2", "--p", "16", "--max-length", "10"],
+        ["decay", "--model", "oplus:3:7/2", "--horizon", "20"],
+        ["constants", "--model", "djq:A1:1/2", "--p", "4", "--r", "3"],
+        ["verify", "--model", "djq:A1:1/2"],
+        ["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "3"],
+        ["table", "--model", "djq:A1:1/2", "--kind", "kp", "--p-list", "2,4"],
+    ],
+    ids=" ".join,
+)
+def test_csv_rows_carry_the_json_values(capsys, argv):
+    json_code, out, _ = run_cli(capsys, *argv)
+    csv_code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert json_code == csv_code and json_code in (0, 3)
+    report = json.loads(out)
+    lines = csv_out.splitlines()
+    preamble = [f"# {key}: {report[key]}" for key in _ENVELOPE]
+    assert lines[: len(_ENVELOPE)] == preamble
+    header, *rows = csv.reader(lines[len(_ENVELOPE) :])
+    want_header, want_rows = _csv_view(report)
+    assert header == want_header
+    assert rows == [["" if value is None else str(value) for value in row] for row in want_rows]
+
+
+def test_data_reports_match_bench_reference_digests(capsys, monkeypatch):
+    # the exact reports of the benchmark's data-reports workload, every seed
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+    import workloads
+
+    ref = oracle.load_reference()
+    commands = [cmd for cmd in workloads.every_command("data-reports") if cmd.check == "digest"]
+    assert len(commands) == 11
+    for cmd in sorted(commands, key=lambda cmd: cmd.text):
+        code, out, err = run_cli(capsys, *cmd.args)
+        assert oracle.check(cmd, code, out.encode(), ref) is None, (cmd.text, err)
 
 
 # -- determinism ------------------------------------------------------------------------------

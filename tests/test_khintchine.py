@@ -195,14 +195,6 @@ def test_su_q2_bridge_kp_intervals_overlap():
         assert lo <= hi + 1e-10
 
 
-def test_workers_bit_identical():
-    serial = kp_constant("djq:A2:1/2", 4, tol=1e-10, workers=1)
-    parallel = kp_constant("djq:A2:1/2", 4, tol=1e-10, workers=4)
-    assert serial.partial_sum == parallel.partial_sum
-    assert serial.tail_bound == parallel.tail_bound
-    assert serial.terms_summed == parallel.terms_summed
-
-
 def _scan_cutoffs(ev, p, tols, max_length):
     """First ``L`` whose certified tail is ``<= tol``, by a level-by-level scan."""
     found = {}
