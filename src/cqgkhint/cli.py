@@ -42,6 +42,8 @@ from .khintchine import (
     DEFAULT_PRECISION_BITS,
     KacDivergenceError,
     KpEvaluator,
+    _check_constants_args,
+    _check_p,
     constants_from_kp,
     decay_rate,
 )
@@ -239,6 +241,8 @@ def _cmd_decay(args, fmt):
 
 def _cmd_constants(args, fmt):
     model = _require_model(args)
+    # refuse a bad (p, r) before the K_p sum, as the sum and then constants_from_kp would
+    _check_constants_args(_check_p(args.p), args.r)
     kp_report = KpEvaluator(model, args.precision_bits).kp_constant(
         args.p, tol=args.tol, max_length=args.max_length
     )

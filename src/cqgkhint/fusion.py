@@ -19,12 +19,17 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "RULES",
+    "FusionLabelError",
     "tensor_with_generator",
     "tensor_decompose",
     "trivial_multiplicity",
 ]
 
 RULES = ("su2", "so3")
+
+
+class FusionLabelError(ValueError):
+    code = "bad-fusion-label"
 
 
 def _check_rule(rule: str) -> str:
@@ -35,7 +40,7 @@ def _check_rule(rule: str) -> str:
 
 def _check_label(k: int) -> int:
     if int(k) != k or k < 0:
-        raise ValueError(f"fusion labels are nonnegative integers, got {k}")
+        raise FusionLabelError(f"fusion labels are nonnegative integers, got {k}")
     return int(k)
 
 

@@ -10,12 +10,12 @@ interval*: an exact-ordered partial sum (high-precision mpmath arithmetic at a
 fixed precision, so results are bit-stable) plus a rigorous bound on the
 dropped tail, computed with interval arithmetic from growth envelopes.
 
-A graded summand is ``chi^2 exp((2/p) log(n / (d chi^2)))``: the logarithm is
-taken once per level and precision, at ``prec + guard`` bits with the guard
-sized from ``2 |log chi| + |log(n/d)|``, and shared by every ``p``; each
-``(level, p)`` then costs one product and one ``exp``, rounded once to
-``prec`` bits (see :func:`_graded_log`).  A Drinfeld-Jimbo summand is a
-product of tabulated values of one scalar function (see :class:`_PsiTable`).
+Every summand is read from one table of terms ``s^2 r^(2/p)`` (``s`` an
+integer, ``r`` an exact rational), each formed as ``s^2 exp((2/p) log r)``
+from one logarithm per term and precision, shared by every ``p``, and rounded
+once, within one unit in the last place (see :func:`_log_ratio`).  A graded
+level is one term; a Drinfeld-Jimbo summand is a ratio of products of the
+terms ``psi(m)`` (see :meth:`KpEvaluator._ratio`).
 The tails:
 
 * free orthogonal / quantum automorphism families: one Chebyshev envelope.
@@ -49,6 +49,7 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     from_rational,
+    mpf_div,
     mpf_exp,
     mpf_log,
     mpf_mul,
@@ -67,6 +68,8 @@ from .models import (
 __all__ = [
     "KacDivergenceError",
     "PValueError",
+    "RValueError",
+    "HorizonError",
     "KpNotConvergedError",
     "KpReport",
     "DecayReport",
@@ -89,6 +92,14 @@ class KacDivergenceError(ArithmeticError):
 
 class PValueError(ValueError):
     code = "p-out-of-range"
+
+
+class RValueError(ValueError):
+    code = "bad-r"
+
+
+class HorizonError(ValueError):
+    code = "bad-horizon"
 
 
 class KpNotConvergedError(ArithmeticError):
@@ -180,61 +191,29 @@ def _iv_pow(x, e: Fraction):
     return iv.exp(iv.log(x) * _iv_from_fraction(e))
 
 
-class _PsiTable:
-    """``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)`` at one working precision.
+def _log_ratio(x: int, y: int, prec: int) -> tuple[int, tuple]:
+    """``(wp, log(x/y))`` for positive integers ``x, y``, raw mpf at ``wp`` bits.
 
-    Values are kept as raw mpf mantissas and exponents indexed by ``m``, so a
-    product of table values is an exact integer product; ``scale`` is
-    ``1 / prod_beta psi(h_beta)`` over the ``rho`` pairings.
-    """
-
-    def __init__(self, q: Fraction, p: Fraction, rho_pairing):
-        self.q = q
-        self.sigma = _mpf_from_fraction(2 - Fraction(2) / p)
-        self.power = _mpf_from_fraction(-Fraction(2) / p)
-        self.mans: list[int] = [0]
-        self.exps: list[int] = [0]
-        self.scale = 1 / math.prod(self._psi(h) for h in rho_pairing)
-
-    def _psi(self, m: int) -> mpmath.mpf:
-        a, b = self.q.numerator, self.q.denominator
-        am, bm = a**m, b**m
-        # q^-m - q^m = (b^2m - a^2m) / (a^m b^m), exact, rounded once
-        x = mp.make_mpf(from_rational(bm * bm - am * am, am * bm, mp.prec, round_nearest))
-        return mp.power(m, self.sigma) * mp.power(x, self.power)
-
-    def extend(self, top: int):
-        """Tabulate ``psi(m)`` for every ``m <= top``."""
-        for m in range(len(self.mans), top + 1):
-            _, man, exp, _ = self._psi(m)._mpf_
-            self.mans.append(man)
-            self.exps.append(exp)
-
-
-def _graded_log(n: int, d: Fraction, chi: int, prec: int) -> tuple[int, tuple, tuple]:
-    """``(wp, chi^2, log(n / (d chi^2)))`` for one graded label, raw mpf at ``wp`` bits.
-
-    The summand is ``chi^(2-4/p) (n/d)^(2/p) = chi^2 exp((2/p) L)`` with
-    ``L = log(n / (d chi^2))``.  Write ``n / (d chi^2) = x/y`` and
-    ``b = bitlen(x) - bitlen(y)``; then ``m = |b| + 1`` exceeds
-    ``|log2(x/y)|``, and ``|L| <= 2 |log chi| + |log(n/d)|``.  At ``wp`` bits,
-    ``x/y`` (within ``1.5 * 2^-wp`` relative), ``L``, ``2/p`` and ``(2/p) L``
-    are each rounded once, which puts ``(2/p) L`` within
+    This is the one kernel of every ``K_p`` summand ``s^2 (x/y)^(2/p)``,
+    which is formed as ``s^2 exp((2/p) L)`` with ``L = log(x/y)`` (see
+    :meth:`KpEvaluator._terms`).  Write ``b = bitlen(x) - bitlen(y)``; then
+    ``m = |b| + 1`` exceeds ``|log2(x/y)|``, so ``|L| < m``.  At ``wp`` bits,
+    ``x/y`` (within ``1.5 * 2^-wp`` relative), ``L``, ``2/p <= 1`` and
+    ``(2/p) L`` are each rounded once, which puts ``(2/p) L`` within
     ``4 (1 + |L|) 2^-wp < 2^(3 + bitlen(m) - wp)`` of its exact value.  So
     ``wp = prec + bitlen(m) + 8`` keeps it within ``2^-(prec + 5)``; with the
-    ``exp`` rounded to ``prec + 8`` bits, ``chi^2 exp((2/p) L)`` is known to a
-    relative ``2^-(prec + 4)`` before its one rounding to ``prec`` bits.  The
-    guard is at least 32 bits, so every level with ``m < 2^24`` shares one
-    ``wp`` (and one rounded ``2/p``) per precision.
+    ``exp`` rounded to ``prec + 8`` bits, ``s^2 exp((2/p) L)`` is known to a
+    relative ``2^-(prec + 4)`` before its one rounding to ``prec`` bits, so
+    it lands within one unit in the last place.  The guard is at least 32
+    bits, so every ratio with ``m < 2^24`` shares one ``wp`` (and one rounded
+    ``2/p``) per precision.
     """
-    x, y = n * d.denominator, d.numerator * chi * chi
     b = x.bit_length() - y.bit_length()
     wp = prec + max((abs(b) + 1).bit_length() + 8, 32)
     # floor(x 2^shift / y) has wp + 2 or wp + 3 bits and is rounded once to wp bits
     shift = wp + 2 - b
     quotient = (x << shift) // y if shift >= 0 else (x >> -shift) // y
-    log_ratio = mpf_log(from_man_exp(quotient, -shift, wp, round_nearest), wp, round_nearest)
-    return wp, from_int(chi * chi), log_ratio
+    return wp, mpf_log(from_man_exp(quotient, -shift, wp, round_nearest), wp, round_nearest)
 
 
 def _graded_bases(model) -> tuple:
@@ -270,18 +249,14 @@ class KpEvaluator:
 
     The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
     ``level_data``; the evaluator keeps no copy of them, only floating values
-    derived from them.  For Drinfeld-Jimbo models a summand is a product of
-    one scalar function ``psi`` at the integer root pairings
-    ``(mu + rho, beta)`` of the label, read in blocks of arithmetic
-    progressions (:meth:`DrinfeldJimboModel.level_blocks`) from a ``psi``
-    table built once per ``(p, precision)`` (see :meth:`level_term_sum`); the
-    tail keeps ``tau = t_max^(2/p)`` per ``(2/p, precision)``.  For the
-    graded families the evaluator keeps the logarithm of each level's summand
-    per precision, and the tail's growth bases and decay factor
-    ``rho = (u_n/u_d)^(2/p)`` per precision and ``p``.  The summation order is
-    fixed (ascending length, then label order), so reports are bit-identical
-    from run to run.  The
-    summation cutoff is found by a search over the certified tail (see
+    derived from them: ``log r`` of every term ``s^2 r^(2/p)`` per precision
+    (see :meth:`_ratio`), and one table of terms per ``(p, precision)`` (see
+    :meth:`_terms`), which both families read (see :meth:`level_term_sum`).
+    The tails keep ``tau = t_max^(2/p)`` (Drinfeld-Jimbo), or the growth
+    bases per precision and the decay factor ``rho = (u_n/u_d)^(2/p)`` per
+    precision and ``p`` (graded).  The summation order is fixed (ascending
+    length, then label order), so reports are bit-identical from run to run.
+    The summation cutoff is found by a search over the certified tail (see
     :meth:`_cutoff`), which relies on that tail being monotone nonincreasing
     in the length.
     """
@@ -290,11 +265,10 @@ class KpEvaluator:
         _check_precision(precision_bits)
         self.model = construct_model(model)
         self.precision_bits = int(precision_bits)
-        self._psi_tables: dict[tuple[Fraction, int], _PsiTable] = {}
-        # graded families: logarithms per (level, precision), 2/p per (p, log precision),
-        # growth bases per precision and (rho, rho^s) per (2/p, precision)
-        self._logs: dict[tuple[int, int], tuple[int, tuple, tuple]] = {}
-        self._log_exponents: dict[tuple[int, int, int], tuple] = {}
+        # summands: (wp, log r_i, s_i^2) per precision, raw terms per (p, precision)
+        self._logs: dict[int, list[tuple[int, tuple, tuple]]] = {}
+        self._tables: dict[tuple[int, int, int], tuple[list[int], list[int], dict]] = {}
+        # graded tail: growth bases per precision and (rho, rho^s) per (2/p, precision)
         self._bases: dict[int, tuple] = {}
         self._rho: dict[tuple[Fraction, int], tuple] = {}
         # Drinfeld-Jimbo tail: t_max and C_a (see _dj_tail), tau per (2/p, precision)
@@ -313,52 +287,75 @@ class KpEvaluator:
 
     # -- floating accumulation ----------------------------------------------
 
+    def _ratio(self, i: int) -> tuple[int, int, int]:
+        """Exact ``(x, y, s)`` with table entry ``i`` equal to ``s^2 (x/y)^(2/p)``.
+
+        Graded: level ``i``, ``s = chi`` and ``x/y = n / (d chi^2)``.  Drinfeld-Jimbo:
+        ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)`` at ``m = i``, so ``s = m`` and,
+        with ``q = a/b``, ``x/y = (ab)^m / (m (b^2m - a^2m))``.
+        """
+        if isinstance(self.model, DrinfeldJimboModel):
+            if i == 0:
+                return 1, 1, 0  # psi(0) is never read; its entry is 0
+            a, b = self.model.q.numerator, self.model.q.denominator
+            return (a * b) ** i, i * (b ** (2 * i) - a ** (2 * i)), i
+        ((n, d, chi),) = self.level_entries(i)  # a graded level holds one label
+        return n * d.denominator, d.numerator * chi * chi, chi
+
+    def _terms(self, p: Fraction, top: int) -> tuple[list[int], list[int]]:
+        """Raw mantissas and exponents of the table entries ``0..top`` at ``mp.prec``.
+
+        Entry ``i`` is ``s^2 exp((2/p) log(x/y))`` for ``(x, y, s) = _ratio(i)``,
+        rounded once (the budget is in :func:`_log_ratio`).  The logarithms are
+        shared by every ``p``, and ``2/p`` is rounded once per ``(p, wp)``.
+        """
+        prec = mp.prec
+        table = self._tables.get(key := (p.numerator, p.denominator, prec))
+        if table is None:
+            table = self._tables[key] = [], [], {}
+        mans, exps, exponents = table
+        if len(mans) <= top:
+            logs = self._logs.setdefault(prec, [])
+            for i in range(len(logs), top + 1):
+                x, y, s = self._ratio(i)
+                logs.append((*_log_ratio(x, y, prec), from_int(s * s)))
+            for wp, log_r, s2 in logs[len(mans) : top + 1]:
+                e2 = exponents.get(wp)
+                if e2 is None:
+                    e2 = from_rational(2 * p.denominator, p.numerator, wp, round_nearest)
+                    exponents[wp] = e2
+                power = mpf_exp(mpf_mul(e2, log_r, wp, round_nearest), prec + 8, round_nearest)
+                _, man, exp, _ = mpf_mul(s2, power, prec, round_nearest)
+                mans.append(man)
+                exps.append(exp)
+        return mans, exps
+
     def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision.
 
-        For Drinfeld-Jimbo models ``chi = n`` and the Weyl product formulas
-        factor over positive roots, so the summand is
+        A graded level holds one label, and its summand is table entry ``k``
+        of :meth:`_terms`.  For Drinfeld-Jimbo models ``chi = n`` and the Weyl
+        product formulas factor over positive roots, so the summand is
         ``prod_beta psi(m_beta) / prod_beta psi(h_beta)`` with
-        ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and
-        ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``.  The table values of
-        ``psi`` are multiplied and summed over the level exactly, as integer
-        mantissas, and the level sum is rounded once.  On a block of
+        ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and ``psi``
+        the table entries.  The numerators are multiplied and summed over the
+        level exactly, as integer mantissas, and the quotient of that sum by
+        the exact denominator is rounded once.  On a block of
         :meth:`DrinfeldJimboModel.level_blocks` a root reads one strided slice
         of the table, or one entry (a factor of the whole block) at step 0.
-
-        A graded level holds one label, and its summand is
-        ``chi^2 exp((2/p) L)`` with ``L = log(n / (d chi^2))``.  ``L`` is kept
-        per ``(k, precision)`` at ``prec + guard`` bits, and ``2/p`` per ``p``
-        at those bits, so each ``p`` costs one product and one ``exp``; the
-        result is rounded once to ``prec`` bits, within one unit in the last
-        place (the error budget is in :func:`_graded_log`).
         """
         if isinstance(self.model, DrinfeldJimboModel):
             return self._dj_term_sum(k, p)
-        prec = mp.prec
-        level = self._logs.get(key := (k, prec))
-        if level is None:
-            ((n, d, chi),) = self.level_entries(k)  # a graded level holds one label
-            level = self._logs[key] = _graded_log(n, d, chi, prec)
-        wp, chi2, log_ratio = level
-        e2 = self._log_exponents.get(key := (p.numerator, p.denominator, wp))
-        if e2 is None:
-            e2 = self._log_exponents[key] = from_rational(
-                2 * p.denominator, p.numerator, wp, round_nearest
-            )
-        power = mpf_exp(mpf_mul(e2, log_ratio, wp, round_nearest), prec + 8, round_nearest)
-        return mp.make_mpf(mpf_mul(chi2, power, prec, round_nearest))
+        mans, exps = self._terms(p, k)
+        man = mans[k]
+        return mp.make_mpf((0, man, exps[k], man.bit_length()))
 
     def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         model = self.model
-        key = (p, mp.prec)
-        table = self._psi_tables.get(key)
-        if table is None:
-            table = self._psi_tables[key] = _PsiTable(model.q, p, model.rho_pairing)
+        rho = model.rho_pairing
         # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
         pairing = model.root_system.root_weight_pairing
-        table.extend(max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing)))
-        mans, exps = table.mans, table.exps
+        mans, exps = self._terms(p, max(h + k * max(w) for w, h in zip(pairing, rho)))
         # per block: step-0 roots give one constant factor, the others' products are
         # summed exactly over the block's least exponent; no stop m + n s is negative,
         # as the last pairing m + (n-1) s is at least h_b >= (omega_{r-1}, b) >= -s
@@ -378,8 +375,9 @@ class KpEvaluator:
             block = sum(map(lshift, reduce(partial(map, mul), man_cols), map(eb.__rsub__, es)))
             parts.append((const_man * block, const_exp + eb))
         e0 = min(e for _, e in parts)
-        total = sum(block << (e - e0) for block, e in parts)
-        return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
+        total = from_man_exp(sum(block << (e - e0) for block, e in parts), e0)
+        denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
+        return mp.make_mpf(mpf_div(total, denom, mp.prec, round_nearest))
 
     # -- certified tails ------------------------------------------------------
 
@@ -589,7 +587,7 @@ def decay_rate(
 ) -> DecayReport:
     """Theoretical and empirical decay base of ``n/d`` along the grading."""
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise HorizonError("horizon must be >= 1")
     _check_precision(precision_bits)
     model = construct_model(model)
     with mp.workprec(precision_bits), interval_precision():
@@ -641,7 +639,7 @@ def _check_constants_args(p, r) -> tuple[Fraction, Fraction]:
         raise PValueError(f"p must be a power of 2 with p >= 4, got {p}")
     r = as_fraction(r)
     if r < 1:
-        raise ValueError(f"r >= 1 is required, got {r}")
+        raise RValueError(f"r >= 1 is required, got {r}")
     return p, r
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fusion import tensor_decompose, tensor_with_generator
+from .khintchine import HorizonError
 from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
@@ -165,7 +166,7 @@ def _graded_checks(model: QuantumGroupModel, horizon: int) -> list[VerifyCheck]:
 def verify_model(model, horizon: int = 12) -> VerifyReport:
     """Run the invariant suite for one model; all checks are deterministic."""
     if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+        raise HorizonError("horizon must be >= 1")
     model = construct_model(model)
     checks: list[VerifyCheck] = []
 

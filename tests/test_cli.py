@@ -159,6 +159,39 @@ def test_constants_kac_rejected(capsys):
     assert "kac-divergent" in err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--p", "6"], "error[p-out-of-range]: p must be a power of 2 with p >= 4, got 6\n"),
+        (["--p", "3"], "error[p-out-of-range]: p >= 4 is required, got 3\n"),
+        (["--r", "1/2"], "error[bad-r]: r >= 1 is required, got 1/2\n"),
+    ],
+)
+def test_constants_checks_p_and_r_before_summing(capsys, monkeypatch, argv, err):
+    # a refused (p, r) must not cost a K_p sum first (16 s for djq:A4:1/2 at p = 6)
+    from cqgkhint.khintchine import KpEvaluator
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("K_p was summed before p and r were checked")
+
+    monkeypatch.setattr(KpEvaluator, "kp_constant", refuse)
+    assert run_cli(capsys, "constants", "--model", "djq:A4:1/2", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decay", "--model", "oplus:3:7/2", "--horizon", "0"], "bad-horizon"),
+        (["fusion", "--rule", "su2", "--k", "-1", "--l", "1"], "bad-fusion-label"),
+        (["constants", "--model", "djq:A1:1/2", "--r", "-2"], "bad-r"),
+    ],
+)
+def test_refusals_carry_their_own_codes(capsys, argv, code):
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert (exit_code, out) == (2, "")
+    assert err.startswith(f"error[{code}]: ")
+
+
 # -- verify ------------------------------------------------------------------------------
 
 
@@ -177,7 +210,7 @@ def test_verify_horizon_below_one_refused(capsys, spec, horizon):
     # a horizon below 1 examines only the trivial label, where n = d for every model
     code, out, err = run_cli(capsys, "verify", "--model", spec, "--horizon", horizon)
     assert (code, out) == (2, "")
-    assert err == "error[invalid-input]: horizon must be >= 1\n"
+    assert err == "error[bad-horizon]: horizon must be >= 1\n"
 
 
 # -- table -------------------------------------------------------------------------------
@@ -370,6 +403,23 @@ def test_data_reports_match_bench_reference_digests(capsys, monkeypatch):
     ref = oracle.load_reference()
     commands = [cmd for cmd in workloads.every_command("data-reports") if cmd.check == "digest"]
     assert len(commands) == 11
+    for cmd in sorted(commands, key=lambda cmd: cmd.text):
+        code, out, err = run_cli(capsys, *cmd.args)
+        assert oracle.check(cmd, code, out.encode(), ref) is None, (cmd.text, err)
+
+
+def test_kp_reports_enclose_bench_references(capsys, monkeypatch):
+    # the benchmark's K_p commands: every distinct dj-kp command, and the seed-0
+    # dj-sweep and graded-kp commands (other seeds reorder or redraw their p-lists);
+    # a summation kernel that misses a reference K_p fails here, not in a bench run
+    monkeypatch.syspath_prepend(str(BENCH))
+    import oracle
+    import workloads
+
+    ref = oracle.load_reference()
+    commands = workloads.every_command("dj-kp")
+    assert len(commands) == 10
+    commands |= {*workloads.commands("dj-sweep", 0), *workloads.commands("graded-kp", 0)}
     for cmd in sorted(commands, key=lambda cmd: cmd.text):
         code, out, err = run_cli(capsys, *cmd.args)
         assert oracle.check(cmd, code, out.encode(), ref) is None, (cmd.text, err)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from conftest import q_integer
 from cqgkhint.chebyshev import envelope
@@ -14,7 +14,6 @@ from cqgkhint.khintchine import (
     KpEvaluator,
     KpNotConvergedError,
     PValueError,
-    _PsiTable,
     certified_tail,
     decay_rate,
     kp_constant,
@@ -349,12 +348,13 @@ def _row_by_row_level_sum(model, k: int, p: Fraction) -> mpmath.mpf:
         tuple(h + sum(map(operator.mul, mu, w)) for h, w in pairs)
         for mu in model.enumerate_level(k)
     ]
-    table = _PsiTable(model.q, p, model.rho_pairing)
-    table.extend(max(map(max, rows)))
-    exps = [sum(table.exps[m] for m in row) for row in rows]
-    e0 = min(exps)
-    total = sum(math.prod(table.mans[m] for m in row) << (e - e0) for row, e in zip(rows, exps))
-    return mp.make_mpf(from_man_exp(total, e0, mp.prec, round_nearest)) * table.scale
+    mans, exps = KpEvaluator(model)._terms(p, max(map(max, rows)))
+    row_exps = [sum(exps[m] for m in row) for row in rows]
+    e0 = min(row_exps)
+    total = sum(math.prod(mans[m] for m in row) << (e - e0) for row, e in zip(rows, row_exps))
+    rho = model.rho_pairing
+    denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
+    return mp.make_mpf(mpf_div(from_man_exp(total, e0), denom, mp.prec, round_nearest))
 
 
 @pytest.mark.parametrize(
@@ -382,6 +382,51 @@ def test_dj_kp_sum_builds_no_label_rows(monkeypatch):
 
     monkeypatch.setattr(DrinfeldJimboModel, "level_pairings", refuse)
     assert kp_constant("djq:A3:1/2", 4).converged
+
+
+def _ulps(man: int, exp: int, bits: int, ref: mpmath.mpf) -> mpmath.mpf:
+    """Distance of ``man 2^exp`` from ``ref`` in units in the last place at ``bits``."""
+    return abs(mpmath.ldexp(man, exp) - ref) / mpmath.ldexp(1, exp + man.bit_length() - bits)
+
+
+@pytest.mark.parametrize("q", ["1/2", "3/4", "3/5", "1/3"])
+def test_psi_entries_correctly_rounded(q):
+    # psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p) from the shared log kernel, against
+    # two mp.power calls at 600 bits; exponents rounded to the working precision
+    # (two mp.power calls at 192 bits) put entries up to 105 units off
+    ev = KpEvaluator(parse_model_spec(f"djq:A1:{q}"))
+    for p in map(Fraction, (3, 4, 6, 8, 12, "13/2", 16)):
+        tables = {}
+        for bits in (128, 192):
+            with mp.workprec(bits):
+                tables[bits] = ev._terms(p, 300)
+        with mp.workprec(600):
+            x, e2 = 1 / _mpf(Fraction(q)), _mpf(2 / p)
+            for m in range(1, 301):
+                ref = mp.power(m, 2 - e2) * mp.power(x**m - x**-m, -e2)
+                for bits, (mans, exps) in tables.items():
+                    assert _ulps(mans[m], exps[m], bits, ref) <= 1, (p, m, bits)
+
+
+def test_kp_sum_calls_no_mp_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the K_p sum called mp.power")
+
+    monkeypatch.setattr(mp, "power", refuse)
+    assert kp_constant("djq:B2:3/4", 4).converged
+    assert kp_constant("oplus:3:7/2", 4).converged
+
+
+def test_su_q2_bridge_per_summand():
+    # djq:A1:1/2 and oplus:2:5/2 are both SU_q(2) at q = 1/2 (Nq = q + 1/q): the two
+    # families' level terms agree to rounding, not only their K_p intervals
+    dj = KpEvaluator(parse_model_spec("djq:A1:1/2"))
+    graded = KpEvaluator(parse_model_spec("oplus:2:5/2"))
+    with mp.workprec(192):
+        for p in map(Fraction, (3, 4, "13/2", 16)):
+            for k in range(301):
+                _, man, exp, _ = graded.level_term_sum(k, p)._mpf_
+                assert _ulps(man, exp, 192, dj.level_term_sum(k, p)) <= 2, (p, k)
 
 
 GRADED_SPECS = ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"]
