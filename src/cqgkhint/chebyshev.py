@@ -23,12 +23,13 @@ arithmetic, so their bounds are certified enclosures, not estimates.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 import mpmath
 from mpmath import iv, mp
+
+from .record import Record
 
 __all__ = [
     "ChebEnvelope",
@@ -163,8 +164,7 @@ def limit_value(t) -> mpmath.mpf:
     return 1 / mp.sqrt(t * t - 4)
 
 
-@dataclass(frozen=True)
-class ChebEnvelope:
+class ChebEnvelope(Record):
     """Certified two-sided bracket ``lower <= f_k(t) <= upper`` for ``t > 2``."""
 
     lower: mpmath.mpf

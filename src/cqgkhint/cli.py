@@ -21,32 +21,24 @@ one ``(header, rows)`` table.  The CSV form writes that table; list-valued
 payload fields are its rows zipped with the header (``verify`` names the
 ``check`` column ``name`` in JSON).  A JSON config file (``--config``) may
 supply defaults under the flag name of any subcommand; explicit flags win.
+
+Each handler imports what it runs.  ``fusion``, ``dims``, ``spectrum`` and
+``verify`` are exact and never load mpmath; ``kp``, ``decay``, ``constants``
+and ``table`` import :mod:`cqgkhint.khintchine` or mpmath when they start,
+and the CSV writer is loaded only for ``--format csv``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import sys
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp
-
-from .exact import ExactArithmeticError
+from .exact import DEFAULT_PRECISION_BITS, ExactArithmeticError, KacDivergenceError
 from .fusion import RULES, tensor_decompose
-from .khintchine import (
-    DEFAULT_PRECISION_BITS,
-    KacDivergenceError,
-    KpEvaluator,
-    _check_constants_args,
-    _check_p,
-    constants_from_kp,
-    decay_rate,
-)
 from .models import DrinfeldJimboModel, parse_model_spec
 from .verify import verify_model
 
@@ -83,7 +75,8 @@ def _fmt(value, digits: int):
     """Deterministic JSON-ready rendering of the numeric types used here."""
     if value is None or isinstance(value, int):  # bool is an int
         return value
-    if isinstance(value, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")  # an mpf cannot exist before mpmath is loaded
+    if mpmath is not None and isinstance(value, mpmath.mpf):
         if mpmath.isinf(value):
             return "inf"
         return mpmath.nstr(value, digits, strip_zeros=True)
@@ -109,6 +102,8 @@ def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str, path) -> 
     if fmt == "json":
         data = (json.dumps(report, indent=2) + "\n").encode()
     else:
+        import csv
+
         buf = io.StringIO()
         for key in ("schema", "command", "model", "normalization", "precision_bits"):
             buf.write(f"# {key}: {report[key]}\n")
@@ -184,7 +179,7 @@ def _cmd_spectrum(args, fmt):
     payload = {
         "mu": _label_str(mu),
         "n": spectrum.n,
-        "d": fmt(rs.quantum_dimension(mu, model.q)),
+        "d": fmt(spectrum.trace()),
         "sup_norm": fmt(rs.q_sup_norm(mu, model.q)),
         "trace_symmetric": spectrum.is_trace_symmetric(),
         "entries": entries,
@@ -204,6 +199,8 @@ def _cmd_fusion(args, fmt):
 
 
 def _cmd_kp(args, fmt):
+    from .khintchine import KpEvaluator
+
     model = _require_model(args)
     report = KpEvaluator(model, args.precision_bits).kp_constant(
         args.p, tol=args.tol, max_length=args.max_length
@@ -227,6 +224,8 @@ def _cmd_kp(args, fmt):
 
 
 def _cmd_decay(args, fmt):
+    from .khintchine import decay_rate
+
     model = _require_model(args)
     report = decay_rate(model, horizon=args.horizon, precision_bits=args.precision_bits)
     payload = {
@@ -240,9 +239,11 @@ def _cmd_decay(args, fmt):
 
 
 def _cmd_constants(args, fmt):
+    from .khintchine import KpEvaluator, _check_constants_args, constants_from_kp
+
     model = _require_model(args)
-    # refuse a bad (p, r) before the K_p sum, as the sum and then constants_from_kp would
-    _check_constants_args(_check_p(args.p), args.r)
+    # refuse a bad (p, r) before the K_p sum, as constants_from_kp would after it
+    _check_constants_args(args.p, args.r)
     kp_report = KpEvaluator(model, args.precision_bits).kp_constant(
         args.p, tol=args.tol, max_length=args.max_length
     )
@@ -295,6 +296,8 @@ def _cmd_verify(args, fmt):
 
 
 def _cmd_table(args, fmt):
+    from mpmath import mp
+
     if args.kind == "ratios":
         header = ["length", "label", "n_over_d"]
         spec, payload, table, exit_code = _levels(
@@ -306,6 +309,8 @@ def _cmd_table(args, fmt):
         p_values = [_rational(part) for part in args.p_list.split(",")]
     except ValueError as exc:
         raise _CliError(f"cannot parse --p-list {args.p_list!r}", "bad-p-list") from exc
+    from .khintchine import KpEvaluator
+
     evaluator = KpEvaluator(model, args.precision_bits)
     rows = []
     for p in p_values:

@@ -6,18 +6,26 @@ with rational ``r``, positive rational bases ``b_i`` and rational exponents
 powers and magnitude-squares of such numbers never leave this class, and all
 the identity checks in :mod:`cqgkhint.schur` collapse back to plain rationals
 by exponent cancellation, so equality tests stay exact.
+
+This module never imports mpmath at module level: the exact commands of the
+command-line tool (``fusion``, ``dims``, ``spectrum``, ``verify``) load only
+exact code.  So it also holds what those commands share with the
+high-precision :mod:`cqgkhint.khintchine`, which re-exports them: the
+working-precision default and the exceptions the tool reports.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable
 
-import mpmath
-
 __all__ = [
+    "DEFAULT_PRECISION_BITS",
     "ExactArithmeticError",
+    "HorizonError",
+    "KacDivergenceError",
     "Radical",
     "as_fraction",
     "rational_inverse",
@@ -25,8 +33,19 @@ __all__ = [
 ]
 
 
+DEFAULT_PRECISION_BITS = 192
+
+
 class ExactArithmeticError(ArithmeticError):
     """Raised when an operation cannot be carried out in exact arithmetic."""
+
+
+class KacDivergenceError(ArithmeticError):
+    code = "kac-divergent"
+
+
+class HorizonError(ValueError):
+    code = "bad-horizon"
 
 
 def as_fraction(x) -> Fraction:
@@ -43,7 +62,8 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")  # an mpf cannot exist before mpmath is loaded
+    if mpmath is not None and isinstance(x, mpmath.mpf):
         num, den = mpmath.libmp.to_rational(x._mpf_)
         return Fraction(int(num), int(den))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
@@ -196,6 +216,8 @@ class Radical:
         return self.coef
 
     def to_mpf(self) -> mpmath.mpf:
+        import mpmath
+
         val = mpmath.mpf(self.coef.numerator) / self.coef.denominator
         for base, exp in self.radical:
             if isinstance(base, int):

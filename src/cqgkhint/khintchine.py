@@ -38,7 +38,6 @@ contributes a term >= 1), never via timeout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from operator import add, lshift, mul
@@ -57,13 +56,14 @@ from mpmath.libmp import (
 )
 
 from .chebyshev import interval_precision, iv_growth_base
-from .exact import as_fraction
+from .exact import DEFAULT_PRECISION_BITS, HorizonError, KacDivergenceError, as_fraction
 from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
     QuantumGroupModel,
     construct_model,
 )
+from .record import Record
 
 __all__ = [
     "KacDivergenceError",
@@ -83,13 +83,6 @@ __all__ = [
     "DEFAULT_PRECISION_BITS",
 ]
 
-DEFAULT_PRECISION_BITS = 192
-
-
-class KacDivergenceError(ArithmeticError):
-    code = "kac-divergent"
-
-
 class PValueError(ValueError):
     code = "p-out-of-range"
 
@@ -98,16 +91,11 @@ class RValueError(ValueError):
     code = "bad-r"
 
 
-class HorizonError(ValueError):
-    code = "bad-horizon"
-
-
 class KpNotConvergedError(ArithmeticError):
     code = "kp-not-converged"
 
 
-@dataclass(frozen=True)
-class KpReport:
+class KpReport(Record):
     """Certified summary of a ``K_p`` evaluation.
 
     ``verdict`` is one of ``"converged"``, ``"divergent"``, ``"inconclusive"``.
@@ -133,8 +121,7 @@ class KpReport:
         return self.verdict == "converged"
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(Record):
     """Decay data for ``n/d`` along the length grading.
 
     ``theoretical_base`` is the closed-form ratio of growth bases (1 for Kac
@@ -153,8 +140,7 @@ class DecayReport:
     polynomial_factor: bool
 
 
-@dataclass(frozen=True)
-class ConstantsReport:
+class ConstantsReport(Record):
     """Norm-equivalence constants derived from a converged ``K_p``.
 
     The exponents are exact rationals: ``p/(p-2)`` (L2 against L1),
@@ -634,7 +620,7 @@ def _is_dyadic_power(p: Fraction) -> bool:
 
 
 def _check_constants_args(p, r) -> tuple[Fraction, Fraction]:
-    p = _check_p(p, minimum=4)
+    p = _check_p(_check_p(p), minimum=4)
     if not _is_dyadic_power(p):
         raise PValueError(f"p must be a power of 2 with p >= 4, got {p}")
     r = as_fraction(r)

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add
 from typing import Iterator
 
 from .exact import as_fraction
+from .record import Record
 from .rootsys import InvalidRootSystemError, RootSystem, build_root_system
 
 __all__ = [
@@ -62,8 +62,7 @@ class InvalidModelError(ValueError):
         self.code = code
 
 
-@dataclass(frozen=True)
-class IrrData:
+class IrrData(Record):
     """Data of one irreducible: dimensions, character sup norm, length."""
 
     label: object

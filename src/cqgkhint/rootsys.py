@@ -12,12 +12,12 @@ recorded in every report emitted by the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .exact import as_fraction, rational_inverse
+from .record import Record
 
 __all__ = [
     "InvalidRootSystemError",
@@ -125,8 +125,7 @@ def _symmetrizers(A: Sequence[Sequence[int]]) -> tuple[Fraction, ...]:
     return tuple(v / lo for v in d)
 
 
-@dataclass(frozen=True)
-class QSpectrum:
+class QSpectrum(Record):
     """Eigenvalues with multiplicities of a modular matrix, largest first.
 
     Satisfies the normalisation ``Tr(Q) = Tr(Q^{-1})`` whenever it comes from
@@ -417,8 +416,7 @@ class RootSystem:
 
     def quantum_dimension(self, mu: Sequence[int], q) -> Fraction:
         """Quantum dimension as the trace of the modular matrix."""
-        spectrum = self.q_matrix_spectrum(mu, q)
-        return sum(v * m for v, m in spectrum.entries)
+        return self.q_matrix_spectrum(mu, q).trace()
 
     def quantum_dimension_product(self, mu: Sequence[int], q) -> Fraction:
         """Quantum dimension by the q-deformed Weyl product.

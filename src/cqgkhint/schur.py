@@ -18,12 +18,12 @@ input data is exact.  General complex ``z`` is supported in float mode.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
 from .exact import Radical, as_fraction
+from .record import Record
 from .rootsys import QSpectrum
 
 __all__ = [
@@ -261,8 +261,7 @@ def l2_norm(vec):
     return sq**0.5
 
 
-@dataclass(frozen=True)
-class SmoothingCheck:
+class SmoothingCheck(Record):
     lhs: object
     rhs: object
     equal: bool
@@ -369,8 +368,7 @@ def series_norm_squared_expanded(series: CentralSeries) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class L2KhintchineCheck:
+class L2KhintchineCheck(Record):
     lhs: float
     rhs_bound: float
     holds: bool

@@ -7,31 +7,29 @@ model produce identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import HorizonError
 from .fusion import tensor_decompose, tensor_with_generator
-from .khintchine import HorizonError
 from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
     QuantumGroupModel,
     construct_model,
 )
+from .record import Record
 from .rootsys import POSITIVE_ROOT_COUNTS
 
 __all__ = ["VerifyCheck", "VerifyReport", "verify_model"]
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     model_spec: str
     horizon: int
     checks: tuple[VerifyCheck, ...]
@@ -99,9 +97,7 @@ def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[Veri
         for mu in model.enumerate_level(k):
             spec = rs.q_matrix_spectrum(mu, q)
             trace_ok = trace_ok and spec.is_trace_symmetric()
-            dim_spec = rs.quantum_dimension(mu, q)
-            dim_prod = rs.quantum_dimension_product(mu, q)
-            grid_ok = grid_ok and dim_spec == dim_prod
+            grid_ok = grid_ok and spec.trace() == rs.quantum_dimension_product(mu, q)
             sup_ok = sup_ok and spec.max_eigenvalue() == rs.q_sup_norm(mu, q)
             tested += 1
     out.append(

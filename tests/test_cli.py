@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,16 @@ def test_constants_checks_p_and_r_before_summing(capsys, monkeypatch, argv, err)
 
     monkeypatch.setattr(KpEvaluator, "kp_constant", refuse)
     assert run_cli(capsys, "constants", "--model", "djq:A4:1/2", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("p", ["1", "2", "3", "6"])
+def test_constants_library_and_cli_refuse_p_alike(capsys, p):
+    from cqgkhint.khintchine import PValueError, norm_equivalence_constants
+
+    with pytest.raises(PValueError) as refused:
+        norm_equivalence_constants("djq:A1:1/2", Fraction(p), 2)
+    expected = f"error[p-out-of-range]: {refused.value}\n"
+    assert run_cli(capsys, "constants", "--model", "djq:A1:1/2", "--p", p) == (2, "", expected)
 
 
 @pytest.mark.parametrize(
@@ -519,3 +530,43 @@ def test_cli_commands_do_not_import_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Modules the command itself loads, beyond those of the interpreter's start-up:
+# exact commands never need mpmath, and no command needs dataclasses/inspect.
+_LOADED_BY_COMMAND = (
+    "import json, runpy, sys\n"
+    "before = set(sys.modules)\n"
+    "sys.argv = ['cqgkhint', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('cqgkhint.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    print(json.dumps([exc.code, sorted(set(sys.modules) - before)]), file=sys.stderr)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], {"mpmath", "dataclasses", "inspect"}),
+        (["dims", "--model", "djq:A2:1/2", "--max-length", "3"], {"mpmath", "dataclasses", "inspect"}),
+        (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"], {"mpmath", "dataclasses", "inspect"}),
+        (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], {"mpmath", "dataclasses", "inspect"}),
+        (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], {"mpmath", "dataclasses", "inspect"}),
+        (["kp", "--model", "oplus:3:7/2", "--p", "4"], {"dataclasses", "inspect"}),
+    ],
+)
+def test_cli_commands_load_only_what_they_run(argv, unused):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY_COMMAND, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "cqgkhint.models" in loaded
+    assert not unused & set(loaded), sorted(unused & set(loaded))
