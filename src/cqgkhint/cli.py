@@ -433,8 +433,8 @@ def _apply_config(args, parser: argparse.ArgumentParser):
             setattr(args, key, value)
     if args.precision_bits < 64:
         raise _CliError("precision_bits must be at least 64", "bad-precision")
-    if hasattr(args, "tol") and not args.tol > 0:
-        raise _CliError("tol must be positive", "bad-tolerance")
+    if hasattr(args, "tol") and not 0 < args.tol < float("inf"):
+        raise _CliError("tol must be positive and finite", "bad-tolerance")
     if hasattr(args, "tol") and args.tol < 2.0**-args.precision_bits:
         message = f"tol is below 2^-{args.precision_bits}; raise --precision-bits"
         raise _CliError(message, "tol-below-precision")

@@ -492,11 +492,12 @@ class KpEvaluator:
         no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
         levels ``0..max_length`` summed.  A Kac-type model is ``divergent``,
         with levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
-        below ``2^-precision_bits`` raises :class:`ValueError`.
+        that is not positive and finite, or is below ``2^-precision_bits``,
+        raises :class:`ValueError`.
         """
         p = _check_p(p)
-        if not tol > 0:
-            raise ValueError(f"tol must be positive, got {tol}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         if tol < 2.0**-self.precision_bits:
             raise ValueError(f"tol {tol!r} is below the working precision 2^-{self.precision_bits}")
         if max_length < 1:

@@ -281,13 +281,22 @@ class RootSystem:
     # -- dominance and Weyl action ----------------------------------------
 
     def is_dominant(self, mu: Sequence[int]) -> bool:
-        return len(mu) == self.rank and all(int(c) >= 0 for c in mu)
+        try:
+            self._check_dominant(mu)
+        except NonDominantWeightError:
+            return False
+        return True
 
     def _check_dominant(self, mu: Sequence[int]) -> Weight:
-        mu = tuple(int(c) for c in mu)
-        if not self.is_dominant(mu):
+        """``mu`` as a tuple of ints; a non-integral entry is refused, not truncated."""
+        mu = tuple(mu)
+        try:
+            weight = tuple(int(c) for c in mu)
+        except (TypeError, ValueError, OverflowError):
+            weight = None
+        if weight != mu or len(mu) != self.rank or min(mu) < 0:
             raise NonDominantWeightError(f"{mu} is not a dominant weight")
-        return mu
+        return weight
 
     def reflect(self, weight: Sequence[int], i: int) -> Weight:
         """Simple reflection ``s_i`` in weight coordinates."""
@@ -323,68 +332,84 @@ class RootSystem:
     def weight_system(self, mu: Sequence[int]) -> dict[Weight, int]:
         """Full weight multiplicity map of the irreducible module ``mu``.
 
-        The weights are found level by level from ``mu``, subtracting simple
-        roots.  By the alpha-string property of a finite-dimensional module,
-        ``w - alpha_i`` is a weight exactly when ``p + w_i >= 1``, where ``p``
-        counts the weights ``w + alpha_i, w + 2 alpha_i, ...``; those lie on
-        earlier levels, so they are all known when ``w`` is expanded.  The
-        level of ``nu`` is the height of ``mu - nu``, which orders the
-        dominant weights for the Freudenthal recursion.  The rest of the
-        system is filled in through dominant conjugates (weights are
-        Weyl-invariant with their multiplicities).
+        Only the dominant weights are computed; the rest follow by Weyl
+        symmetry.  Three steps:
+
+        1. The dominant weights of ``V_mu`` are the dominant ``nu`` with
+           ``mu - nu`` in the positive root cone ``Q+`` (Humphreys,
+           *Introduction to Lie Algebras and Representation Theory*, §13.4
+           Lemma B and §21.3), and two comparable dominant weights are joined
+           by a chain of dominant weights whose steps are positive roots
+           (Stembridge, *The partial order of dominant weights*, Adv. Math.
+           136, 1998, §2).  So closing ``{mu}`` under ``nu -> nu - beta``,
+           ``beta > 0``, keeping the dominant results, finds all of them,
+           each with the simple-root coordinates ``c`` of ``mu - nu``.
+        2. Freudenthal's formula on the dominant weights in order of the
+           height ``sum c_i`` (Moody & Patera, *Fast recursion formula for
+           weight multiplicities*, Bull. AMS 6, 1982): ``m(nu + k beta)`` is
+           the multiplicity of its dominant conjugate, which lies strictly
+           above ``nu`` and so is already known, and a string stops at its
+           first 0 since strings have no gaps.  The denominator
+           ``(mu + nu + 2 rho, mu - nu) = sum_i c_i d_i (mu_i + nu_i + 2)``
+           is an integer.
+        3. Each dominant ``lambda`` gives its multiplicity to its Weyl orbit,
+           walked down from ``lambda`` by ``s_i`` wherever ``w_i > 0``.
         """
         mu = self._check_dominant(mu)
         cached = self._weight_system_cache.get(mu)
         if cached is not None:
             return dict(cached)
 
-        weights = {mu}
-        dominants = []
-        level = [mu]
-        while level:
-            dominants.extend(w for w in level if all(c >= 0 for c in w))
+        # 1. dominant weights, each with the simple-root coordinates of mu - nu
+        roots = list(zip(self.positive_roots, map(self._omega_coords, self.positive_roots)))
+        coords = {mu: (0,) * self.rank}
+        frontier = [mu]
+        while frontier:
             below = []
-            for w in level:
-                # row i of the Cartan matrix is alpha_i in weight coordinates
-                for i, alpha in enumerate(self.cartan):
-                    down = tuple(a - b for a, b in zip(w, alpha))
-                    if down in weights:
-                        continue
-                    p = 0
-                    up = tuple(a + b for a, b in zip(w, alpha))
-                    while up in weights:
-                        p += 1
-                        up = tuple(a + b for a, b in zip(up, alpha))
-                    if p + w[i] >= 1:
-                        weights.add(down)
-                        below.append(down)
-            level = below
+            for nu in frontier:
+                for root, beta in roots:
+                    lam = tuple(a - b for a, b in zip(nu, beta))
+                    if min(lam) >= 0 and lam not in coords:
+                        coords[lam] = tuple(a + b for a, b in zip(coords[nu], root))
+                        below.append(lam)
+            frontier = below
 
+        # 2. Freudenthal by height; mu is the only weight of height 0
         mults: dict[Weight, int] = {mu: 1}
-        two_rho = tuple(2 for _ in range(self.rank))
-        roots_omega = [self._omega_coords(root) for root in self.positive_roots]
-        for nu in dominants[1:]:
+        for nu in sorted(coords, key=lambda nu: sum(coords[nu]))[1:]:
             acc = 0
-            for idx, beta_omega in enumerate(roots_omega):
-                k = 1
-                while True:
-                    lam = tuple(nu[i] + k * beta_omega[i] for i in range(self.rank))
-                    if lam not in weights:
-                        break
-                    m = mults.get(self.dominant_conjugate(lam), 0)
-                    if m == 0:
-                        break
+            for idx, (_, beta) in enumerate(roots):
+                lam = tuple(a + b for a, b in zip(nu, beta))
+                while m := mults.get(self.dominant_conjugate(lam), 0):
                     acc += m * self.root_pairing(lam, idx)
-                    k += 1
-            upper = tuple(mu[i] + nu[i] + two_rho[i] for i in range(self.rank))
-            diff = tuple(mu[i] - nu[i] for i in range(self.rank))
-            denom = self.inner_product(upper, diff)
-            value = 2 * acc / denom
-            if value.denominator != 1 or value <= 0:
-                raise ArithmeticError(f"Freudenthal gave the multiplicity {value} at {nu}")
-            mults[nu] = int(value)
+                    lam = tuple(a + b for a, b in zip(lam, beta))
+            denom = sum(
+                c * d * (a + b + 2) for c, d, a, b in zip(coords[nu], self.d, mu, nu)
+            )
+            value, rem = divmod(2 * acc, denom)
+            if rem or value <= 0:
+                message = f"Freudenthal gave the multiplicity {Fraction(2 * acc, denom)} at {nu}"
+                raise ArithmeticError(message)
+            mults[nu] = value
 
-        system = {w: mults[self.dominant_conjugate(w)] for w in weights}
+        # 3. orbits; s_i w = w - w_i alpha_i changes w_i and the entries linked to node i
+        links = [[(j, -a) for j, a in enumerate(row) if a < 0] for row in self.cartan]
+        system: dict[Weight, int] = {}
+        for lam, m in mults.items():
+            system[lam] = m
+            orbit = [lam]
+            while orbit:
+                w = orbit.pop()
+                for i, wi in enumerate(w):
+                    if wi > 0:
+                        v = list(w)
+                        v[i] = -wi
+                        for j, a in links[i]:
+                            v[j] += a * wi
+                        v = tuple(v)
+                        if v not in system:
+                            system[v] = m
+                            orbit.append(v)
         self._weight_system_cache[mu] = dict(system)
         return system
 

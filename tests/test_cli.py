@@ -110,6 +110,23 @@ def test_kp_inconclusive_exit_code(capsys):
     assert report["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kp", "--model", "oplus:3:7/2"],
+        ["constants", "--model", "oplus:3:7/2"],
+        ["table", "--model", "oplus:3:7/2", "--kind", "kp"],
+    ],
+    ids=["kp", "constants", "table"],
+)
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-10"])
+def test_tol_not_positive_and_finite_refused(capsys, argv, tol):
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert "error[bad-tolerance]" in err
+
+
 def test_kp_tol_below_precision_refused(capsys):
     code, out, err = run_cli(capsys, "kp", "--model", "oplus:3:7/2", "--tol", "1e-300")
     assert code == 2

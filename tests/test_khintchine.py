@@ -110,6 +110,12 @@ def test_p_below_two_rejected():
         kp_constant("oplus:3:3.5", 4, tol=0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0, -1e-10])
+def test_tol_not_positive_and_finite_rejected(tol):
+    with pytest.raises(ValueError, match="positive and finite"):
+        kp_constant("oplus:3:7/2", 4, tol=tol)
+
+
 def test_tol_below_working_precision_rejected():
     with pytest.raises(ValueError, match="precision"):
         kp_constant("oplus:3:7/2", 4, tol=1e-300)

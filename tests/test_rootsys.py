@@ -1,7 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from cqgkhint.exact import rational_inverse
 from cqgkhint.rootsys import (
     POSITIVE_ROOT_COUNTS,
     DomainError,
@@ -139,6 +141,24 @@ def test_weyl_dimension_rejects_non_dominant():
         rs.weyl_dimension((-1, 2))
 
 
+@pytest.mark.parametrize("mu", [(1.5, 0), (1.9, 0), (0.5, 0.5), (float("inf"), 0), ("1", 0)])
+def test_non_integral_weights_refused_not_truncated(mu):
+    rs = build_root_system("A", 2)
+    assert not rs.is_dominant(mu)
+    with pytest.raises(NonDominantWeightError):
+        rs.weyl_dimension(mu)
+    with pytest.raises(NonDominantWeightError):
+        rs.weight_system(mu)
+    with pytest.raises(NonDominantWeightError):
+        rs.q_matrix_spectrum(mu, HALF)
+
+
+def test_integral_floats_and_fractions_accepted():
+    rs = build_root_system("A", 2)
+    assert rs.weyl_dimension((1.0, Fraction(2))) == rs.weyl_dimension((1, 2)) == 15
+    assert rs.weight_system([1.0, 0]) == rs.weight_system((1, 0))
+
+
 # -- weight systems -------------------------------------------------------------
 
 
@@ -202,6 +222,62 @@ def test_weight_system_weyl_invariant_samples(lie_type, mu):
             assert ws[rs.reflect(w, i)] == mult
 
 
+def _dominant_weights_below(rs, mu):
+    """Brute force: every dominant ``mu - sum c_i alpha_i`` with ``c`` in a box of ``Z>=0^r``.
+
+    A dominant weight has nonnegative simple-root coordinates, so ``c_i`` is at
+    most the ``i``-th simple-root coordinate of ``mu``, which is ``(mu A^{-1})_i``.
+    """
+    inverse = rational_inverse([[Fraction(a) for a in row] for row in rs.cartan])
+    box = [
+        range(int(sum(mu[i] * inverse[i][j] for i in range(rs.rank))) + 1)
+        for j in range(rs.rank)
+    ]
+    found = set()
+    for c in itertools.product(*box):
+        nu = tuple(
+            mu[j] - sum(c[i] * rs.cartan[i][j] for i in range(rs.rank)) for j in range(rs.rank)
+        )
+        if min(nu) >= 0:
+            found.add(nu)
+    return found
+
+
+@pytest.mark.parametrize(
+    "lie_type,rank,max_len",
+    [
+        ("A", 1, 4),
+        ("A", 2, 3),
+        ("A", 3, 2),
+        ("A", 4, 2),
+        ("B", 2, 3),
+        ("B", 3, 2),
+        ("C", 3, 2),
+        ("D", 4, 2),
+        ("G", 2, 3),
+        ("F", 4, 1),
+    ],
+)
+def test_dominant_weights_match_brute_force(lie_type, rank, max_len):
+    # the dominant weights of V_mu are the dominant nu with mu - nu in Q+;
+    # weight_system reaches them by positive-root steps, the brute force by a box
+    rs = build_root_system(lie_type, rank)
+    for total in range(max_len + 1):
+        for mu in _compositions(total, rank):
+            dominant = {nu for nu in rs.weight_system(mu) if min(nu) >= 0}
+            assert dominant == _dominant_weights_below(rs, mu), mu
+
+
+def test_weight_system_returns_copies():
+    rs = build_root_system("B", 2)
+    first = rs.weight_system((1, 1))
+    expected = dict(first)
+    first[(1, 1)] = 99
+    first[(7, 7)] = 1
+    del first[(-1, -1)]
+    assert rs.weight_system((1, 1)) == expected
+
+
 def _times_sine(poly, m):
     """Multiply a Laurent polynomial ``{exponent: coefficient}`` by ``x^m - x^-m``."""
     out = {}
@@ -238,8 +314,12 @@ def _divide_by_sine(poly, h):
         ("G", [(1, 0), (0, 1), (1, 1)]),
         ("A", [(1, 0, 1), (2, 1, 0), (0, 2, 0)]),
         ("C", [(1, 0, 0), (0, 1, 1), (0, 0, 2)]),
+        ("B", [(1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]),
+        ("D", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)]),
+        ("F", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]),
+        ("E", [(1, 0, 0, 0, 0, 0)]),
     ],
-    ids=["A1", "A2", "B2", "G2", "A3", "C3"],
+    ids=["A1", "A2", "B2", "G2", "A3", "C3", "B3", "D4", "F4", "E6"],
 )
 def test_spectrum_exponents_match_weyl_character_at_two_rho(lie_type, mus):
     # third route: sum_nu mult(nu) x^{(nu, 2 rho)} is the Weyl character at 2 rho,
