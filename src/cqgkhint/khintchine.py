@@ -31,6 +31,13 @@ The tails:
   length ``k`` is the exact binomial count; the dominated series is again
   summed in closed form once its term ratio drops below 1.
 
+The cutoff, the first length whose certified tail is ``<= tol``, is aimed in
+doubles and decided in intervals: the same tail formula evaluated in logs, in
+double precision, proposes it, and the certified tail is then evaluated at the
+proposal and one length below it (walking on when the proposal misses).  The
+doubles only choose where to look; the reported cutoff and tail are the
+interval ones.
+
 Kac-type models are reported divergent with a certified witness (every level
 contributes a term >= 1), never via timeout.
 """
@@ -61,6 +68,7 @@ from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
     QuantumGroupModel,
+    _check_length,
     construct_model,
 )
 from .record import Record
@@ -166,6 +174,11 @@ def _mpf_from_fraction(x: Fraction) -> mpmath.mpf:
     return mp.mpf(x.numerator) / x.denominator
 
 
+def _log_fraction(x: Fraction) -> float:
+    """``log x`` in doubles for a positive rational whose terms may overflow a double."""
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 def _iv_from_fraction(x: Fraction):
     return iv.mpf(x.numerator) / iv.mpf(x.denominator)
 
@@ -230,6 +243,47 @@ def _check_p(p, minimum=2) -> Fraction:
     return p
 
 
+def _first_passing(passes, guess: int, top: int) -> int | None:
+    """Smallest ``L`` in ``0..top`` with ``passes(L)``, for ``passes`` monotone in ``L``.
+
+    ``passes`` must be false up to some length and true from there on.  The
+    search probes ``guess``, then gallops away from it in steps 1, 2, 4, ...
+    until the answer is bracketed, and bisects the bracket: a right guess
+    costs two probes (``guess`` and ``guess - 1``; one at 0), a guess ``m``
+    off about ``2 log2 m`` more.  From ``guess = 0`` the probes are
+    ``0, 1, 3, 7, ...``.  None, after a failing probe at ``top``, when no
+    ``L <= top`` passes.
+    """
+    guess = min(max(guess, 0), top)
+    if passes(guess):
+        passing, step = guess, 1
+        while True:  # gallop down
+            if passing == 0:
+                return 0
+            L = max(passing - step, 0)
+            if not passes(L):
+                failing = L
+                break
+            passing, step = L, 2 * step
+    else:
+        failing, step = guess, 1
+        while True:  # gallop up
+            if failing == top:
+                return None
+            L = min(failing + step, top)
+            if passes(L):
+                passing = L
+                break
+            failing, step = L, 2 * step
+    while passing - failing > 1:
+        mid = (failing + passing) // 2
+        if passes(mid):
+            passing = mid
+        else:
+            failing = mid
+    return passing
+
+
 class KpEvaluator:
     """Certified summation over one model's level data.
 
@@ -242,9 +296,10 @@ class KpEvaluator:
     bases per precision and the decay factor ``rho = (u_n/u_d)^(2/p)`` per
     precision and ``p`` (graded).  The summation order is fixed (ascending
     length, then label order), so reports are bit-identical from run to run.
-    The summation cutoff is found by a search over the certified tail (see
-    :meth:`_cutoff`), which relies on that tail being monotone nonincreasing
-    in the length.
+    The summation cutoff is aimed by the tail formula in doubles and decided
+    by the certified tail (see :meth:`_cutoff`), which relies on that tail
+    being monotone nonincreasing in the length; the doubles keep the log
+    growth bases (graded) or ``log t_max`` and ``C_a`` (Drinfeld-Jimbo).
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
@@ -260,10 +315,14 @@ class KpEvaluator:
         # Drinfeld-Jimbo tail: t_max and C_a (see _dj_tail), tau per (2/p, precision)
         if isinstance(self.model, DrinfeldJimboModel):
             rs = self.model.root_system
-            self._dj_constants = self.model.q ** min(rs.two_rho_pairing), tuple(
+            self._dj_constants = t_max, cs = self.model.q ** min(rs.two_rho_pairing), tuple(
                 map(Fraction, map(max, rs.root_weight_pairing), self.model.rho_pairing)
             )
+            # the aim's doubles (see _dj_log_tail): log t_max and C_a
+            self._dj_floats = _log_fraction(t_max), tuple(map(float, cs))
         self._tau: dict[tuple[Fraction, int], tuple] = {}
+        # the aim's graded logs (see _graded_log_tail), once per evaluator
+        self._graded_floats: tuple | None = None
 
     # -- exact level data --------------------------------------------------
 
@@ -316,6 +375,15 @@ class KpEvaluator:
                 exps.append(exp)
         return mans, exps
 
+    def _table_top(self, k: int) -> int:
+        """Index of the last table entry read by the summands of length ``k``."""
+        model = self.model
+        if not isinstance(model, DrinfeldJimboModel):
+            return k
+        # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
+        pairing = model.root_system.root_weight_pairing
+        return max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing))
+
     def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision.
 
@@ -339,9 +407,7 @@ class KpEvaluator:
     def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
         model = self.model
         rho = model.rho_pairing
-        # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
-        pairing = model.root_system.root_weight_pairing
-        mans, exps = self._terms(p, max(h + k * max(w) for w, h in zip(pairing, rho)))
+        mans, exps = self._terms(p, self._table_top(k))
         # per block: step-0 roots give one constant factor, the others' products are
         # summed exactly over the block's least exponent; no stop m + n s is negative,
         # as the last pairing m + (n-1) s is at least h_b >= (omega_{r-1}, b) >= -s
@@ -392,16 +458,20 @@ class KpEvaluator:
             return None
         return mp.mpf((first / (1 - ratio)).b)
 
+    def _growth_bases(self) -> tuple:
+        """Interval ``(u_n, u_d)`` of :func:`_graded_bases` at ``iv.prec``, cached."""
+        bases = self._bases.get(iv.prec)
+        if bases is None:
+            bases = self._bases[iv.prec] = _graded_bases(self.model)
+        return bases
+
     def _graded_tail(self, L: int, e1: Fraction, e2: Fraction):
         # level k is (f_j(t_n), f_j(t_d)) with j = s k and chi = j + 1; for j >= j0,
         # n <= u_n^(j+1) / (u_n - 1/u_n), or n = j + 1 when u_n = 1, and
         # d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)
         s = self.model.chi_slope
         prec = iv.prec
-        bases = self._bases.get(prec)
-        if bases is None:
-            bases = self._bases[prec] = _graded_bases(self.model)
-        u_n, u_d = bases
+        u_n, u_d = self._growth_bases()
         rhos = self._rho.get(key := (e2, prec))
         if rhos is None:
             rho = _iv_pow(u_n / u_d, e2)
@@ -448,35 +518,107 @@ class KpEvaluator:
         )
         return self._geometric(first, ratio)
 
+    # -- the cutoff aim, in doubles -------------------------------------------
+
+    def _log_tail(self, L: int, p: Fraction) -> float | None:
+        """``log`` of the :meth:`tail_bound` formula in doubles, or None.
+
+        The same dominating series as the certified tail, evaluated in logs
+        (the Drinfeld-Jimbo polynomial of ``E8`` overflows a double) and
+        without rounding control: it only aims the cutoff search and never
+        decides one.  None when the double term ratio is ``>= 1``.
+        """
+        e1, e2 = float(2 - 4 / p), float(2 / p)
+        if isinstance(self.model, DrinfeldJimboModel):
+            return self._dj_log_tail(L, e1, e2)
+        return self._graded_log_tail(L, e1, e2)
+
+    def _graded_log_tail(self, L: int, e1: float, e2: float) -> float | None:
+        # _graded_tail in logs: a log(j0+1) + e2 log c + (j0+1) log rho - log(1 - ratio)
+        if self._graded_floats is None:
+            with interval_precision():
+                u_n, u_d = self._growth_bases()
+                unit = u_n == 1
+                self._graded_floats = unit, *(
+                    float(iv.log(x).mid)
+                    for x in (u_n, u_d, 1 if unit else u_n - 1 / u_n, u_d - 1 / u_d)
+                )
+        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._graded_floats
+        s = self.model.chi_slope
+        j0 = s * (L + 1)
+        a = e1 + e2 if unit else e1
+        log_rho = e2 * (log_u_n - log_u_d)
+        ratio = math.exp(a * math.log1p(s / (j0 + 1)) + s * log_rho)
+        if ratio >= 1:
+            return None
+        log_c = log_spread_d - log_spread_n - math.log1p(-math.exp(-2 * (j0 + 1) * log_u_d))
+        return a * math.log(j0 + 1) + e2 * log_c + (j0 + 1) * log_rho - math.log1p(-ratio)
+
+    def _dj_log_tail(self, L: int, e1: float, e2: float) -> float | None:
+        # _dj_tail in logs: log count(k0) + sigma log poly(k0) + k0 log tau - log(1 - ratio)
+        log_t_max, cs = self._dj_floats
+        rank = self.model.rank
+        sigma = e1 + e2
+        k0 = L + 1
+        ratio = math.exp(
+            math.log1p((rank - 1) / (k0 + 1))
+            + sigma * sum(math.log1p(c / (1 + c * k0)) for c in cs)
+            + e2 * log_t_max
+        )
+        if ratio >= 1:
+            return None
+        return (
+            math.log(math.comb(k0 + rank - 1, rank - 1))
+            + sigma * sum(math.log1p(c * k0) for c in cs)
+            + k0 * e2 * log_t_max
+            - math.log1p(-ratio)
+        )
+
+    def _aim_cutoff(self, p: Fraction, tol: float, max_length: int) -> int:
+        """Proposed cutoff: the first ``L`` whose double log-tail is ``<= log tol``.
+
+        Found by galloping from 0 and bisecting over :meth:`_log_tail`;
+        ``max_length`` when no ``L <= max_length`` passes.
+        """
+        log_tol = math.log(tol)
+
+        def passes(L: int) -> bool:
+            log_tail = self._log_tail(L, p)
+            return log_tail is not None and log_tail <= log_tol
+
+        aim = _first_passing(passes, 0, max_length)
+        return max_length if aim is None else aim
+
     # -- the evaluator --------------------------------------------------------
 
-    def _cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple[int, mpmath.mpf] | None:
-        """Smallest ``L <= max_length`` with a certified tail ``<= tol``, and that tail.
+    def _cutoff(
+        self, p: Fraction, tol: float, max_length: int
+    ) -> tuple[str, int, mpmath.mpf | None]:
+        """``(verdict, L, tail)``: the summation cutoff and its certified tail.
 
-        The certified tail is monotone nonincreasing in ``L`` (see
-        :func:`certified_tail`), so the search gallops through
-        ``L = 0, 1, 3, 7, ...`` and then bisects: O(log L) tail evaluations
-        find the ``L`` a level-by-level scan would.  None when no
-        ``L <= max_length`` certifies.
+        Doubles aim, intervals decide.  :meth:`_aim_cutoff` proposes ``L``
+        from the double log-tails; the certified :meth:`tail_bound` is then
+        evaluated at the proposal and, when that passes, one below it.  A
+        proposal that fails is walked up, and one whose predecessor passes
+        is walked down, by galloping and bisecting (see
+        :func:`_first_passing`).  The certified tail is monotone
+        nonincreasing in ``L`` (see :func:`certified_tail`), so the result is
+        the smallest ``L <= max_length`` with a certified tail ``<= tol``,
+        the one a level-by-level scan would find, with verdict
+        ``"converged"``; a right aim costs two certified tails.  When no
+        ``L <= max_length`` certifies, it is ``("inconclusive", max_length,
+        tail_bound(max_length))``, that tail being None or above ``tol``.
         """
+        tails = {}
 
-        def certified(L: int) -> mpmath.mpf | None:
-            tail = self.tail_bound(L, p)
-            return tail if tail is not None and tail <= tol else None
+        def certified(L: int) -> bool:
+            tail = tails[L] = self.tail_bound(L, p)
+            return tail is not None and tail <= tol
 
-        failing, L = -1, 0
-        while (tail := certified(L)) is None:
-            if L == max_length:
-                return None
-            failing, L = L, min(2 * L + 1, max_length)
-        while L - failing > 1:
-            mid = (failing + L) // 2
-            mid_tail = certified(mid)
-            if mid_tail is None:
-                failing = mid
-            else:
-                L, tail = mid, mid_tail
-        return L, tail
+        L = _first_passing(certified, self._aim_cutoff(p, tol, max_length), max_length)
+        if L is None:
+            return "inconclusive", max_length, tails[max_length]
+        return "converged", L, tails[L]
 
     def kp_constant(
         self,
@@ -487,30 +629,33 @@ class KpEvaluator:
         """Certified ``K_p`` with a dropped tail of at most ``tol``.
 
         The cutoff ``L`` is the first length whose certified tail is
-        ``<= tol``, found by :meth:`_cutoff` (which depends on the tail being
-        monotone in ``L``); levels ``0..L`` are then summed in order.  When
-        no ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
-        levels ``0..max_length`` summed.  A Kac-type model is ``divergent``,
-        with levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
+        ``<= tol``, aimed in doubles and decided in intervals by
+        :meth:`_cutoff` (which depends on the tail being monotone in ``L``).
+        With ``L`` known, the table of terms is filled once, and levels
+        ``0..L`` are then summed in order.  When no ``L <= max_length``
+        certifies, the verdict is ``inconclusive`` with levels
+        ``0..max_length`` summed.  A Kac-type model is ``divergent``, with
+        levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
         that is not positive and finite, or is below ``2^-precision_bits``,
-        raises :class:`ValueError`.
+        or a ``max_length`` that is not a positive integer, raises
+        :class:`ValueError`.
         """
         p = _check_p(p)
         if not 0 < tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {tol}")
         if tol < 2.0**-self.precision_bits:
             raise ValueError(f"tol {tol!r} is below the working precision 2^-{self.precision_bits}")
-        if max_length < 1:
-            raise ValueError("max_length must be >= 1")
+        if int(max_length) != max_length or max_length < 1:
+            raise ValueError(f"max_length must be a positive integer, got {max_length}")
+        max_length = int(max_length)
         with mp.workprec(self.precision_bits):
             if self.model.is_kac():
                 # n = d for every label, so each level contributes
                 # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
                 verdict, last, tail = "divergent", min(max_length, 8), None
-            elif (cutoff := self._cutoff(p, tol, max_length)) is None:
-                verdict, last, tail = "inconclusive", max_length, self.tail_bound(max_length, p)
             else:
-                verdict, (last, tail) = "converged", cutoff
+                verdict, last, tail = self._cutoff(p, tol, max_length)
+            self._terms(p, self._table_top(last))
             partial = mp.mpf(0)
             for L in range(0, last + 1):
                 partial += self.level_term_sum(L, p)
@@ -538,8 +683,9 @@ def kp_constant(
 ) -> KpReport:
     """Certified ``K_p`` evaluation; see :class:`KpEvaluator`.
 
-    The summation cutoff is searched for, which relies on the certified tail
-    being monotone nonincreasing in the length (see :func:`certified_tail`).
+    The summation cutoff is aimed in doubles and decided by the certified
+    tail, which relies on that tail being monotone nonincreasing in the
+    length (see :func:`certified_tail`).
     """
     return KpEvaluator(construct_model(model), precision_bits).kp_constant(
         p, tol=tol, max_length=max_length
@@ -556,10 +702,10 @@ def certified_tail(
 
     Monotone nonincreasing in ``L`` (infinite while the ratio test is not yet
     conclusive); the cutoff search of :meth:`KpEvaluator.kp_constant` depends
-    on this.  Raises :class:`KacDivergenceError` for Kac models.
+    on this.  Raises :class:`KacDivergenceError` for Kac models, and
+    :class:`ValueError` when ``L`` is not a nonnegative integer.
     """
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    L = _check_length(L)
     p = _check_p(p)
     ev = KpEvaluator(construct_model(model), precision_bits)
     with mp.workprec(ev.precision_bits):

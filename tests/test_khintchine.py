@@ -124,6 +124,18 @@ def test_tol_below_working_precision_rejected():
     assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).converged
 
 
+@pytest.mark.parametrize("max_length", [2.5, 0, -3])
+def test_kp_max_length_not_positive_integer_rejected(max_length):
+    with pytest.raises(ValueError, match="max_length must be a positive integer"):
+        kp_constant("oplus:3:7/2", 4, max_length=max_length)
+
+
+@pytest.mark.parametrize("L", [2.5, -1])
+def test_certified_tail_length_not_nonnegative_integer_rejected(L):
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        certified_tail("oplus:3:7/2", 4, L)
+
+
 # -- structural properties ------------------------------------------------------------
 
 
@@ -201,44 +213,72 @@ def test_su_q2_bridge_kp_intervals_overlap():
 
 
 def _scan_cutoffs(ev, p, tols, max_length):
-    """First ``L`` whose certified tail is ``<= tol``, by a level-by-level scan."""
+    """``_cutoff``'s ``(verdict, L, tail)`` for each tol, by a level-by-level scan."""
     found = {}
     with mp.workprec(ev.precision_bits):
         for L in range(max_length + 1):
             tail = ev.tail_bound(L, p)
             for tol in tols:
                 if tol not in found and tail is not None and tail <= tol:
-                    found[tol] = (L, tail)
+                    found[tol] = ("converged", L, tail)
             if len(found) == len(tols):
                 break
-    return found
+    # an unfound tol scanned every level, so tail is the one at max_length
+    return {tol: found.get(tol, ("inconclusive", max_length, tail)) for tol in tols}
 
 
+CUTOFF_TOLS = (1e3, 1e-5, 1e-10, 1e-20)
 CUTOFF_CASES = [
-    ("oplus:2:5/2", (Fraction(5, 2), Fraction(4), Fraction(16))),
-    ("oplus:3:7/2", (Fraction(5, 2), Fraction(4))),
-    ("aut:4:5", (Fraction(5, 2), Fraction(4), Fraction(16))),
-    ("aut:5:5", (Fraction(5, 2), Fraction(4))),
-    ("djq:A2:1/2", (Fraction(5, 2), Fraction(4), Fraction(16))),
-    ("djq:B2:3/4", (Fraction(3), Fraction(16))),
-    ("djq:G2:1/2", (Fraction(5, 2), Fraction(6), Fraction(16))),
+    ("oplus:2:5/2", (Fraction(5, 2), Fraction(4), Fraction(16)), 3000),
+    ("oplus:3:7/2", (Fraction(5, 2), Fraction(4)), 3000),
+    ("aut:4:5", (Fraction(5, 2), Fraction(4), Fraction(16)), 3000),
+    ("aut:5:5", (Fraction(5, 2), Fraction(4)), 3000),
+    ("djq:A2:1/2", (Fraction(5, 2), Fraction(4), Fraction(16)), 3000),
+    ("djq:B2:3/4", (Fraction(3), Fraction(16)), 3000),
+    ("djq:G2:1/2", (Fraction(5, 2), Fraction(6), Fraction(16)), 3000),
+    ("djq:E8:1/2", (Fraction(4),), 3000),
+    # the ratio test first passes at L = 763: inconclusive for every tol
+    ("djq:A3:0.99", (Fraction(4),), 150),
 ]
 
 
-@pytest.mark.parametrize("spec,ps", CUTOFF_CASES, ids=[c[0] for c in CUTOFF_CASES])
-def test_cutoff_search_matches_linear_scan(spec, ps):
-    ev = KpEvaluator(parse_model_spec(spec))
-    tols = (1e3, 1e-5, 1e-10, 1e-20)
-    for p in ps:
-        scanned = _scan_cutoffs(ev, p, tols, 3000)
-        with mp.workprec(ev.precision_bits):
-            for tol in tols:
-                L, tail = scanned[tol]
-                assert ev._cutoff(p, tol, 3000) == (L, tail)
+def _check_cutoffs(ev, p, cap, scanned):
+    with mp.workprec(ev.precision_bits):
+        for tol, expected in scanned.items():
+            assert ev._cutoff(p, tol, cap) == expected
+            verdict, L, _ = expected
+            if verdict == "converged":
                 # the cap lands exactly on the cutoff, or just before it
-                assert ev._cutoff(p, tol, max(L, 1)) == (L, tail)
+                assert ev._cutoff(p, tol, max(L, 1)) == expected
                 if L > 1:
-                    assert ev._cutoff(p, tol, L - 1) is None
+                    below = ("inconclusive", L - 1, ev.tail_bound(L - 1, p))
+                    assert ev._cutoff(p, tol, L - 1) == below
+
+
+@pytest.mark.parametrize("spec,ps,cap", CUTOFF_CASES, ids=[c[0] for c in CUTOFF_CASES])
+def test_cutoff_search_matches_linear_scan(spec, ps, cap):
+    ev = KpEvaluator(parse_model_spec(spec))
+    for p in ps:
+        _check_cutoffs(ev, p, cap, _scan_cutoffs(ev, p, CUTOFF_TOLS, cap))
+
+
+@pytest.mark.parametrize(
+    "spec,p",
+    [
+        ("oplus:3:7/2", Fraction(4)),
+        ("aut:4:5", Fraction(16)),
+        ("djq:A2:1/2", Fraction(4)),
+        ("djq:G2:1/2", Fraction(5, 2)),
+    ],
+)
+def test_cutoff_recovers_from_missed_aims(spec, p, monkeypatch):
+    # an aim at 0 must be walked up, and one at the cap walked down, to the
+    # cutoff the linear scan finds
+    ev = KpEvaluator(parse_model_spec(spec))
+    scanned = _scan_cutoffs(ev, p, CUTOFF_TOLS, 3000)
+    for aim in (lambda p, tol, max_length: 0, lambda p, tol, max_length: max_length):
+        monkeypatch.setattr(ev, "_aim_cutoff", aim)
+        _check_cutoffs(ev, p, 3000, scanned)
 
 
 def test_cutoff_edge_cases_in_reports():
@@ -248,14 +288,62 @@ def test_cutoff_edge_cases_in_reports():
     # no cutoff within max_length: inconclusive after summing every level
     ev = KpEvaluator(parse_model_spec("oplus:3:7/2"))
     with mp.workprec(ev.precision_bits):
-        assert ev._cutoff(Fraction(4), 1e-10, 100) is None
+        verdict, last, tail = ev._cutoff(Fraction(4), 1e-10, 100)
+        assert (verdict, last) == ("inconclusive", 100)
+    calls = []
+    tail_bound = ev.tail_bound
+
+    def counted(L, p):
+        calls.append(L)
+        return tail_bound(L, p)
+
+    ev.tail_bound = counted
     report = ev.kp_constant(4, tol=1e-10, max_length=100)
     assert report.verdict == "inconclusive"
     assert report.terms_summed == 100
+    # the search's tail at max_length is the report's, not evaluated again
+    assert calls == [100]
+    assert report.tail_bound == tail
     with mp.workprec(ev.precision_bits):
         direct = mp.fsum(ev.level_term_sum(k, Fraction(4)) for k in range(101))
         assert abs(report.partial_sum - direct) < mpmath.mpf("1e-40") * direct
-        assert report.tail_bound == ev.tail_bound(100, Fraction(4))
+        assert report.tail_bound == tail_bound(100, Fraction(4))
+
+
+FLOAT_TAIL_SPECS = [
+    "oplus:3:7/2",
+    "oplus:2:5/2",
+    "aut:5:5",
+    "aut:4:5",
+    "djq:A2:1/2",
+    "djq:B2:3/4",
+    "djq:A3:0.99",
+    "djq:E8:1/2",
+]
+
+
+@pytest.mark.parametrize("spec", FLOAT_TAIL_SPECS)
+def test_double_log_tail_follows_certified_tail(spec):
+    # the aim's double formula stands in for the interval one: the same
+    # value wherever both are finite, and the ratio test passing at the same
+    # length up to one level of rounding
+    ev = KpEvaluator(parse_model_spec(spec))
+    for p in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(16)):
+        with mp.workprec(ev.precision_bits):
+            first_double, first_certified = (
+                next((L for L in range(1200) if tail(L, p) is not None), None)
+                for tail in (ev._log_tail, ev.tail_bound)
+            )
+            assert (first_double is None) == (first_certified is None), p
+            if first_certified is not None:
+                assert abs(first_double - first_certified) <= 1, p
+            grid = [*range(40), *range(40, 1200, 37)]
+            if first_certified is not None:
+                grid += [first_certified, first_certified + 1]
+            for L in grid:
+                log_tail, tail = ev._log_tail(L, p), ev.tail_bound(L, p)
+                if log_tail is not None and tail is not None:
+                    assert math.isclose(log_tail, float(mp.log(tail)), rel_tol=1e-9), (p, L)
 
 
 @pytest.mark.parametrize(
@@ -271,6 +359,7 @@ def test_cutoff_edge_cases_in_reports():
     ],
 )
 def test_kp_constant_tail_call_budget(spec, p, tol):
+    # the aim reads no certified tail; the decision reads at most two
     ev = KpEvaluator(parse_model_spec(spec))
     calls = []
     tail_bound = ev.tail_bound
@@ -282,7 +371,7 @@ def test_kp_constant_tail_call_budget(spec, p, tol):
     ev.tail_bound = counted
     report = ev.kp_constant(p, tol=tol)
     assert report.converged
-    assert len(calls) <= 2 * math.ceil(math.log2(report.terms_summed + 2)) + 2
+    assert len(calls) <= 2
 
 
 def test_interval_precision_is_restored():
