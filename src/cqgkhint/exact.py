@@ -52,18 +52,20 @@ def as_fraction(x) -> Fraction:
     """Coerce ``x`` to an exact :class:`Fraction`.
 
     Floats are taken at their exact binary value (``0.5 -> 1/2``,
-    ``3.5 -> 7/2``); strings accept ``"num/den"`` and decimal literals.
+    ``3.5 -> 7/2``); strings accept ``"num/den"`` and decimal literals.  A
+    float or mpf that is infinite or NaN raises :class:`ValueError`.
     """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Rational):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
     mpmath = sys.modules.get("mpmath")  # an mpf cannot exist before mpmath is loaded
-    if mpmath is not None and isinstance(x, mpmath.mpf):
+    is_mpf = mpmath is not None and isinstance(x, mpmath.mpf)
+    if (is_mpf or isinstance(x, float)) and x - x != 0:  # inf - inf and nan - nan are nan
+        raise ValueError(f"cannot interpret the non-finite {x!r} as an exact rational")
+    if isinstance(x, (float, str)):
+        return Fraction(x)
+    if is_mpf:
         num, den = mpmath.libmp.to_rational(x._mpf_)
         return Fraction(int(num), int(den))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")

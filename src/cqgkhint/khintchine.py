@@ -6,40 +6,14 @@ series::
     K_p^2 = sum_over_irreducibles  chi_sup^(2 - 4/p) * (n/d)^(2/p)
 
 summed here by ascending length.  The evaluator returns a *certified
-interval*: an exact-ordered partial sum (high-precision mpmath arithmetic at a
-fixed precision, so results are bit-stable) plus a rigorous bound on the
-dropped tail, computed with interval arithmetic from growth envelopes.
-
-Every summand is read from one table of terms ``s^2 r^(2/p)`` (``s`` an
-integer, ``r`` an exact rational), each formed as ``s^2 exp((2/p) log r)``
-from one logarithm per term and precision, shared by every ``p``, and rounded
-once, within one unit in the last place (see :func:`_log_ratio`).  A graded
-level is one term; a Drinfeld-Jimbo summand is a ratio of products of the
-terms ``psi(m)`` (see :meth:`KpEvaluator._ratio`).
-The tails:
-
-* free orthogonal / quantum automorphism families: one Chebyshev envelope.
-  Level ``k`` is ``(f_j(t_n), f_j(t_d))`` with ``j = s k`` and
-  ``chi_sup = j + 1``: ``s = 1`` at the traces ``N`` and ``Nq`` for
-  ``oplus``, ``s = 2`` at ``sqrt(dimB)`` and ``sqrt(d1 + 1)`` for ``aut``.
-  The closed form of ``f_j`` bounds ``n/d <= C (u_n/u_d)^(j+1)`` (times
-  ``j + 1`` when ``t_n = 2``) with explicit ``C`` and growth bases ``u``; the
-  tail is a dominated geometric series in ``j``.
-* Drinfeld-Jimbo deformations: ``n_mu`` is bounded by an explicit polynomial
-  ``prod (1 + C_a k)`` in the length, ``d_mu >= t_max^{-k}`` by the
-  modular-matrix sup-norm identity, and the number of dominant weights of
-  length ``k`` is the exact binomial count; the dominated series is again
-  summed in closed form once its term ratio drops below 1.
-
-The cutoff, the first length whose certified tail is ``<= tol``, is aimed in
-doubles and decided in intervals: the same tail formula evaluated in logs, in
-double precision, proposes it, and the certified tail is then evaluated at the
-proposal and one length below it (walking on when the proposal misses).  The
-doubles only choose where to look; the reported cutoff and tail are the
-interval ones.
-
-Kac-type models are reported divergent with a certified witness (every level
-contributes a term >= 1), never via timeout.
+interval*: an exact-ordered partial sum at a fixed mpmath precision (so
+results are bit-stable) plus a rigorous bound on the dropped tail, computed
+with interval arithmetic from growth envelopes.  What a family knows, its
+table of terms, its level sums, its tail series and its decay base, is one
+summation plan (:class:`_GradedPlan` for ``oplus`` and ``aut``,
+:class:`_DrinfeldJimboPlan` for ``djq``); :class:`KpEvaluator` is the driver
+the plans share.  Kac-type models are reported divergent with a certified
+witness (every level contributes a term >= 1), never via timeout.
 """
 
 from __future__ import annotations
@@ -47,6 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial, reduce
+from numbers import Real
 from operator import add, lshift, mul
 
 import mpmath
@@ -215,25 +190,10 @@ def _log_ratio(x: int, y: int, prec: int) -> tuple[int, tuple]:
     return wp, mpf_log(from_man_exp(quotient, -shift, wp, round_nearest), wp, round_nearest)
 
 
-def _graded_bases(model) -> tuple:
-    """Interval growth bases ``(u_n, u_d)`` of a graded model's level data.
-
-    Level ``k`` is ``(f_j(t_n), f_j(t_d))`` with ``j = chi_slope * k``: the
-    traces are ``N`` and ``Nq`` for ``oplus:N:Nq``, and ``sqrt(dimB)`` and
-    ``sqrt(d1 + 1)`` for ``aut:dimB:d1``.
-    """
-    if isinstance(model, FreeOrthogonalModel):
-        t_n, t_d = iv.mpf(model.N), _iv_from_fraction(model.Nq)
-        traces = (t_n, t_n * t_n), (t_d, t_d * t_d)
-    else:
-        x_n, x_d = iv.mpf(model.dimB), _iv_from_fraction(model.d1 + 1)
-        traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
-    return tuple(iv_growth_base(t, t2) for t, t2 in traces)
-
-
-def _check_precision(precision_bits: int):
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
+def _check_precision(precision_bits) -> int:
+    if not isinstance(precision_bits, Real) or precision_bits % 1 or precision_bits < 64:
+        raise ValueError(f"precision_bits must be an integer >= 64, got {precision_bits!r}")
+    return int(precision_bits)
 
 
 def _check_p(p, minimum=2) -> Fraction:
@@ -284,130 +244,149 @@ def _first_passing(passes, guess: int, top: int) -> int | None:
     return passing
 
 
-class KpEvaluator:
-    """Certified summation over one model's level data.
+class _GradedPlan:
+    """Summation plan of the graded families ``oplus:N:Nq`` and ``aut:dimB:d1``.
 
-    The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
-    ``level_data``; the evaluator keeps no copy of them, only floating values
-    derived from them: ``log r`` of every term ``s^2 r^(2/p)`` per precision
-    (see :meth:`_ratio`), and one table of terms per ``(p, precision)`` (see
-    :meth:`_terms`), which both families read (see :meth:`level_term_sum`).
-    The tails keep ``tau = t_max^(2/p)`` (Drinfeld-Jimbo), or the growth
-    bases per precision and the decay factor ``rho = (u_n/u_d)^(2/p)`` per
-    precision and ``p`` (graded).  The summation order is fixed (ascending
-    length, then label order), so reports are bit-identical from run to run.
-    The summation cutoff is aimed by the tail formula in doubles and decided
-    by the certified tail (see :meth:`_cutoff`), which relies on that tail
-    being monotone nonincreasing in the length; the doubles keep the log
-    growth bases (graded) or ``log t_max`` and ``C_a`` (Drinfeld-Jimbo).
+    Level ``k`` holds one label, ``(n, d) = (f_j(t_n), f_j(t_d))`` with
+    ``j = s k`` and ``chi_sup = j + 1``: ``s = 1`` at the traces ``N`` and
+    ``Nq`` for ``oplus``, ``s = 2`` at ``sqrt(dimB)`` and ``sqrt(d1 + 1)`` for
+    ``aut``.  Its summand is table entry ``k``, ``s^2 r^(2/p)`` with
+    ``s = chi`` and ``r = n / (d chi^2)``.
+
+    The tail.  With the growth bases ``u = (t + sqrt(t^2 - 4))/2``, the closed
+    form ``f_j(t) = (u^(j+1) - u^-(j+1)) / (u - 1/u)`` gives, for ``j >= j0``,
+    ``n <= u_n^(j+1) / (u_n - 1/u_n)`` (``n = j + 1`` when ``u_n = 1``) and
+    ``d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)``.  So the summand
+    at ``j`` is at most ``(j + 1)^a c^(2/p) rho^(j+1)``, with
+    ``rho = (u_n/u_d)^(2/p)``, ``a = 2 - 4/p`` and
+    ``c = (u_d - 1/u_d) / ((u_n - 1/u_n) (1 - u_d^(-2(j0+1))))`` (when
+    ``u_n = 1``: ``a = 2 - 2/p`` and no factor ``u_n - 1/u_n``).  Beyond
+    length ``L`` the levels are ``j = j0, j0 + s, ...`` with
+    ``j0 = s (L + 1)``; the dominating series has first term
+    ``(j0 + 1)^a c^(2/p) rho^(j0+1)`` and term ratios that decrease in ``j``
+    from ``((j0 + s + 1)/(j0 + 1))^a rho^s``.  The decay base of ``n/d`` per
+    level is ``(u_n/u_d)^s``, with a polynomial factor when ``u_n = 1``.
     """
 
-    def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
-        _check_precision(precision_bits)
-        self.model = construct_model(model)
-        self.precision_bits = int(precision_bits)
-        # summands: (wp, log r_i, s_i^2) per precision, raw terms per (p, precision)
-        self._logs: dict[int, list[tuple[int, tuple, tuple]]] = {}
-        self._tables: dict[tuple[int, int, int], tuple[list[int], list[int], dict]] = {}
-        # graded tail: growth bases per precision and (rho, rho^s) per (2/p, precision)
-        self._bases: dict[int, tuple] = {}
-        self._rho: dict[tuple[Fraction, int], tuple] = {}
-        # Drinfeld-Jimbo tail: t_max and C_a (see _dj_tail), tau per (2/p, precision)
-        if isinstance(self.model, DrinfeldJimboModel):
-            rs = self.model.root_system
-            self._dj_constants = t_max, cs = self.model.q ** min(rs.two_rho_pairing), tuple(
-                map(Fraction, map(max, rs.root_weight_pairing), self.model.rho_pairing)
-            )
-            # the aim's doubles (see _dj_log_tail): log t_max and C_a
-            self._dj_floats = _log_fraction(t_max), tuple(map(float, cs))
-        self._tau: dict[tuple[Fraction, int], tuple] = {}
-        # the aim's graded logs (see _graded_log_tail), once per evaluator
-        self._graded_floats: tuple | None = None
+    def __init__(self, model):
+        self.model = model
+        self.s = model.chi_slope
+        # the aim's doubles (see log_tail_series), at the first caller's precision
+        self._floats: tuple | None = None
 
-    # -- exact level data --------------------------------------------------
-
-    def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
-        """Exact ``(n, d, chi_sup)`` for every label of length ``k``."""
-        return [(data.n, data.d, data.chi_sup) for data in self.model.level_data(k)]
-
-    # -- floating accumulation ----------------------------------------------
-
-    def _ratio(self, i: int) -> tuple[int, int, int]:
-        """Exact ``(x, y, s)`` with table entry ``i`` equal to ``s^2 (x/y)^(2/p)``.
-
-        Graded: level ``i``, ``s = chi`` and ``x/y = n / (d chi^2)``.  Drinfeld-Jimbo:
-        ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)`` at ``m = i``, so ``s = m`` and,
-        with ``q = a/b``, ``x/y = (ab)^m / (m (b^2m - a^2m))``.
-        """
-        if isinstance(self.model, DrinfeldJimboModel):
-            if i == 0:
-                return 1, 1, 0  # psi(0) is never read; its entry is 0
-            a, b = self.model.q.numerator, self.model.q.denominator
-            return (a * b) ** i, i * (b ** (2 * i) - a ** (2 * i)), i
-        ((n, d, chi),) = self.level_entries(i)  # a graded level holds one label
-        return n * d.denominator, d.numerator * chi * chi, chi
-
-    def _terms(self, p: Fraction, top: int) -> tuple[list[int], list[int]]:
-        """Raw mantissas and exponents of the table entries ``0..top`` at ``mp.prec``.
-
-        Entry ``i`` is ``s^2 exp((2/p) log(x/y))`` for ``(x, y, s) = _ratio(i)``,
-        rounded once (the budget is in :func:`_log_ratio`).  The logarithms are
-        shared by every ``p``, and ``2/p`` is rounded once per ``(p, wp)``.
-        """
-        prec = mp.prec
-        table = self._tables.get(key := (p.numerator, p.denominator, prec))
-        if table is None:
-            table = self._tables[key] = [], [], {}
-        mans, exps, exponents = table
-        if len(mans) <= top:
-            logs = self._logs.setdefault(prec, [])
-            for i in range(len(logs), top + 1):
-                x, y, s = self._ratio(i)
-                logs.append((*_log_ratio(x, y, prec), from_int(s * s)))
-            for wp, log_r, s2 in logs[len(mans) : top + 1]:
-                e2 = exponents.get(wp)
-                if e2 is None:
-                    e2 = from_rational(2 * p.denominator, p.numerator, wp, round_nearest)
-                    exponents[wp] = e2
-                power = mpf_exp(mpf_mul(e2, log_r, wp, round_nearest), prec + 8, round_nearest)
-                _, man, exp, _ = mpf_mul(s2, power, prec, round_nearest)
-                mans.append(man)
-                exps.append(exp)
-        return mans, exps
-
-    def _table_top(self, k: int) -> int:
-        """Index of the last table entry read by the summands of length ``k``."""
+    def _bases(self) -> tuple:
+        """Interval growth bases ``(u_n, u_d)`` at ``iv.prec``."""
         model = self.model
-        if not isinstance(model, DrinfeldJimboModel):
-            return k
-        # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
-        pairing = model.root_system.root_weight_pairing
-        return max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing))
+        if isinstance(model, FreeOrthogonalModel):
+            t_n, t_d = iv.mpf(model.N), _iv_from_fraction(model.Nq)
+            traces = (t_n, t_n * t_n), (t_d, t_d * t_d)
+        else:
+            x_n, x_d = iv.mpf(model.dimB), _iv_from_fraction(model.d1 + 1)
+            traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
+        return tuple(iv_growth_base(t, t2) for t, t2 in traces)
 
-    def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
-        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision.
+    def ratio(self, i: int) -> tuple[int, int, int]:
+        data = self.model.irr_data(i)
+        chi = data.chi_sup
+        return data.n * data.d.denominator, data.d.numerator * chi * chi, chi
 
-        A graded level holds one label, and its summand is table entry ``k``
-        of :meth:`_terms`.  For Drinfeld-Jimbo models ``chi = n`` and the Weyl
-        product formulas factor over positive roots, so the summand is
-        ``prod_beta psi(m_beta) / prod_beta psi(h_beta)`` with
-        ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and ``psi``
-        the table entries.  The numerators are multiplied and summed over the
-        level exactly, as integer mantissas, and the quotient of that sum by
-        the exact denominator is rounded once.  On a block of
-        :meth:`DrinfeldJimboModel.level_blocks` a root reads one strided slice
-        of the table, or one entry (a factor of the whole block) at step 0.
-        """
-        if isinstance(self.model, DrinfeldJimboModel):
-            return self._dj_term_sum(k, p)
-        mans, exps = self._terms(p, k)
+    def table_top(self, k: int) -> int:
+        return k
+
+    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> mpmath.mpf:
         man = mans[k]
         return mp.make_mpf((0, man, exps[k], man.bit_length()))
 
-    def _dj_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
+    def tail_constants(self, e2: Fraction) -> tuple:
+        u_n, u_d = self._bases()
+        rho = _iv_pow(u_n / u_d, e2)
+        return u_n, u_d, rho, rho**self.s
+
+    def tail_series(self, L: int, e1: Fraction, e2: Fraction, constants: tuple) -> tuple:
+        u_n, u_d, rho, rho_s = constants
+        s = self.s
+        j0 = s * (L + 1)
+        slack = 1 - u_d ** (-2 * (j0 + 1))
+        a, spread_n = (e1 + e2, 1) if u_n == 1 else (e1, u_n - 1 / u_n)
+        c = (u_d - 1 / u_d) / (spread_n * slack)
+        first = _iv_pow(iv.mpf(j0 + 1), a) * _iv_pow(c, e2) * rho ** (j0 + 1)
+        return first, _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho_s
+
+    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
+        if self._floats is None:
+            with interval_precision():
+                u_n, u_d = self._bases()
+                unit = u_n == 1
+                self._floats = unit, *(
+                    float(iv.log(x).mid)
+                    for x in (u_n, u_d, 1 if unit else u_n - 1 / u_n, u_d - 1 / u_d)
+                )
+        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._floats
+        s = self.s
+        j0 = s * (L + 1)
+        a = e1 + e2 if unit else e1
+        log_rho = e2 * (log_u_n - log_u_d)
+        log_c = log_spread_d - log_spread_n - math.log(-math.expm1(-2 * (j0 + 1) * log_u_d))
+        return (
+            a * math.log(j0 + 1) + e2 * log_c + (j0 + 1) * log_rho,
+            a * math.log1p(s / (j0 + 1)) + s * log_rho,
+        )
+
+    def decay_base(self) -> tuple:
+        u_n, u_d = self._bases()
+        base = (u_n / u_d) ** self.s
+        return base, mp.mpf(base.mid), u_n == 1
+
+
+class _DrinfeldJimboPlan:
+    """Summation plan of the Drinfeld-Jimbo deformations ``djq:<type><rank>:q``.
+
+    The Weyl and q-Weyl product formulas factor over the positive roots and
+    ``chi = n``, so the summand of ``mu`` is
+    ``prod_beta psi(m_beta) / prod_beta psi(h_beta)``, with
+    ``m_beta = (mu + rho, beta)``, ``h_beta = (rho, beta)`` and the table
+    entries ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``: ``s = m`` and, with
+    ``q = a/b``, ``r = (ab)^m / (m (b^2m - a^2m))``.
+
+    The tail.  At length ``k``, ``n_mu <= poly(k) = prod_beta (1 + C_beta k)``
+    with ``C_beta = max_i (omega_i, beta) / (rho, beta)``;
+    ``d_mu >= t_max^(-k)`` with ``t_max = q^(min_i (omega_i, 2 rho))``, by the
+    modular-matrix sup-norm identity ``||Q_mu||_inf = prod t_i^(-mu_i)``; and
+    the level holds ``C(k + r - 1, r - 1)`` dominant weights.  With
+    ``sigma = 2 - 2/p`` a summand ``n^(2-4/p) (n/d)^(2/p)`` is at most
+    ``poly(k)^sigma tau^k``, ``tau = t_max^(2/p)``, so beyond length ``L``
+    the dominating series has first term
+    ``C(k0 + r - 1, r - 1) poly(k0)^sigma tau^k0`` at ``k0 = L + 1`` and term
+    ratios that decrease in ``k`` from the one at ``k0``.  The decay base of
+    ``n/d`` per length is ``t_max``, with a polynomial factor.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        rs = model.root_system
+        self.t_max = model.q ** min(rs.two_rho_pairing)
+        self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
+        # the aim's doubles (see log_tail_series): log t_max and C_beta
+        self._floats = _log_fraction(self.t_max), tuple(map(float, self.cs))
+
+    def ratio(self, i: int) -> tuple[int, int, int]:
+        if i == 0:
+            return 1, 1, 0  # psi(0) is never read; its entry is 0
+        a, b = self.model.q.numerator, self.model.q.denominator
+        return (a * b) ** i, i * (b ** (2 * i) - a ** (2 * i)), i
+
+    def table_top(self, k: int) -> int:
+        # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
+        model = self.model
+        pairing = model.root_system.root_weight_pairing
+        return max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing))
+
+    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> mpmath.mpf:
+        """The numerators, summed exactly as integer mantissas, over the exact
+        denominator, rounded once.  On a block of :meth:`DrinfeldJimboModel.level_blocks`
+        a root reads one strided table slice, or one entry at step 0."""
         model = self.model
         rho = model.rho_pairing
-        mans, exps = self._terms(p, self._table_top(k))
         # per block: step-0 roots give one constant factor, the others' products are
         # summed exactly over the block's least exponent; no stop m + n s is negative,
         # as the last pairing m + (n-1) s is at least h_b >= (omega_{r-1}, b) >= -s
@@ -431,6 +410,130 @@ class KpEvaluator:
         denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
         return mp.make_mpf(mpf_div(total, denom, mp.prec, round_nearest))
 
+    def tail_constants(self, e2: Fraction):
+        return _iv_pow(_iv_from_fraction(self.t_max), e2)
+
+    def _count_poly(self, k: int) -> tuple[int, Fraction]:
+        """The number of labels of length ``k``, and ``poly(k)``."""
+        rank = self.model.rank
+        return math.comb(k + rank - 1, rank - 1), math.prod((1 + c * k for c in self.cs), start=1)
+
+    def tail_series(self, L: int, e1: Fraction, e2: Fraction, tau) -> tuple:
+        sigma = e1 + e2  # = 2 - 2/p
+        (count, poly), (count_next, poly_next) = map(self._count_poly, (L + 1, L + 2))
+        first = iv.mpf(count) * _iv_pow(_iv_from_fraction(poly), sigma) * tau ** (L + 1)
+        ratio = iv.mpf(count_next) / count * _iv_pow(_iv_from_fraction(poly_next / poly), sigma)
+        return first, ratio * tau
+
+    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
+        # in logs throughout: the polynomial of E8 overflows a double
+        log_t_max, cs = self._floats
+        rank = self.model.rank
+        sigma = e1 + e2
+        k0 = L + 1
+        return (
+            math.log(math.comb(k0 + rank - 1, rank - 1))
+            + sigma * sum(math.log1p(c * k0) for c in cs)
+            + k0 * e2 * log_t_max,
+            math.log1p((rank - 1) / (k0 + 1))
+            + sigma * sum(math.log1p(c / (1 + c * k0)) for c in cs)
+            + e2 * log_t_max,
+        )
+
+    def decay_base(self) -> tuple:
+        return _iv_from_fraction(self.t_max), _mpf_from_fraction(self.t_max), True
+
+
+def _summation_plan(model):
+    """The summation plan of ``model``'s family."""
+    if isinstance(model, DrinfeldJimboModel):
+        return _DrinfeldJimboPlan(model)
+    return _GradedPlan(model)
+
+
+class KpEvaluator:
+    """Certified summation of ``K_p^2`` over one model, by its family's plan.
+
+    The plan (:class:`_GradedPlan` or :class:`_DrinfeldJimboPlan`) knows the
+    family, through six methods: ``ratio(i)``, the exact ``(x, y, s)`` of
+    table term ``i``, ``s^2 (x/y)^(2/p)``; ``table_top(k)``, the last term
+    level ``k`` reads; ``level_sum(k, mans, exps)``, the level's summand read
+    from the table; ``tail_constants(2/p)`` and ``tail_series(L, ...)``, the
+    first term and the term ratio bound of the dominating series beyond
+    length ``L`` in intervals, with ``log_tail_series`` their logs in doubles;
+    and ``decay_base()``.  The evaluator owns what is the same for every
+    family:
+
+    * the table of terms per ``(p, precision)`` (see :meth:`_terms`), built
+      from one ``log(x/y)`` per term and precision (see :func:`_log_ratio`)
+      and shared by every ``p``;
+    * the one geometric closure of the tail series, ``first / (1 - ratio)``
+      once ``ratio`` is certifiably below 1, in intervals for
+      :meth:`tail_bound` and in doubles for :meth:`_log_tail`, with the
+      plan's tail constants cached per ``(2/p, precision)``;
+    * the cutoff, aimed in doubles and decided in intervals (see
+      :meth:`_cutoff`), which relies on the certified tail being monotone
+      nonincreasing in the length;
+    * the summation order (ascending length, then label order), which makes
+      reports bit-identical from run to run, and the report.
+
+    The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
+    ``level_data``; the evaluator keeps no copy of them.
+    """
+
+    def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
+        self.precision_bits = _check_precision(precision_bits)
+        self.model = construct_model(model)
+        self._plan = _summation_plan(self.model)
+        # summands: (wp, log r_i, s_i^2) per precision, raw terms per (p, precision)
+        self._logs: dict[int, list[tuple[int, tuple, tuple]]] = {}
+        self._tables: dict[tuple[int, int, int], tuple[list[int], list[int], dict]] = {}
+        # the plan's tail constants per (2/p, precision)
+        self._tail_constants: dict[tuple[Fraction, int], object] = {}
+
+    # -- exact level data --------------------------------------------------
+
+    def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
+        """Exact ``(n, d, chi_sup)`` for every label of length ``k``."""
+        return [(data.n, data.d, data.chi_sup) for data in self.model.level_data(k)]
+
+    # -- floating accumulation ----------------------------------------------
+
+    def _terms(self, p: Fraction, top: int) -> tuple[list[int], list[int]]:
+        """Raw mantissas and exponents of the table entries ``0..top`` at ``mp.prec``.
+
+        Entry ``i`` is ``s^2 exp((2/p) log(x/y))`` for ``(x, y, s)`` the plan's
+        ``ratio(i)``, rounded once (the budget is in :func:`_log_ratio`).  The
+        logarithms are shared by every ``p``, and ``2/p`` is rounded once per
+        ``(p, wp)``.
+        """
+        prec = mp.prec
+        table = self._tables.get(key := (p.numerator, p.denominator, prec))
+        if table is None:
+            table = self._tables[key] = [], [], {}
+        mans, exps, exponents = table
+        if len(mans) <= top:
+            logs = self._logs.setdefault(prec, [])
+            for i in range(len(logs), top + 1):
+                x, y, s = self._plan.ratio(i)
+                logs.append((*_log_ratio(x, y, prec), from_int(s * s)))
+            for wp, log_r, s2 in logs[len(mans) : top + 1]:
+                e2 = exponents.get(wp)
+                if e2 is None:
+                    e2 = from_rational(2 * p.denominator, p.numerator, wp, round_nearest)
+                    exponents[wp] = e2
+                power = mpf_exp(mpf_mul(e2, log_r, wp, round_nearest), prec + 8, round_nearest)
+                _, man, exp, _ = mpf_mul(s2, power, prec, round_nearest)
+                mans.append(man)
+                exps.append(exp)
+        return mans, exps
+
+    def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
+        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision,
+        read by the plan from table entries ``0..table_top(k)``."""
+        mans, exps = self._terms(p, self._plan.table_top(k))
+        return self._plan.level_sum(k, mans, exps)
+
     # -- certified tails ------------------------------------------------------
 
     def tail_bound(self, L: int, p: Fraction) -> mpmath.mpf | None:
@@ -446,77 +549,14 @@ class KpEvaluator:
             )
         e1 = Fraction(2) - Fraction(4) / p
         e2 = Fraction(2) / p
-        model = self.model
         with interval_precision():
-            if isinstance(model, DrinfeldJimboModel):
-                return self._dj_tail(L, e1, e2)
-            return self._graded_tail(L, e1, e2)
-
-    @staticmethod
-    def _geometric(first, ratio) -> mpmath.mpf | None:
-        if not (ratio < 1):  # interval comparison: certain only if ratio.b < 1
-            return None
-        return mp.mpf((first / (1 - ratio)).b)
-
-    def _growth_bases(self) -> tuple:
-        """Interval ``(u_n, u_d)`` of :func:`_graded_bases` at ``iv.prec``, cached."""
-        bases = self._bases.get(iv.prec)
-        if bases is None:
-            bases = self._bases[iv.prec] = _graded_bases(self.model)
-        return bases
-
-    def _graded_tail(self, L: int, e1: Fraction, e2: Fraction):
-        # level k is (f_j(t_n), f_j(t_d)) with j = s k and chi = j + 1; for j >= j0,
-        # n <= u_n^(j+1) / (u_n - 1/u_n), or n = j + 1 when u_n = 1, and
-        # d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)
-        s = self.model.chi_slope
-        prec = iv.prec
-        u_n, u_d = self._growth_bases()
-        rhos = self._rho.get(key := (e2, prec))
-        if rhos is None:
-            rho = _iv_pow(u_n / u_d, e2)
-            rhos = self._rho[key] = rho, rho**s
-        rho, rho_s = rhos
-        j0 = s * (L + 1)
-        slack = 1 - u_d ** (-2 * (j0 + 1))
-        a, spread_n = (e1 + e2, 1) if u_n == 1 else (e1, u_n - 1 / u_n)
-        c = (u_d - 1 / u_d) / (spread_n * slack)
-        first = _iv_pow(iv.mpf(j0 + 1), a) * _iv_pow(c, e2) * rho ** (j0 + 1)
-        ratio = _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho_s
-        return self._geometric(first, ratio)
-
-    def _dj_tail(self, L: int, e1: Fraction, e2: Fraction):
-        # t_max = q^(min_i (omega_i, 2 rho)); d_mu >= t_max^(-|mu|)
-        # n_mu <= prod_over_roots (1 + C_a k) with C_a = max_i (omega_i, a)/(rho, a)
-        t_max, cs = self._dj_constants
-        rank = self.model.rank
-        tau = self._tau.get(key := (e2, iv.prec))
-        if tau is None:
-            tau = self._tau[key] = _iv_pow(_iv_from_fraction(t_max), e2)
-        sigma = e1 + e2  # = 2 - 2/p
-
-        def poly(k: int) -> Fraction:
-            val = Fraction(1)
-            for c in cs:
-                val *= 1 + c * k
-            return val
-
-        def count(k: int) -> int:
-            return math.comb(k + rank - 1, rank - 1)
-
-        k0 = L + 1
-        first = (
-            iv.mpf(count(k0))
-            * _iv_pow(_iv_from_fraction(poly(k0)), sigma)
-            * tau**k0
-        )
-        ratio = (
-            iv.mpf(count(k0 + 1))
-            / count(k0)
-            * _iv_pow(_iv_from_fraction(poly(k0 + 1) / poly(k0)), sigma)
-            * tau
-        )
-        return self._geometric(first, ratio)
+            constants = self._tail_constants.get(key := (e2, iv.prec))
+            if constants is None:
+                constants = self._tail_constants[key] = self._plan.tail_constants(e2)
+            first, ratio = self._plan.tail_series(L, e1, e2, constants)
+            if not (ratio < 1):  # interval comparison: certain only if ratio.b < 1
+                return None
+            return mp.mpf((first / (1 - ratio)).b)
 
     # -- the cutoff aim, in doubles -------------------------------------------
 
@@ -524,55 +564,14 @@ class KpEvaluator:
         """``log`` of the :meth:`tail_bound` formula in doubles, or None.
 
         The same dominating series as the certified tail, evaluated in logs
-        (the Drinfeld-Jimbo polynomial of ``E8`` overflows a double) and
-        without rounding control: it only aims the cutoff search and never
-        decides one.  None when the double term ratio is ``>= 1``.
+        and without rounding control: it only aims the cutoff search and
+        never decides one.  None when the double term ratio is ``>= 1``.
         """
-        e1, e2 = float(2 - 4 / p), float(2 / p)
-        if isinstance(self.model, DrinfeldJimboModel):
-            return self._dj_log_tail(L, e1, e2)
-        return self._graded_log_tail(L, e1, e2)
-
-    def _graded_log_tail(self, L: int, e1: float, e2: float) -> float | None:
-        # _graded_tail in logs: a log(j0+1) + e2 log c + (j0+1) log rho - log(1 - ratio)
-        if self._graded_floats is None:
-            with interval_precision():
-                u_n, u_d = self._growth_bases()
-                unit = u_n == 1
-                self._graded_floats = unit, *(
-                    float(iv.log(x).mid)
-                    for x in (u_n, u_d, 1 if unit else u_n - 1 / u_n, u_d - 1 / u_d)
-                )
-        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._graded_floats
-        s = self.model.chi_slope
-        j0 = s * (L + 1)
-        a = e1 + e2 if unit else e1
-        log_rho = e2 * (log_u_n - log_u_d)
-        ratio = math.exp(a * math.log1p(s / (j0 + 1)) + s * log_rho)
+        log_first, log_ratio = self._plan.log_tail_series(L, float(2 - 4 / p), float(2 / p))
+        ratio = math.exp(log_ratio)
         if ratio >= 1:
             return None
-        log_c = log_spread_d - log_spread_n - math.log1p(-math.exp(-2 * (j0 + 1) * log_u_d))
-        return a * math.log(j0 + 1) + e2 * log_c + (j0 + 1) * log_rho - math.log1p(-ratio)
-
-    def _dj_log_tail(self, L: int, e1: float, e2: float) -> float | None:
-        # _dj_tail in logs: log count(k0) + sigma log poly(k0) + k0 log tau - log(1 - ratio)
-        log_t_max, cs = self._dj_floats
-        rank = self.model.rank
-        sigma = e1 + e2
-        k0 = L + 1
-        ratio = math.exp(
-            math.log1p((rank - 1) / (k0 + 1))
-            + sigma * sum(math.log1p(c / (1 + c * k0)) for c in cs)
-            + e2 * log_t_max
-        )
-        if ratio >= 1:
-            return None
-        return (
-            math.log(math.comb(k0 + rank - 1, rank - 1))
-            + sigma * sum(math.log1p(c * k0) for c in cs)
-            + k0 * e2 * log_t_max
-            - math.log1p(-ratio)
-        )
+        return log_first - math.log1p(-ratio)
 
     def _aim_cutoff(self, p: Fraction, tol: float, max_length: int) -> int:
         """Proposed cutoff: the first ``L`` whose double log-tail is ``<= log tol``.
@@ -655,7 +654,7 @@ class KpEvaluator:
                 verdict, last, tail = "divergent", min(max_length, 8), None
             else:
                 verdict, last, tail = self._cutoff(p, tol, max_length)
-            self._terms(p, self._table_top(last))
+            self._terms(p, self._plan.table_top(last))
             partial = mp.mpf(0)
             for L in range(0, last + 1):
                 partial += self.level_term_sum(L, p)
@@ -721,20 +720,13 @@ def decay_rate(
     """Theoretical and empirical decay base of ``n/d`` along the grading."""
     if horizon < 1:
         raise HorizonError("horizon must be >= 1")
-    _check_precision(precision_bits)
+    precision_bits = _check_precision(precision_bits)
     model = construct_model(model)
     with mp.workprec(precision_bits), interval_precision():
         if model.is_kac():
-            theo_iv, polynomial = iv.mpf(1), False
-            theoretical = mp.mpf(1)
-        elif isinstance(model, DrinfeldJimboModel):
-            t_max = model.q ** min(model.root_system.two_rho_pairing)
-            theo_iv, polynomial = _iv_from_fraction(t_max), True
-            theoretical = _mpf_from_fraction(t_max)
+            theo_iv, theoretical, polynomial = iv.mpf(1), mp.mpf(1), False
         else:
-            u_n, u_d = _graded_bases(model)
-            theo_iv, polynomial = (u_n / u_d) ** model.chi_slope, u_n == 1
-            theoretical = mp.mpf(theo_iv.mid)
+            theo_iv, theoretical, polynomial = _summation_plan(model).decay_base()
 
         worst = max(
             mp.mpf(data.n) * data.d.denominator / data.d.numerator

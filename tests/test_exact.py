@@ -18,6 +18,18 @@ def test_as_fraction_float_is_exact_binary():
     assert as_fraction("7/2") == Fraction(7, 2)
 
 
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_as_fraction_refuses_non_finite_floats(text):
+    # a float infinity used to leak OverflowError, and an mpf infinity came back as 0
+    import mpmath
+
+    for x in (float(text), mpmath.mpf(text)):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_fraction(x)
+    # a finite mpf beyond the range of a double is still taken exactly
+    assert as_fraction(mpmath.mpf(2) ** 2000) == 2**2000
+
+
 def test_sqrt_collapses_on_square():
     r = sqrt_exact(Fraction(9, 4))
     assert r.is_rational and r.as_fraction() == Fraction(3, 2)

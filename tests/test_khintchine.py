@@ -124,6 +124,24 @@ def test_tol_below_working_precision_rejected():
     assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).converged
 
 
+@pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan"), mpmath.mpf("inf")])
+def test_kp_non_finite_p_rejected(p):
+    with pytest.raises(ValueError, match="non-finite"):
+        kp_constant("oplus:3:7/2", p)
+
+
+@pytest.mark.parametrize("bits", [64.5, "100", 63, float("inf"), float("nan"), None])
+def test_precision_bits_not_an_integer_from_64_rejected(bits):
+    with pytest.raises(ValueError, match="precision_bits must be an integer >= 64"):
+        KpEvaluator(parse_model_spec("oplus:3:7/2"), bits)
+    with pytest.raises(ValueError, match="precision_bits must be an integer >= 64"):
+        decay_rate("oplus:3:7/2", horizon=5, precision_bits=bits)
+
+
+def test_precision_bits_integral_float_accepted():
+    assert KpEvaluator(parse_model_spec("oplus:3:7/2"), 128.0).precision_bits == 128
+
+
 @pytest.mark.parametrize("max_length", [2.5, 0, -3])
 def test_kp_max_length_not_positive_integer_rejected(max_length):
     with pytest.raises(ValueError, match="max_length must be a positive integer"):
@@ -418,7 +436,7 @@ def test_dj_table_sum_matches_exact_level_entries(spec):
 
 
 def test_dj_table_cache_keyed_by_p_and_precision():
-    # the psi tables and the tail's tau = t_max^(2/p) are kept on the evaluator
+    # the psi tables, and the tail constant t_max^(2/p) per (2/p, precision), are kept on the evaluator
     model = parse_model_spec("djq:B2:3/4")
     shared = KpEvaluator(model)
     for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
@@ -524,6 +542,28 @@ def test_su_q2_bridge_per_summand():
                 assert _ulps(man, exp, 192, dj.level_term_sum(k, p)) <= 2, (p, k)
 
 
+@pytest.mark.parametrize("q", ["1/2", "1/3", "2/3"])
+def test_so_q3_bridge_per_summand(q):
+    # aut:4:(q^2 + 1 + q^-2) is SO_q(3), djq:A1:q on its even labels (Soltan 2010):
+    # both plans, through one driver, give the same level data and summands
+    q = Fraction(q)
+    dj = KpEvaluator(parse_model_spec(f"djq:A1:{q}"))
+    aut = KpEvaluator(parse_model_spec(f"aut:4:{q * q + 1 + 1 / q**2}"))
+    for k in range(60):
+        assert aut.level_entries(k) == dj.level_entries(2 * k), k
+    ps = list(map(Fraction, (3, 4, "13/2", 16)))
+    with mp.workprec(192):
+        for p in ps:
+            for k in range(151):
+                _, man, exp, _ = aut.level_term_sum(k, p)._mpf_
+                assert _ulps(man, exp, 192, dj.level_term_sum(2 * k, p)) <= 2, (p, k)
+    # the even labels are a sub-sum of SU_q(2)'s
+    for p in ps:
+        sub, full = aut.kp_constant(p), dj.kp_constant(p)
+        assert sub.converged and full.converged
+        assert sub.kp2_interval[0] <= full.kp2_interval[1], p
+
+
 GRADED_SPECS = ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"]
 
 
@@ -558,8 +598,9 @@ def test_graded_log_cache_keyed_by_p_and_precision(spec):
 
 @pytest.mark.parametrize("spec", GRADED_SPECS)
 def test_graded_tail_constants_cache_bit_identical(spec):
-    # the growth bases and rho = (u_n/u_d)^(2/p) are kept on the evaluator; a
-    # tail from an evaluator that has summed other p must match a fresh one
+    # the tail constants (growth bases and (u_n/u_d)^(2/p)) are kept on the evaluator
+    # per (2/p, precision); a tail from an evaluator that has summed other p must
+    # match a fresh one
     model = parse_model_spec(spec)
     used = KpEvaluator(model)
     for p in (3, 6):
