@@ -17,14 +17,15 @@ The public surface groups into:
 
 Importing the package loads none of them: each public name is imported from
 its submodule on first use.  So ``cqgkhint.cli`` loads only what the chosen
-command runs, and mpmath only for the commands that compute ``K_p``, decay
-bases or ratio tables.
+command runs.  The commands that compute ``K_p`` load mpmath's ``libmp``
+layer alone (see :mod:`cqgkhint._libmp`), and only those that compute decay
+bases or ratio tables import mpmath itself.
 """
 
 __version__ = "0.1.0"
 
 # public name -> defining submodule; each is imported on first use (PEP 562),
-# so a command that needs no high-precision arithmetic never loads mpmath
+# so a command that needs no high-precision arithmetic never loads mpmath or libmp
 _EXPORTS = {
     "chebyshev": ("ChebEnvelope", "chebyshev_f", "chebyshev_g", "envelope"),
     "fusion": ("tensor_decompose", "tensor_with_generator", "trivial_multiplicity"),

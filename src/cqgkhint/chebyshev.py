@@ -18,6 +18,11 @@ evaluated in mpmath working precision, never in hardware doubles, because
 ``u^{k+1}`` overflows doubles long before the interesting range of ``k``.
 The envelopes returned by :func:`envelope` are computed with mpmath interval
 arithmetic, so their bounds are certified enclosures, not estimates.
+
+mpmath is imported by the functions that compute in it, when they run, never
+with this module: the exact recursions do not load it, and neither does the
+``K_p`` path of :mod:`cqgkhint.khintchine`, which takes only
+:func:`iv_growth_base` from here, on raw ``libmp`` intervals.
 """
 
 from __future__ import annotations
@@ -25,11 +30,14 @@ from __future__ import annotations
 from contextlib import contextmanager
 from fractions import Fraction
 from numbers import Rational
-
-import mpmath
-from mpmath import iv, mp
+from typing import TYPE_CHECKING
 
 from .record import Record
+
+if TYPE_CHECKING:
+    import mpmath
+
+    from ._libmp import Intervals
 
 __all__ = [
     "ChebEnvelope",
@@ -55,6 +63,8 @@ def interval_precision():
     ``iv.prec`` is global to mpmath; it is restored on exit, so a caller's
     interval precision is never changed by this package.
     """
+    from mpmath import iv, mp
+
     saved = iv.prec
     iv.prec = mp.prec
     try:
@@ -79,11 +89,15 @@ def chebyshev_f(k: int, t):
     Exact :class:`Fraction` for rational ``t``, mpmath float otherwise.
     """
     k = _check_k(k)
-    exact = _is_exact(t)
-    t_val = Fraction(t) if exact else mp.mpf(t)
+    if _is_exact(t):
+        prev, t_val = Fraction(1), Fraction(t)
+    else:
+        from mpmath import mp
+
+        prev, t_val = mp.mpf(1), mp.mpf(t)
     if t_val < 2:
         raise OutsideDomainError(f"f_k is only used for t >= 2, got {t}")
-    prev, cur = (Fraction(1), t_val) if exact else (mp.mpf(1), t_val)
+    cur = t_val
     if k == 0:
         return prev
     for _ in range(k - 1):
@@ -97,6 +111,8 @@ def chebyshev_f_closed(k: int, t) -> mpmath.mpf:
     Numeric (mpmath) evaluation; serves as the independent cross-check of
     :func:`chebyshev_f` away from the degenerate point ``t = 2``.
     """
+    from mpmath import mp
+
     k = _check_k(k)
     t = mp.mpf(t)
     if t <= 2:
@@ -113,11 +129,14 @@ def chebyshev_g(k: int, x):
     directly.  Exact for rational ``x``.
     """
     k = _check_k(k)
-    exact = _is_exact(x)
-    x_val = Fraction(x) if exact else mp.mpf(x)
+    if _is_exact(x):
+        prev, x_val = Fraction(1), Fraction(x)
+    else:
+        from mpmath import mp
+
+        prev, x_val = mp.mpf(1), mp.mpf(x)
     if x_val < 4:
         raise OutsideDomainError(f"g_k is only used for x >= 4, got {x}")
-    prev = Fraction(1) if exact else mp.mpf(1)
     cur = x_val - 1
     if k == 0:
         return prev
@@ -128,6 +147,8 @@ def chebyshev_g(k: int, x):
 
 def f_growth_base(t) -> mpmath.mpf:
     """``u = (t + sqrt(t^2 - 4))/2``, the growth base of ``f_k(t)``; ``t >= 2``."""
+    from mpmath import mp
+
     t = mp.mpf(t)
     if t < 2:
         raise OutsideDomainError(f"growth base requires t >= 2, got {t}")
@@ -140,24 +161,29 @@ def g_growth_base(x) -> mpmath.mpf:
     Equals the square of ``f_growth_base(sqrt(x))`` and degenerates to 1 at
     ``x = 4`` (polynomial growth there).
     """
+    from mpmath import mp
+
     x = mp.mpf(x)
     if x < 4:
         raise OutsideDomainError(f"growth base requires x >= 4, got {x}")
     return (x - 2 + mp.sqrt(x * (x - 4))) / 2
 
 
-def iv_growth_base(t, t2):
+def iv_growth_base(t: tuple, t2: tuple, iv: Intervals) -> tuple:
     """Interval ``u = (t + sqrt(t^2 - 4))/2`` for a trace interval ``t >= 2``.
 
-    ``t2`` is the interval ``t^2``, passed in so that a trace known through its
-    square (``t = sqrt(x)``) is not squared back.  At ``t = 2`` the result is
-    exactly ``[1, 1]``.
+    ``t`` and ``t2`` are raw ``libmp`` intervals and the result is one, in
+    ``iv``'s arithmetic.  ``t2`` is the interval ``t^2``, passed in so that a
+    trace known through its square (``t = sqrt(x)``) is not squared back.  At
+    ``t = 2`` the result is exactly ``[1, 1]``.
     """
-    return (t + iv.sqrt(t2 - 4)) / 2
+    return iv.div(iv.add(t, iv.sqrt(iv.sub(t2, iv.integer(4)))), iv.integer(2))
 
 
 def limit_value(t) -> mpmath.mpf:
     """Limit of ``f_k(t) u^{-(k+1)}`` as ``k -> oo``: ``1/sqrt(t^2 - 4)``."""
+    from mpmath import mp
+
     t = mp.mpf(t)
     if t <= 2:
         raise OutsideDomainError(f"limit value requires t > 2, got {t}")
@@ -173,6 +199,8 @@ class ChebEnvelope(Record):
 
 
 def _iv_from(t):
+    from mpmath import iv, mp
+
     if _is_exact(t):
         frac = Fraction(t)
         return iv.mpf(frac.numerator) / iv.mpf(frac.denominator)
@@ -190,12 +218,16 @@ def envelope(k: int, t) -> ChebEnvelope:
     provably contains the exact value.  The relative width decays like
     ``u^{-2(k+1)}``.
     """
+    from mpmath import iv, mp
+
+    from ._libmp import Intervals
+
     k = _check_k(k)
     with interval_precision():
         t_iv = _iv_from(t)
         if not (t_iv > 2):
             raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
-        u = iv_growth_base(t_iv, t_iv * t_iv)
+        u = iv.make_mpf(iv_growth_base(t_iv._mpi_, (t_iv * t_iv)._mpi_, Intervals(iv.prec)))
         denom = u - 1 / u
         top = u ** (k + 1) / denom
         bottom = top * (1 - u ** (-2 * (k + 1)))

@@ -23,9 +23,11 @@ payload fields are its rows zipped with the header (``verify`` names the
 supply defaults under the flag name of any subcommand; explicit flags win.
 
 Each handler imports what it runs.  ``fusion``, ``dims``, ``spectrum`` and
-``verify`` are exact and never load mpmath; ``kp``, ``decay``, ``constants``
-and ``table`` import :mod:`cqgkhint.khintchine` or mpmath when they start,
-and the CSV writer is loaded only for ``--format csv``.
+``verify`` are exact and load no high-precision code.  ``kp``, ``constants``
+and ``table --kind kp`` import :mod:`cqgkhint.khintchine`, which runs on
+mpmath's ``libmp`` alone and imports no mpmath module; ``decay`` also imports
+mpmath, and ``table --kind ratios`` imports only mpmath.  The CSV writer is
+loaded only for ``--format csv``.
 """
 
 from __future__ import annotations
@@ -75,11 +77,13 @@ def _fmt(value, digits: int):
     """Deterministic JSON-ready rendering of the numeric types used here."""
     if value is None or isinstance(value, int):  # bool is an int
         return value
-    mpmath = sys.modules.get("mpmath")  # an mpf cannot exist before mpmath is loaded
-    if mpmath is not None and isinstance(value, mpmath.mpf):
-        if mpmath.isinf(value):
+    raw = getattr(value, "_mpf_", None)  # an mpf or an MpfValue, printed as mpmath.nstr does
+    if raw is not None:
+        from ._libmp import libmp  # loaded already by whatever made the value
+
+        if raw in (libmp.finf, libmp.fninf):
             return "inf"
-        return mpmath.nstr(value, digits, strip_zeros=True)
+        return libmp.to_str(raw, digits, strip_zeros=True)
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -224,6 +228,10 @@ def _cmd_kp(args, fmt):
 
 
 def _cmd_decay(args, fmt):
+    # decay_rate computes in mpmath; imported first, mpmath's libmp is the one
+    # khintchine uses, so no second copy of libmp is loaded
+    import mpmath  # noqa: F401
+
     from .khintchine import decay_rate
 
     model = _require_model(args)
@@ -296,9 +304,9 @@ def _cmd_verify(args, fmt):
 
 
 def _cmd_table(args, fmt):
-    from mpmath import mp
-
     if args.kind == "ratios":
+        from mpmath import mp
+
         header = ["length", "label", "n_over_d"]
         spec, payload, table, exit_code = _levels(
             args, header, lambda data: [fmt(mp.mpf(data.n) * data.d.denominator / data.d.numerator)]

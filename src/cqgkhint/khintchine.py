@@ -6,14 +6,22 @@ series::
     K_p^2 = sum_over_irreducibles  chi_sup^(2 - 4/p) * (n/d)^(2/p)
 
 summed here by ascending length.  The evaluator returns a *certified
-interval*: an exact-ordered partial sum at a fixed mpmath precision (so
-results are bit-stable) plus a rigorous bound on the dropped tail, computed
-with interval arithmetic from growth envelopes.  What a family knows, its
-table of terms, its level sums, its tail series and its decay base, is one
-summation plan (:class:`_GradedPlan` for ``oplus`` and ``aut``,
-:class:`_DrinfeldJimboPlan` for ``djq``); :class:`KpEvaluator` is the driver
-the plans share.  Kac-type models are reported divergent with a certified
-witness (every level contributes a term >= 1), never via timeout.
+interval*: an exact-ordered partial sum at a fixed precision (so results are
+bit-stable) plus a rigorous bound on the dropped tail, computed with interval
+arithmetic from growth envelopes.  What a family knows, its table of terms,
+its level sums, its tail series and its decay base, is one summation plan
+(:class:`_GradedPlan` for ``oplus`` and ``aut``, :class:`_DrinfeldJimboPlan`
+for ``djq``); :class:`KpEvaluator` is the driver the plans share.  Kac-type
+models are reported divergent with a certified witness (every level
+contributes a term >= 1), never via timeout.
+
+The ``K_p`` path, and the norm-equivalence constants, run on mpmath's
+``libmp`` alone (see :mod:`cqgkhint._libmp`), at the evaluator's
+``precision_bits``: each sum, square root and power is the ``mpf_*`` call
+with ``round_nearest`` that the ``mp`` context makes, and each tail the
+``mpi_*`` calls of the ``iv`` context, so importing this module does not
+import mpmath.  Their results are :class:`~cqgkhint._libmp.MpfValue`, which
+mpmath reads exactly.  :func:`decay_rate` imports mpmath when it runs.
 """
 
 from __future__ import annotations
@@ -23,20 +31,9 @@ from fractions import Fraction
 from functools import partial, reduce
 from numbers import Real
 from operator import add, lshift, mul
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import iv, mp
-from mpmath.libmp import (
-    from_int,
-    from_man_exp,
-    from_rational,
-    mpf_div,
-    mpf_exp,
-    mpf_log,
-    mpf_mul,
-    round_nearest,
-)
-
+from ._libmp import Intervals, MpfValue, libmp
 from .chebyshev import interval_precision, iv_growth_base
 from .exact import DEFAULT_PRECISION_BITS, HorizonError, KacDivergenceError, as_fraction
 from .models import (
@@ -47,6 +44,13 @@ from .models import (
     construct_model,
 )
 from .record import Record
+
+if TYPE_CHECKING:
+    import mpmath
+
+from_int, from_man_exp, from_rational = libmp.from_int, libmp.from_man_exp, libmp.from_rational
+mpf_div, mpf_exp, mpf_log, mpf_mul = libmp.mpf_div, libmp.mpf_exp, libmp.mpf_log, libmp.mpf_mul
+round_nearest = libmp.round_nearest
 
 __all__ = [
     "KacDivergenceError",
@@ -91,11 +95,11 @@ class KpReport(Record):
     model_spec: str
     p: Fraction
     terms_summed: int
-    partial_sum: mpmath.mpf
-    tail_bound: mpmath.mpf | None
+    partial_sum: MpfValue
+    tail_bound: MpfValue | None
     verdict: str
-    kp2_interval: tuple[mpmath.mpf, mpmath.mpf] | None
-    kp_interval: tuple[mpmath.mpf, mpmath.mpf] | None
+    kp2_interval: tuple[MpfValue, MpfValue] | None
+    kp_interval: tuple[MpfValue, MpfValue] | None
     term_lower_bound: float | None
     precision_bits: int
 
@@ -138,31 +142,22 @@ class ConstantsReport(Record):
     exp_c_2_1: Fraction
     exp_c_p_1: Fraction
     exp_c_r_1: Fraction
-    c_2_1: mpmath.mpf
-    c_p_1: mpmath.mpf
-    c_r_1: mpmath.mpf
-    kp_upper: mpmath.mpf
+    c_2_1: MpfValue
+    c_p_1: MpfValue
+    c_r_1: MpfValue
+    kp_upper: MpfValue
     precision_bits: int
 
 
-def _mpf_from_fraction(x: Fraction) -> mpmath.mpf:
-    return mp.mpf(x.numerator) / x.denominator
+def _mpf_from_fraction(x: Fraction, prec: int) -> tuple:
+    """Raw ``mp.mpf(x.numerator) / x.denominator`` at ``prec`` bits."""
+    numerator = from_int(x.numerator, prec, round_nearest)
+    return mpf_div(numerator, from_int(x.denominator), prec, round_nearest)
 
 
 def _log_fraction(x: Fraction) -> float:
     """``log x`` in doubles for a positive rational whose terms may overflow a double."""
     return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _iv_from_fraction(x: Fraction):
-    return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-
-
-def _iv_pow(x, e: Fraction):
-    """``x ** e`` for a positive interval and rational exponent."""
-    if e.denominator == 1:
-        return x ** int(e)
-    return iv.exp(iv.log(x) * _iv_from_fraction(e))
 
 
 def _log_ratio(x: int, y: int, prec: int) -> tuple[int, tuple]:
@@ -268,22 +263,29 @@ class _GradedPlan:
     level is ``(u_n/u_d)^s``, with a polynomial factor when ``u_n = 1``.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, prec: int):
         self.model = model
+        self.prec = prec
+        self.iv = Intervals(prec)
         self.s = model.chi_slope
-        # the aim's doubles (see log_tail_series), at the first caller's precision
+        # the aim's doubles (see log_tail_series)
         self._floats: tuple | None = None
 
     def _bases(self) -> tuple:
-        """Interval growth bases ``(u_n, u_d)`` at ``iv.prec``."""
-        model = self.model
+        """Interval growth bases ``(u_n, u_d)``."""
+        model, iv = self.model, self.iv
         if isinstance(model, FreeOrthogonalModel):
-            t_n, t_d = iv.mpf(model.N), _iv_from_fraction(model.Nq)
-            traces = (t_n, t_n * t_n), (t_d, t_d * t_d)
+            t_n, t_d = iv.integer(model.N), iv.rational(model.Nq)
+            traces = (t_n, iv.mul(t_n, t_n)), (t_d, iv.mul(t_d, t_d))
         else:
-            x_n, x_d = iv.mpf(model.dimB), _iv_from_fraction(model.d1 + 1)
+            x_n, x_d = iv.integer(model.dimB), iv.rational(model.d1 + 1)
             traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
-        return tuple(iv_growth_base(t, t2) for t, t2 in traces)
+        return tuple(iv_growth_base(t, t2, iv) for t, t2 in traces)
+
+    def _spread(self, u: tuple) -> tuple:
+        """``u - 1/u``."""
+        iv = self.iv
+        return iv.sub(u, iv.div(iv.integer(1), u))
 
     def ratio(self, i: int) -> tuple[int, int, int]:
         data = self.model.irr_data(i)
@@ -293,34 +295,39 @@ class _GradedPlan:
     def table_top(self, k: int) -> int:
         return k
 
-    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> mpmath.mpf:
+    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> tuple:
         man = mans[k]
-        return mp.make_mpf((0, man, exps[k], man.bit_length()))
+        return 0, man, exps[k], man.bit_length()
 
     def tail_constants(self, e2: Fraction) -> tuple:
+        iv = self.iv
         u_n, u_d = self._bases()
-        rho = _iv_pow(u_n / u_d, e2)
-        return u_n, u_d, rho, rho**self.s
+        rho = iv.pow(iv.div(u_n, u_d), e2)
+        return u_n, u_d, rho, iv.pow(rho, self.s)
 
     def tail_series(self, L: int, e1: Fraction, e2: Fraction, constants: tuple) -> tuple:
+        iv = self.iv
         u_n, u_d, rho, rho_s = constants
         s = self.s
         j0 = s * (L + 1)
-        slack = 1 - u_d ** (-2 * (j0 + 1))
-        a, spread_n = (e1 + e2, 1) if u_n == 1 else (e1, u_n - 1 / u_n)
-        c = (u_d - 1 / u_d) / (spread_n * slack)
-        first = _iv_pow(iv.mpf(j0 + 1), a) * _iv_pow(c, e2) * rho ** (j0 + 1)
-        return first, _iv_pow(iv.mpf(j0 + s + 1) / (j0 + 1), a) * rho_s
+        one = iv.integer(1)
+        slack = iv.sub(one, iv.pow(u_d, -2 * (j0 + 1)))
+        a, spread_n = (e1 + e2, one) if u_n == one else (e1, self._spread(u_n))
+        c = iv.div(self._spread(u_d), iv.mul(spread_n, slack))
+        first = iv.mul(iv.pow(iv.integer(j0 + 1), a), iv.pow(c, e2), iv.pow(rho, j0 + 1))
+        step = iv.div(iv.integer(j0 + s + 1), iv.integer(j0 + 1))
+        return first, iv.mul(iv.pow(step, a), rho_s)
 
     def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
         if self._floats is None:
-            with interval_precision():
-                u_n, u_d = self._bases()
-                unit = u_n == 1
-                self._floats = unit, *(
-                    float(iv.log(x).mid)
-                    for x in (u_n, u_d, 1 if unit else u_n - 1 / u_n, u_d - 1 / u_d)
-                )
+            iv = self.iv
+            u_n, u_d = self._bases()
+            one = iv.integer(1)
+            unit = u_n == one
+            self._floats = unit, *(
+                libmp.to_float(libmp.mpi_mid(iv.log(x), self.prec))
+                for x in (u_n, u_d, one if unit else self._spread(u_n), self._spread(u_d))
+            )
         unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._floats
         s = self.s
         j0 = s * (L + 1)
@@ -333,9 +340,10 @@ class _GradedPlan:
         )
 
     def decay_base(self) -> tuple:
+        iv = self.iv
         u_n, u_d = self._bases()
-        base = (u_n / u_d) ** self.s
-        return base, mp.mpf(base.mid), u_n == 1
+        base = iv.pow(iv.div(u_n, u_d), self.s)
+        return base, libmp.mpi_mid(base, self.prec), u_n == iv.integer(1)
 
 
 class _DrinfeldJimboPlan:
@@ -361,8 +369,10 @@ class _DrinfeldJimboPlan:
     ``n/d`` per length is ``t_max``, with a polynomial factor.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, prec: int):
         self.model = model
+        self.prec = prec
+        self.iv = Intervals(prec)
         rs = model.root_system
         self.t_max = model.q ** min(rs.two_rho_pairing)
         self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
@@ -381,7 +391,7 @@ class _DrinfeldJimboPlan:
         pairing = model.root_system.root_weight_pairing
         return max(h + k * max(w) for w, h in zip(pairing, model.rho_pairing))
 
-    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> mpmath.mpf:
+    def level_sum(self, k: int, mans: list[int], exps: list[int]) -> tuple:
         """The numerators, summed exactly as integer mantissas, over the exact
         denominator, rounded once.  On a block of :meth:`DrinfeldJimboModel.level_blocks`
         a root reads one strided table slice, or one entry at step 0."""
@@ -408,22 +418,27 @@ class _DrinfeldJimboPlan:
         e0 = min(e for _, e in parts)
         total = from_man_exp(sum(block << (e - e0) for block, e in parts), e0)
         denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
-        return mp.make_mpf(mpf_div(total, denom, mp.prec, round_nearest))
+        return mpf_div(total, denom, self.prec, round_nearest)
 
-    def tail_constants(self, e2: Fraction):
-        return _iv_pow(_iv_from_fraction(self.t_max), e2)
+    def tail_constants(self, e2: Fraction) -> tuple:
+        iv = self.iv
+        return iv.pow(iv.rational(self.t_max), e2)
 
     def _count_poly(self, k: int) -> tuple[int, Fraction]:
         """The number of labels of length ``k``, and ``poly(k)``."""
         rank = self.model.rank
         return math.comb(k + rank - 1, rank - 1), math.prod((1 + c * k for c in self.cs), start=1)
 
-    def tail_series(self, L: int, e1: Fraction, e2: Fraction, tau) -> tuple:
+    def tail_series(self, L: int, e1: Fraction, e2: Fraction, tau: tuple) -> tuple:
+        iv = self.iv
         sigma = e1 + e2  # = 2 - 2/p
         (count, poly), (count_next, poly_next) = map(self._count_poly, (L + 1, L + 2))
-        first = iv.mpf(count) * _iv_pow(_iv_from_fraction(poly), sigma) * tau ** (L + 1)
-        ratio = iv.mpf(count_next) / count * _iv_pow(_iv_from_fraction(poly_next / poly), sigma)
-        return first, ratio * tau
+        first = iv.mul(iv.integer(count), iv.pow(iv.rational(poly), sigma), iv.pow(tau, L + 1))
+        ratio = iv.mul(
+            iv.div(iv.integer(count_next), iv.integer(count)),
+            iv.pow(iv.rational(poly_next / poly), sigma),
+        )
+        return first, iv.mul(ratio, tau)
 
     def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
         # in logs throughout: the polynomial of E8 overflows a double
@@ -441,14 +456,14 @@ class _DrinfeldJimboPlan:
         )
 
     def decay_base(self) -> tuple:
-        return _iv_from_fraction(self.t_max), _mpf_from_fraction(self.t_max), True
+        return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
 
 
-def _summation_plan(model):
-    """The summation plan of ``model``'s family."""
+def _summation_plan(model, prec: int):
+    """The summation plan of ``model``'s family at ``prec`` bits."""
     if isinstance(model, DrinfeldJimboModel):
-        return _DrinfeldJimboPlan(model)
-    return _GradedPlan(model)
+        return _DrinfeldJimboPlan(model, prec)
+    return _GradedPlan(model, prec)
 
 
 class KpEvaluator:
@@ -464,32 +479,33 @@ class KpEvaluator:
     and ``decay_base()``.  The evaluator owns what is the same for every
     family:
 
-    * the table of terms per ``(p, precision)`` (see :meth:`_terms`), built
-      from one ``log(x/y)`` per term and precision (see :func:`_log_ratio`)
-      and shared by every ``p``;
+    * the table of terms per ``p`` (see :meth:`_terms`), built from one
+      ``log(x/y)`` per term (see :func:`_log_ratio`) and shared by every
+      ``p``;
     * the one geometric closure of the tail series, ``first / (1 - ratio)``
       once ``ratio`` is certifiably below 1, in intervals for
       :meth:`tail_bound` and in doubles for :meth:`_log_tail`, with the
-      plan's tail constants cached per ``(2/p, precision)``;
+      plan's tail constants cached per ``2/p``;
     * the cutoff, aimed in doubles and decided in intervals (see
       :meth:`_cutoff`), which relies on the certified tail being monotone
       nonincreasing in the length;
     * the summation order (ascending length, then label order), which makes
       reports bit-identical from run to run, and the report.
 
-    The exact ``(n, d, chi_sup)`` triples are a view of the model's memoised
-    ``level_data``; the evaluator keeps no copy of them.
+    Everything is computed at ``precision_bits``, whatever mpmath's ``mp.prec``
+    and ``iv.prec`` are.  The exact ``(n, d, chi_sup)`` triples are a view of
+    the model's memoised ``level_data``; the evaluator keeps no copy of them.
     """
 
     def __init__(self, model: QuantumGroupModel, precision_bits: int = DEFAULT_PRECISION_BITS):
         self.precision_bits = _check_precision(precision_bits)
         self.model = construct_model(model)
-        self._plan = _summation_plan(self.model)
-        # summands: (wp, log r_i, s_i^2) per precision, raw terms per (p, precision)
-        self._logs: dict[int, list[tuple[int, tuple, tuple]]] = {}
-        self._tables: dict[tuple[int, int, int], tuple[list[int], list[int], dict]] = {}
-        # the plan's tail constants per (2/p, precision)
-        self._tail_constants: dict[tuple[Fraction, int], object] = {}
+        self._plan = _summation_plan(self.model, self.precision_bits)
+        # summands: (wp, log r_i, s_i^2) per term, raw terms per p
+        self._logs: list[tuple[int, tuple, tuple]] = []
+        self._tables: dict[tuple[int, int], tuple[list[int], list[int], dict]] = {}
+        # the plan's tail constants per 2/p
+        self._tail_constants: dict[Fraction, tuple] = {}
 
     # -- exact level data --------------------------------------------------
 
@@ -500,20 +516,20 @@ class KpEvaluator:
     # -- floating accumulation ----------------------------------------------
 
     def _terms(self, p: Fraction, top: int) -> tuple[list[int], list[int]]:
-        """Raw mantissas and exponents of the table entries ``0..top`` at ``mp.prec``.
+        """Raw mantissas and exponents of the table entries ``0..top``.
 
         Entry ``i`` is ``s^2 exp((2/p) log(x/y))`` for ``(x, y, s)`` the plan's
         ``ratio(i)``, rounded once (the budget is in :func:`_log_ratio`).  The
         logarithms are shared by every ``p``, and ``2/p`` is rounded once per
         ``(p, wp)``.
         """
-        prec = mp.prec
-        table = self._tables.get(key := (p.numerator, p.denominator, prec))
+        prec = self.precision_bits
+        table = self._tables.get(key := (p.numerator, p.denominator))
         if table is None:
             table = self._tables[key] = [], [], {}
         mans, exps, exponents = table
         if len(mans) <= top:
-            logs = self._logs.setdefault(prec, [])
+            logs = self._logs
             for i in range(len(logs), top + 1):
                 x, y, s = self._plan.ratio(i)
                 logs.append((*_log_ratio(x, y, prec), from_int(s * s)))
@@ -528,15 +544,15 @@ class KpEvaluator:
                 exps.append(exp)
         return mans, exps
 
-    def level_term_sum(self, k: int, p: Fraction) -> mpmath.mpf:
-        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at working precision,
+    def level_term_sum(self, k: int, p: Fraction) -> MpfValue:
+        """Sum of ``chi^(2-4/p) (n/d)^(2/p)`` over the level, at ``precision_bits``,
         read by the plan from table entries ``0..table_top(k)``."""
         mans, exps = self._terms(p, self._plan.table_top(k))
-        return self._plan.level_sum(k, mans, exps)
+        return MpfValue(self._plan.level_sum(k, mans, exps))
 
     # -- certified tails ------------------------------------------------------
 
-    def tail_bound(self, L: int, p: Fraction) -> mpmath.mpf | None:
+    def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
         """Upper bound on the sum of all terms of length > L, or None.
 
         Returns a certified (interval-arithmetic) bound once the dominating
@@ -549,14 +565,15 @@ class KpEvaluator:
             )
         e1 = Fraction(2) - Fraction(4) / p
         e2 = Fraction(2) / p
-        with interval_precision():
-            constants = self._tail_constants.get(key := (e2, iv.prec))
-            if constants is None:
-                constants = self._tail_constants[key] = self._plan.tail_constants(e2)
-            first, ratio = self._plan.tail_series(L, e1, e2, constants)
-            if not (ratio < 1):  # interval comparison: certain only if ratio.b < 1
-                return None
-            return mp.mpf((first / (1 - ratio)).b)
+        constants = self._tail_constants.get(e2)
+        if constants is None:
+            constants = self._tail_constants[e2] = self._plan.tail_constants(e2)
+        first, ratio = self._plan.tail_series(L, e1, e2, constants)
+        if not libmp.mpf_lt(ratio[1], libmp.fone):  # certain only if the upper end is < 1
+            return None
+        iv = self._plan.iv
+        _, upper = iv.div(first, iv.sub(iv.integer(1), ratio))
+        return MpfValue(upper)
 
     # -- the cutoff aim, in doubles -------------------------------------------
 
@@ -592,7 +609,7 @@ class KpEvaluator:
 
     def _cutoff(
         self, p: Fraction, tol: float, max_length: int
-    ) -> tuple[str, int, mpmath.mpf | None]:
+    ) -> tuple[str, int, MpfValue | None]:
         """``(verdict, L, tail)``: the summation cutoff and its certified tail.
 
         Doubles aim, intervals decide.  :meth:`_aim_cutoff` proposes ``L``
@@ -644,33 +661,37 @@ class KpEvaluator:
             raise ValueError(f"tol must be positive and finite, got {tol}")
         if tol < 2.0**-self.precision_bits:
             raise ValueError(f"tol {tol!r} is below the working precision 2^-{self.precision_bits}")
-        if int(max_length) != max_length or max_length < 1:
+        if not isinstance(max_length, Real) or max_length % 1 or max_length < 1:
             raise ValueError(f"max_length must be a positive integer, got {max_length}")
         max_length = int(max_length)
-        with mp.workprec(self.precision_bits):
-            if self.model.is_kac():
-                # n = d for every label, so each level contributes
-                # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
-                verdict, last, tail = "divergent", min(max_length, 8), None
-            else:
-                verdict, last, tail = self._cutoff(p, tol, max_length)
-            self._terms(p, self._plan.table_top(last))
-            partial = mp.mpf(0)
-            for L in range(0, last + 1):
-                partial += self.level_term_sum(L, p)
-            kp2 = (partial, partial + tail) if verdict == "converged" else None
-            return KpReport(
-                model_spec=self.model.spec_string(),
-                p=p,
-                terms_summed=last,
-                partial_sum=partial,
-                tail_bound=tail,
-                verdict=verdict,
-                kp2_interval=kp2,
-                kp_interval=None if kp2 is None else (mp.sqrt(kp2[0]), mp.sqrt(kp2[1])),
-                term_lower_bound=1.0 if verdict == "divergent" else None,
-                precision_bits=self.precision_bits,
-            )
+        prec = self.precision_bits
+        if self.model.is_kac():
+            # n = d for every label, so each level contributes
+            # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
+            verdict, last, tail = "divergent", min(max_length, 8), None
+        else:
+            verdict, last, tail = self._cutoff(p, tol, max_length)
+        self._terms(p, self._plan.table_top(last))
+        partial = libmp.fzero
+        for L in range(0, last + 1):
+            partial = libmp.mpf_add(partial, self.level_term_sum(L, p)._mpf_, prec, round_nearest)
+        kp2 = kp = None
+        if verdict == "converged":
+            kp2 = partial, libmp.mpf_add(partial, tail._mpf_, prec, round_nearest)
+            kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, round_nearest)) for x in kp2)
+            kp2 = tuple(map(MpfValue, kp2))
+        return KpReport(
+            model_spec=self.model.spec_string(),
+            p=p,
+            terms_summed=last,
+            partial_sum=MpfValue(partial),
+            tail_bound=tail,
+            verdict=verdict,
+            kp2_interval=kp2,
+            kp_interval=kp,
+            term_lower_bound=1.0 if verdict == "divergent" else None,
+            precision_bits=prec,
+        )
 
 
 def kp_constant(
@@ -696,7 +717,7 @@ def certified_tail(
     p,
     L: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> mpmath.mpf:
+) -> MpfValue:
     """A number T with ``sum of terms of length > L <= T``.
 
     Monotone nonincreasing in ``L`` (infinite while the ratio test is not yet
@@ -706,10 +727,8 @@ def certified_tail(
     """
     L = _check_length(L)
     p = _check_p(p)
-    ev = KpEvaluator(construct_model(model), precision_bits)
-    with mp.workprec(ev.precision_bits):
-        bound = ev.tail_bound(L, p)
-        return mp.inf if bound is None else bound
+    bound = KpEvaluator(construct_model(model), precision_bits).tail_bound(L, p)
+    return MpfValue(libmp.finf) if bound is None else bound
 
 
 def decay_rate(
@@ -717,16 +736,23 @@ def decay_rate(
     horizon: int = 50,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> DecayReport:
-    """Theoretical and empirical decay base of ``n/d`` along the grading."""
+    """Theoretical and empirical decay base of ``n/d`` along the grading.
+
+    Computed with mpmath's ``mp`` and ``iv`` contexts, which it imports.
+    """
     if horizon < 1:
         raise HorizonError("horizon must be >= 1")
+    horizon = _check_length(horizon)
     precision_bits = _check_precision(precision_bits)
     model = construct_model(model)
+    from mpmath import iv, mp
+
     with mp.workprec(precision_bits), interval_precision():
         if model.is_kac():
             theo_iv, theoretical, polynomial = iv.mpf(1), mp.mpf(1), False
         else:
-            theo_iv, theoretical, polynomial = _summation_plan(model).decay_base()
+            base, value, polynomial = _summation_plan(model, precision_bits).decay_base()
+            theo_iv, theoretical = iv.make_mpf(base), mp.make_mpf(value)
 
         worst = max(
             mp.mpf(data.n) * data.d.denominator / data.d.numerator
@@ -799,18 +825,23 @@ def constants_from_kp(report: KpReport, r) -> ConstantsReport:
     exp21 = p / (p - 2)
     exp_p1 = (2 * p - 2) / (p - 2)
     exp_r1 = 2 * p * (r - 1) / (r * (p - 2))
-    with mp.workprec(report.precision_bits):
-        upper = report.kp_interval[1]
-        return ConstantsReport(
-            model_spec=report.model_spec,
-            p=p,
-            r=r,
-            exp_c_2_1=exp21,
-            exp_c_p_1=exp_p1,
-            exp_c_r_1=exp_r1,
-            c_2_1=mp.power(upper, _mpf_from_fraction(exp21)),
-            c_p_1=mp.power(upper, _mpf_from_fraction(exp_p1)),
-            c_r_1=mp.power(upper, _mpf_from_fraction(exp_r1)),
-            kp_upper=upper,
-            precision_bits=report.precision_bits,
-        )
+    prec = report.precision_bits
+    upper = report.kp_interval[1]
+
+    def power(e: Fraction) -> MpfValue:
+        exponent = _mpf_from_fraction(e, prec)
+        return MpfValue(libmp.mpf_pow(upper._mpf_, exponent, prec, round_nearest))
+
+    return ConstantsReport(
+        model_spec=report.model_spec,
+        p=p,
+        r=r,
+        exp_c_2_1=exp21,
+        exp_c_p_1=exp_p1,
+        exp_c_r_1=exp_r1,
+        c_2_1=power(exp21),
+        c_p_1=power(exp_p1),
+        c_r_1=power(exp_r1),
+        kp_upper=upper,
+        precision_bits=prec,
+    )

@@ -37,6 +37,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain, repeat
+from numbers import Real
 from operator import add
 from typing import Iterator
 
@@ -101,7 +102,7 @@ class QuantumGroupModel:
 
 
 def _check_length(k: int) -> int:
-    if int(k) != k or k < 0:
+    if not isinstance(k, Real) or k % 1 or k < 0:  # an infinity or NaN leaves k % 1 as NaN
         raise ValueError(f"length must be a nonnegative integer, got {k}")
     return int(k)
 
@@ -243,6 +244,9 @@ class _GradedModel(QuantumGroupModel):
     The records form one stream that is extended by one recursion step per
     new length and never rerun, so any sequence of requests up to length
     ``K`` costs ``K - 1`` steps in total.  ``chi_sup = chi_slope * k + 1``.
+    The steps run in integers: with ``c_d = a/b`` in lowest terms,
+    ``d_k = D_k / b^k`` where ``D_{k+1} = a D_k - b^2 D_{k-1}``, and each
+    record's ``d`` is reduced once.
 
     ``chi_slope`` is also the index stride: level ``k`` is ``(f_j(t_n),
     f_j(t_d))`` with ``j = chi_slope * k``, Chebyshev polynomials at the two
@@ -252,20 +256,24 @@ class _GradedModel(QuantumGroupModel):
     chi_slope: int
 
     def _start_stream(self, c_n: int, c_d: Fraction, n1: int, d1: Fraction):
-        self._coefficients = (c_n, c_d)
+        """``d1 - c_d`` is an integer, so ``d1`` has ``c_d``'s denominator ``b``."""
+        a, b = c_d.numerator, c_d.denominator
+        self._coefficients = (c_n, a, b, b * b)
+        # (n_k, D_k) at the last two lengths, and b^k at the last
+        self._last_two = (1, 1), (n1, d1.numerator)
+        self._power = b
         self._stream = [self._record(0, 1, Fraction(1)), self._record(1, n1, d1)]
 
-    def _record(self, k: int, n: int | Fraction, d: Fraction) -> IrrData:
-        if n.denominator != 1:
-            raise ArithmeticError(f"classical dimension at length {k} is not an integer")
-        return IrrData(label=k, n=int(n), d=d, chi_sup=self.chi_slope * k + 1, length=k)
+    def _record(self, k: int, n: int, d: Fraction) -> IrrData:
+        return IrrData(label=k, n=n, d=d, chi_sup=self.chi_slope * k + 1, length=k)
 
     def _step(self):
-        prev, cur = self._stream[-2:]
-        c_n, c_d = self._coefficients
-        self._stream.append(
-            self._record(len(self._stream), c_n * cur.n - prev.n, c_d * cur.d - prev.d)
-        )
+        (n_prev, d_prev), (n_cur, d_cur) = self._last_two
+        c_n, a, b, b2 = self._coefficients
+        n, d = c_n * n_cur - n_prev, a * d_cur - b2 * d_prev
+        self._last_two = (n_cur, d_cur), (n, d)
+        self._power *= b
+        self._stream.append(self._record(len(self._stream), n, Fraction(d, self._power)))
 
     def irr_data(self, label) -> IrrData:
         k = _check_length(label)

@@ -550,7 +550,9 @@ def test_cli_commands_do_not_import_numpy():
 
 
 # Modules the command itself loads, beyond those of the interpreter's start-up:
-# exact commands never need mpmath, and no command needs dataclasses/inspect.
+# exact commands load neither mpmath nor the private copy of its libmp, the K_p
+# commands load that copy and no mpmath module, and no command needs
+# dataclasses/inspect.
 _LOADED_BY_COMMAND = (
     "import json, runpy, sys\n"
     "before = set(sys.modules)\n"
@@ -560,17 +562,26 @@ _LOADED_BY_COMMAND = (
     "except SystemExit as exc:\n"
     "    print(json.dumps([exc.code, sorted(set(sys.modules) - before)]), file=sys.stderr)\n"
 )
+_EXACT = {"mpmath", "cqgkhint._libmp", "dataclasses", "inspect"}
+_K_P = {"mpmath", "dataclasses", "inspect"}
+_ANY = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], {"mpmath", "dataclasses", "inspect"}),
-        (["dims", "--model", "djq:A2:1/2", "--max-length", "3"], {"mpmath", "dataclasses", "inspect"}),
-        (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"], {"mpmath", "dataclasses", "inspect"}),
-        (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], {"mpmath", "dataclasses", "inspect"}),
-        (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], {"mpmath", "dataclasses", "inspect"}),
-        (["kp", "--model", "oplus:3:7/2", "--p", "4"], {"dataclasses", "inspect"}),
+        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], _EXACT),
+        (["dims", "--model", "djq:A2:1/2", "--max-length", "3"], _EXACT),
+        (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"], _EXACT),
+        (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], _EXACT),
+        (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], _EXACT),
+        (["kp", "--model", "oplus:3:7/2", "--p", "4"], _K_P),
+        (["kp", "--model", "djq:B2:3/4", "--p", "4"], _K_P),
+        (["kp", "--model", "oplus:3:3", "--p", "4"], _K_P),
+        (["table", "--model", "aut:5:5", "--kind", "kp", "--p-list", "3,4"], _K_P),
+        (["constants", "--model", "djq:A2:1/2", "--p", "4", "--r", "3"], _K_P),
+        (["decay", "--model", "aut:5:5", "--horizon", "5"], _ANY),
+        (["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "5"], _ANY),
     ],
 )
 def test_cli_commands_load_only_what_they_run(argv, unused):
@@ -586,4 +597,6 @@ def test_cli_commands_load_only_what_they_run(argv, unused):
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     assert "cqgkhint.models" in loaded
-    assert not unused & set(loaded), sorted(unused & set(loaded))
+    # a name in unused stands for itself and every submodule under it
+    found = [m for m in loaded if any(m == u or m.startswith(f"{u}.") for u in unused)]
+    assert not found, found

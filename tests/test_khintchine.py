@@ -154,6 +154,17 @@ def test_certified_tail_length_not_nonnegative_integer_rejected(L):
         certified_tail("oplus:3:7/2", 4, L)
 
 
+@pytest.mark.parametrize("length", [float("inf"), float("nan")])
+def test_non_finite_lengths_rejected(length):
+    # ValueError, not the OverflowError of int(inf) or the message of int(nan)
+    with pytest.raises(ValueError, match="max_length must be a positive integer"):
+        kp_constant("oplus:3:7/2", 4, max_length=length)
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        certified_tail("oplus:3:7/2", 4, length)
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        decay_rate("oplus:3:7/2", horizon=length)
+
+
 # -- structural properties ------------------------------------------------------------
 
 
@@ -427,7 +438,7 @@ def _oracle_level_sum(ev, k, p):
 )
 def test_dj_table_sum_matches_exact_level_entries(spec):
     # the psi-table sum against the summand built from the exact (n, d, chi)
-    ev = KpEvaluator(parse_model_spec(spec))
+    ev = KpEvaluator(parse_model_spec(spec), 320)
     with mp.workprec(320):
         for p in (Fraction(3), Fraction(4), Fraction(6), Fraction(16)):
             for k in range(13):
@@ -436,38 +447,38 @@ def test_dj_table_sum_matches_exact_level_entries(spec):
 
 
 def test_dj_table_cache_keyed_by_p_and_precision():
-    # the psi tables, and the tail constant t_max^(2/p) per (2/p, precision), are kept on the evaluator
+    # the psi tables per p, and the tail constant t_max^(2/p) per 2/p, are kept on
+    # the evaluator, one evaluator per precision
     model = parse_model_spec("djq:B2:3/4")
-    shared = KpEvaluator(model)
+    shared = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
-        fresh = KpEvaluator(model)
-        with mp.workprec(bits):
-            for k in range(20):
-                got = shared.level_term_sum(k, Fraction(p))
-                assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
-            for L in (0, 30, 94, 200):
-                got = shared.tail_bound(L, Fraction(p))
-                ref = KpEvaluator(model).tail_bound(L, Fraction(p))
-                assert (got is None) == (ref is None)
-                assert got is None or got._mpf_ == ref._mpf_
+        fresh = KpEvaluator(model, bits)
+        for k in range(20):
+            got = shared[bits].level_term_sum(k, Fraction(p))
+            assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
+        for L in (0, 30, 94, 200):
+            got = shared[bits].tail_bound(L, Fraction(p))
+            ref = KpEvaluator(model, bits).tail_bound(L, Fraction(p))
+            assert (got is None) == (ref is None)
+            assert got is None or got._mpf_ == ref._mpf_
 
 
-def _row_by_row_level_sum(model, k: int, p: Fraction) -> mpmath.mpf:
-    """A level's psi-table sum, one label at a time, with each label's pairings
-    ``(mu + rho, beta)`` taken from its coordinates; exact before one rounding."""
+def _row_by_row_level_sum(model, k: int, p: Fraction, bits: int) -> mpmath.mpf:
+    """A level's psi-table sum at ``bits``, one label at a time, with each label's
+    pairings ``(mu + rho, beta)`` taken from its coordinates; exact before one rounding."""
     rs = model.root_system
     pairs = list(zip(model.rho_pairing, rs.root_weight_pairing))
     rows = [
         tuple(h + sum(map(operator.mul, mu, w)) for h, w in pairs)
         for mu in model.enumerate_level(k)
     ]
-    mans, exps = KpEvaluator(model)._terms(p, max(map(max, rows)))
+    mans, exps = KpEvaluator(model, bits)._terms(p, max(map(max, rows)))
     row_exps = [sum(exps[m] for m in row) for row in rows]
     e0 = min(row_exps)
     total = sum(math.prod(mans[m] for m in row) << (e - e0) for row, e in zip(rows, row_exps))
     rho = model.rho_pairing
     denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
-    return mp.make_mpf(mpf_div(from_man_exp(total, e0), denom, mp.prec, round_nearest))
+    return mp.make_mpf(mpf_div(from_man_exp(total, e0), denom, bits, round_nearest))
 
 
 @pytest.mark.parametrize(
@@ -480,13 +491,12 @@ def _row_by_row_level_sum(model, k: int, p: Fraction) -> mpmath.mpf:
 def test_dj_block_sum_bit_identical_to_row_by_row(spec):
     # the strided block kernel must give the row-by-row sum to the last bit
     model = parse_model_spec(spec)
-    ev = KpEvaluator(model)
     for bits in (128, 192):
-        with mp.workprec(bits):
-            for p in (Fraction(3), Fraction(4), Fraction(13, 2)):
-                for k in range(16):
-                    got = ev.level_term_sum(k, p)
-                    assert got._mpf_ == _row_by_row_level_sum(model, k, p)._mpf_, (bits, p, k)
+        ev = KpEvaluator(model, bits)
+        for p in (Fraction(3), Fraction(4), Fraction(13, 2)):
+            for k in range(16):
+                got = ev.level_term_sum(k, p)
+                assert got._mpf_ == _row_by_row_level_sum(model, k, p, bits)._mpf_, (bits, p, k)
 
 
 def test_dj_kp_sum_builds_no_label_rows(monkeypatch):
@@ -507,12 +517,10 @@ def test_psi_entries_correctly_rounded(q):
     # psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p) from the shared log kernel, against
     # two mp.power calls at 600 bits; exponents rounded to the working precision
     # (two mp.power calls at 192 bits) put entries up to 105 units off
-    ev = KpEvaluator(parse_model_spec(f"djq:A1:{q}"))
+    model = parse_model_spec(f"djq:A1:{q}")
+    evaluators = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for p in map(Fraction, (3, 4, 6, 8, 12, "13/2", 16)):
-        tables = {}
-        for bits in (128, 192):
-            with mp.workprec(bits):
-                tables[bits] = ev._terms(p, 300)
+        tables = {bits: ev._terms(p, 300) for bits, ev in evaluators.items()}
         with mp.workprec(600):
             x, e2 = 1 / _mpf(Fraction(q)), _mpf(2 / p)
             for m in range(1, 301):
@@ -587,13 +595,12 @@ def test_graded_term_matches_power_reference(spec):
 @pytest.mark.parametrize("spec", GRADED_SPECS)
 def test_graded_log_cache_keyed_by_p_and_precision(spec):
     model = parse_model_spec(spec)
-    shared = KpEvaluator(model)
+    shared = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for p, bits in ((6, 128), (3, 192), (6, 192), (4, 192), (4, 128), (6, 128)):
-        fresh = KpEvaluator(model)
-        with mp.workprec(bits):
-            for k in range(60):
-                got = shared.level_term_sum(k, Fraction(p))
-                assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
+        fresh = KpEvaluator(model, bits)
+        for k in range(60):
+            got = shared[bits].level_term_sum(k, Fraction(p))
+            assert got._mpf_ == fresh.level_term_sum(k, Fraction(p))._mpf_
 
 
 @pytest.mark.parametrize("spec", GRADED_SPECS)
@@ -602,16 +609,16 @@ def test_graded_tail_constants_cache_bit_identical(spec):
     # per (2/p, precision); a tail from an evaluator that has summed other p must
     # match a fresh one
     model = parse_model_spec(spec)
-    used = KpEvaluator(model)
-    for p in (3, 6):
-        assert used.kp_constant(p, tol=1e-20).converged
+    used = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
+    for ev in used.values():
+        for p in (3, 6):
+            assert ev.kp_constant(p, tol=1e-20).converged
     for bits, p in ((192, Fraction(4)), (192, Fraction(6)), (128, Fraction(6))):
-        with mp.workprec(bits):
-            for L in (0, 5, 40, 200):
-                got = used.tail_bound(L, p)
-                ref = KpEvaluator(model).tail_bound(L, p)
-                assert (got is None) == (ref is None)
-                assert got is None or got._mpf_ == ref._mpf_
+        for L in (0, 5, 40, 200):
+            got = used[bits].tail_bound(L, p)
+            ref = KpEvaluator(model, bits).tail_bound(L, p)
+            assert (got is None) == (ref is None)
+            assert got is None or got._mpf_ == ref._mpf_
 
 
 def test_graded_extreme_p():

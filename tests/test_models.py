@@ -269,6 +269,16 @@ def test_graded_stream_work_is_linear(spec):
     assert steps <= 600
 
 
+@pytest.mark.parametrize("length", [float("inf"), float("nan")])
+@pytest.mark.parametrize("spec", ["djq:B2:3/4", "oplus:3:7/2", "aut:4:5"])
+def test_non_finite_length_rejected(spec, length):
+    model = parse_model_spec(spec)
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        model.level_data(length)
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        model.enumerate_level(length)
+
+
 @pytest.mark.parametrize("spec", ["djq:B2:3/4", "oplus:3:7/2", "aut:4:5"])
 def test_level_data_cannot_be_corrupted_by_callers(spec):
     fresh = parse_model_spec(spec)

@@ -9,10 +9,17 @@ say why.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from cqgkhint.cli import main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # command -> (exit code, sha256 of stdout)
 PINNED = {
@@ -70,3 +77,68 @@ def test_report_bytes_pinned(capsys, command):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED[command]
+
+
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def _mpmath_modules(importtime: bytes) -> list[str]:
+    """The ``mpmath`` modules named in ``-X importtime`` output."""
+    names = (line.rsplit(b"|", 1)[-1].strip().decode() for line in importtime.splitlines())
+    return [name for name in names if name.split(".")[0] == "mpmath"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "table --model aut:5:5 --kind kp",
+        "kp --model djq:A3:1/2 --p 4",
+        "constants --model oplus:3:7/2 --p 4 --r 3",
+        "kp --model djq:A3:0.99 --p 4 --max-length 150",
+    ],
+)
+def test_report_bytes_pinned_without_mpmath(command):
+    # the K_p commands, run as fresh processes, import no mpmath module and
+    # print the pinned bytes
+    proc = _run_fresh(["-X", "importtime", "-m", "cqgkhint.cli", *command.split()])
+    assert _mpmath_modules(proc.stderr) == [], proc.stderr.decode()[-2000:]
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == PINNED[command]
+
+
+_LIBMP_AGAINST_MPMATH = """
+import json, sys
+from cqgkhint._libmp import libmp
+alone = "mpmath" not in sys.modules
+fractions = ((7, 2), (1, 3), (10**40 + 1, 7))
+xs = [libmp.from_rational(n, d, 200, libmp.round_nearest) for n, d in fractions]
+ivs = [(x, libmp.mpf_add(x, libmp.fone, 200, libmp.round_ceiling)) for x in xs]
+
+def values(lib):
+    return [
+        [lib.mpf_log(x, prec, lib.round_nearest) for x in xs for prec in (64, 192)],
+        [lib.mpf_exp(x, prec, lib.round_nearest) for x in xs for prec in (64, 192)],
+        [lib.mpi_log(v, prec) for v in ivs for prec in (64, 192)],
+        [lib.to_str(x, digits, strip_zeros=True) for x in xs for digits in (17, 55)],
+    ]
+
+private = values(libmp)
+import mpmath
+print(json.dumps([alone, libmp.__name__, private == values(mpmath.libmp)]))
+nstr = [mpmath.nstr(mpmath.mp.make_mpf(x), 55) for x in xs]
+print(json.dumps([libmp.to_str(x, 55, strip_zeros=True) == s for x, s in zip(xs, nstr)]))
+"""
+
+
+def test_libmp_loads_without_mpmath_and_matches_it():
+    proc = _run_fresh(["-c", _LIBMP_AGAINST_MPMATH])
+    assert proc.returncode == 0, proc.stderr.decode()
+    same_module, same_str = map(json.loads, proc.stdout.splitlines())
+    assert same_module == [True, "cqgkhint._libmp.libmp", True]
+    assert same_str == [True, True, True]
