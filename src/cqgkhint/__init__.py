@@ -17,9 +17,9 @@ The public surface groups into:
 
 Importing the package loads none of them: each public name is imported from
 its submodule on first use.  So ``cqgkhint.cli`` loads only what the chosen
-command runs.  The commands that compute ``K_p`` load mpmath's ``libmp``
-layer alone (see :mod:`cqgkhint._libmp`), and only those that compute decay
-bases or ratio tables import mpmath itself.
+command runs.  The commands that compute ``K_p``, decay bases or ratio
+tables load mpmath's ``libmp`` layer alone (see :mod:`cqgkhint._libmp`), and
+no command imports mpmath itself.
 """
 
 __version__ = "0.1.0"

@@ -1,11 +1,11 @@
-"""mpmath's ``libmp`` on its own, and the number types the ``K_p`` path uses with it.
+"""mpmath's ``libmp`` on its own, and the number types the numeric reports use with it.
 
 ``libmp`` is mpmath's layer of pure functions on raw floats, the tuples
 ``(sign, man, exp, bc)`` worth ``(-1)^sign man 2^exp`` (``mpf_*``), and on
 pairs of them, outward-rounded intervals (``mpi_*``).  mpmath's ``mp`` and
 ``iv`` contexts make these calls for their arithmetic.  ``import mpmath``
 also loads the contexts, the special functions, calculus and matrices, none
-of which the ``K_p`` path calls, and takes several times as long as
+of which this package calls, and takes several times as long as
 ``libmp`` alone.  So this module loads the ``libmp`` package from its file,
 under the private name ``cqgkhint._libmp.libmp``, which skips
 ``mpmath/__init__``; ``libmp`` imports nothing of mpmath outside itself.  When
@@ -14,7 +14,8 @@ mpmath is already loaded, its own ``libmp`` is used instead.
 :class:`MpfValue` carries a raw float as ``_mpf_``, the attribute that
 mpmath's converters read, so library callers can hand it to mpmath as an
 exact number.  :class:`Intervals` makes the ``mpi_*`` calls of the ``iv``
-context at a fixed precision.
+context at a fixed precision, and :func:`n_over_d` the ``mpf_*`` calls of
+the ``mp`` context for one ratio ``n/d``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import sys
 from functools import reduce
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 
-__all__ = ["Intervals", "MpfValue", "libmp"]
+__all__ = ["Intervals", "MpfValue", "libmp", "n_over_d"]
 
 
 def _load_libmp():
@@ -61,6 +62,17 @@ def _raw(x):
     if isinstance(x, float):
         return libmp.from_float(x)
     return None
+
+
+def n_over_d(n: int, d, prec: int) -> tuple:
+    """``n / d`` for an integer ``n`` and a positive rational ``d``, as a raw float.
+
+    Rounded as mpmath's ``mp.mpf(n) * d.denominator / d.numerator`` rounds it
+    at ``mp.prec = prec``: to nearest, three times.
+    """
+    rnd = libmp.round_nearest
+    x = libmp.mpf_mul_int(libmp.from_int(n, prec, rnd), d.denominator, prec, rnd)
+    return libmp.mpf_div(x, libmp.from_int(d.numerator), prec, rnd)
 
 
 class MpfValue:

@@ -16,18 +16,17 @@ Two families drive every graded dimension count in this package:
 Exact inputs (ints, Fractions) take the exact recursion path; floats are
 evaluated in mpmath working precision, never in hardware doubles, because
 ``u^{k+1}`` overflows doubles long before the interesting range of ``k``.
-The envelopes returned by :func:`envelope` are computed with mpmath interval
-arithmetic, so their bounds are certified enclosures, not estimates.
+The envelopes returned by :func:`envelope` are computed in outward-rounded
+interval arithmetic, so their bounds are certified enclosures, not estimates.
 
 mpmath is imported by the functions that compute in it, when they run, never
-with this module: the exact recursions do not load it, and neither does the
-``K_p`` path of :mod:`cqgkhint.khintchine`, which takes only
-:func:`iv_growth_base` from here, on raw ``libmp`` intervals.
+with this module, and the exact recursions do not load it.  No command of the
+command-line tool imports this module: the models run their own integer
+recursions, and :mod:`cqgkhint.khintchine` its own interval growth bases.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from numbers import Rational
 from typing import TYPE_CHECKING
@@ -36,8 +35,6 @@ from .record import Record
 
 if TYPE_CHECKING:
     import mpmath
-
-    from ._libmp import Intervals
 
 __all__ = [
     "ChebEnvelope",
@@ -54,23 +51,6 @@ __all__ = [
 
 class OutsideDomainError(ValueError):
     code = "outside-domain"
-
-
-@contextmanager
-def interval_precision():
-    """Run mpmath interval arithmetic at the current ``mp.prec``.
-
-    ``iv.prec`` is global to mpmath; it is restored on exit, so a caller's
-    interval precision is never changed by this package.
-    """
-    from mpmath import iv, mp
-
-    saved = iv.prec
-    iv.prec = mp.prec
-    try:
-        yield
-    finally:
-        iv.prec = saved
 
 
 def _is_exact(t) -> bool:
@@ -169,17 +149,6 @@ def g_growth_base(x) -> mpmath.mpf:
     return (x - 2 + mp.sqrt(x * (x - 4))) / 2
 
 
-def iv_growth_base(t: tuple, t2: tuple, iv: Intervals) -> tuple:
-    """Interval ``u = (t + sqrt(t^2 - 4))/2`` for a trace interval ``t >= 2``.
-
-    ``t`` and ``t2`` are raw ``libmp`` intervals and the result is one, in
-    ``iv``'s arithmetic.  ``t2`` is the interval ``t^2``, passed in so that a
-    trace known through its square (``t = sqrt(x)``) is not squared back.  At
-    ``t = 2`` the result is exactly ``[1, 1]``.
-    """
-    return iv.div(iv.add(t, iv.sqrt(iv.sub(t2, iv.integer(4)))), iv.integer(2))
-
-
 def limit_value(t) -> mpmath.mpf:
     """Limit of ``f_k(t) u^{-(k+1)}`` as ``k -> oo``: ``1/sqrt(t^2 - 4)``."""
     from mpmath import mp
@@ -198,15 +167,6 @@ class ChebEnvelope(Record):
     base_u: mpmath.mpf
 
 
-def _iv_from(t):
-    from mpmath import iv, mp
-
-    if _is_exact(t):
-        frac = Fraction(t)
-        return iv.mpf(frac.numerator) / iv.mpf(frac.denominator)
-    return iv.mpf(mp.mpf(t))
-
-
 def envelope(k: int, t) -> ChebEnvelope:
     """Interval-arithmetic envelope of ``f_k(t)`` from the closed form.
 
@@ -216,23 +176,27 @@ def envelope(k: int, t) -> ChebEnvelope:
 
     and both ends are evaluated with outward rounding, so the returned bracket
     provably contains the exact value.  The relative width decays like
-    ``u^{-2(k+1)}``.
+    ``u^{-2(k+1)}``.  The intervals are those of mpmath's ``iv`` context at
+    ``iv.prec = mp.prec`` (see :class:`~cqgkhint._libmp.Intervals`), with
+    ``u = (t + sqrt(t^2 - 4))/2``; mpmath's own ``iv.prec`` is not touched.
     """
-    from mpmath import iv, mp
+    from mpmath import mp
 
-    from ._libmp import Intervals
+    from ._libmp import Intervals, libmp
 
     k = _check_k(k)
-    with interval_precision():
-        t_iv = _iv_from(t)
-        if not (t_iv > 2):
-            raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
-        u = iv.make_mpf(iv_growth_base(t_iv._mpi_, (t_iv * t_iv)._mpi_, Intervals(iv.prec)))
-        denom = u - 1 / u
-        top = u ** (k + 1) / denom
-        bottom = top * (1 - u ** (-2 * (k + 1)))
-        lower = mp.mpf(bottom.a)
-        upper = mp.mpf(top.b)
+    iv = Intervals(mp.prec)
+    if _is_exact(t):
+        t_iv = iv.rational(Fraction(t))
+    else:
+        t_iv = (mp.mpf(t)._mpf_,) * 2
+    if not libmp.mpi_gt(t_iv, iv.integer(2)):
+        raise OutsideDomainError(f"envelope requires t > 2 strictly, got {t}")
+    one = iv.integer(1)
+    u = iv.div(iv.add(t_iv, iv.sqrt(iv.sub(iv.mul(t_iv, t_iv), iv.integer(4)))), iv.integer(2))
+    top = iv.div(iv.pow(u, k + 1), iv.sub(u, iv.div(one, u)))
+    bottom = iv.mul(top, iv.sub(one, iv.pow(u, -2 * (k + 1))))
+    lower, upper = mp.make_mpf(bottom[0]), mp.make_mpf(top[1])
     if _is_exact(t):
         frac = Fraction(t)
         t_mid = mp.mpf(frac.numerator) / frac.denominator

@@ -22,12 +22,15 @@ payload fields are its rows zipped with the header (``verify`` names the
 ``check`` column ``name`` in JSON).  A JSON config file (``--config``) may
 supply defaults under the flag name of any subcommand; explicit flags win.
 
-Each handler imports what it runs.  ``fusion``, ``dims``, ``spectrum`` and
-``verify`` are exact and load no high-precision code.  ``kp``, ``constants``
-and ``table --kind kp`` import :mod:`cqgkhint.khintchine`, which runs on
-mpmath's ``libmp`` alone and imports no mpmath module; ``decay`` also imports
-mpmath, and ``table --kind ratios`` imports only mpmath.  The CSV writer is
-loaded only for ``--format csv``.
+Each handler imports what it runs, and no command imports an mpmath module.
+``fusion``, ``dims``, ``spectrum`` and ``verify`` are exact and load no
+high-precision code; only ``fusion`` and ``verify`` load
+:mod:`cqgkhint.fusion` and :mod:`cqgkhint.verify`, and only Drinfeld-Jimbo
+models load :mod:`cqgkhint.rootsys`.  ``kp``, ``constants``, ``decay`` and
+``table --kind kp`` import :mod:`cqgkhint.khintchine`, which runs on mpmath's
+``libmp`` alone (see :mod:`cqgkhint._libmp`); ``table --kind ratios`` loads
+that ``libmp`` and nothing of ``khintchine``.  The CSV writer is loaded only
+for ``--format csv``.
 """
 
 from __future__ import annotations
@@ -40,14 +43,14 @@ import sys
 from fractions import Fraction
 
 from .exact import DEFAULT_PRECISION_BITS, ExactArithmeticError, KacDivergenceError
-from .fusion import RULES, tensor_decompose
 from .models import DrinfeldJimboModel, parse_model_spec
-from .verify import verify_model
 
 __all__ = ["main"]
 
 SCHEMA = "cqgkhint/v1"
 NORMALIZATION_NOTE = "short roots have squared length 2"
+# cqgkhint.fusion.RULES, for the parser's choices without loading fusion
+FUSION_RULES = ("su2", "so3")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -192,6 +195,8 @@ def _cmd_spectrum(args, fmt):
 
 
 def _cmd_fusion(args, fmt):
+    from .fusion import RULES, tensor_decompose
+
     if args.rule not in RULES:
         raise _CliError(f"--rule must be one of {RULES}", "bad-fusion-rule")
     if args.k is None or args.l is None:
@@ -228,10 +233,6 @@ def _cmd_kp(args, fmt):
 
 
 def _cmd_decay(args, fmt):
-    # decay_rate computes in mpmath; imported first, mpmath's libmp is the one
-    # khintchine uses, so no second copy of libmp is loaded
-    import mpmath  # noqa: F401
-
     from .khintchine import decay_rate
 
     model = _require_model(args)
@@ -291,6 +292,8 @@ def _cmd_constants(args, fmt):
 
 
 def _cmd_verify(args, fmt):
+    from .verify import verify_model
+
     model = _require_model(args)
     report = verify_model(model, horizon=args.horizon)
     rows = [[c.name, c.passed, c.detail] for c in report.checks]
@@ -305,11 +308,14 @@ def _cmd_verify(args, fmt):
 
 def _cmd_table(args, fmt):
     if args.kind == "ratios":
-        from mpmath import mp
+        from ._libmp import MpfValue, n_over_d
 
+        # n/d is rounded to 53 bits, mpmath's default precision, which this table
+        # has always used, not to --precision-bits; the digits it prints past the
+        # 17th are noise, and rounding at --precision-bits would change its reports
         header = ["length", "label", "n_over_d"]
         spec, payload, table, exit_code = _levels(
-            args, header, lambda data: [fmt(mp.mpf(data.n) * data.d.denominator / data.d.numerator)]
+            args, header, lambda data: [fmt(MpfValue(n_over_d(data.n, data.d, 53)))]
         )
         return spec, {"kind": "ratios", **payload}, table, exit_code
     model = _require_model(args)
@@ -393,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "spectrum":
             p.add_argument("--mu", default=None, help="comma-separated dominant weight")
         if name == "fusion":
-            p.add_argument("--rule", choices=list(RULES), default=None)
+            p.add_argument("--rule", choices=list(FUSION_RULES), default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--l", type=int, default=None)
         if name in ("decay", "verify"):

@@ -15,13 +15,13 @@ for ``djq``); :class:`KpEvaluator` is the driver the plans share.  Kac-type
 models are reported divergent with a certified witness (every level
 contributes a term >= 1), never via timeout.
 
-The ``K_p`` path, and the norm-equivalence constants, run on mpmath's
-``libmp`` alone (see :mod:`cqgkhint._libmp`), at the evaluator's
+The ``K_p`` path, the decay rates and the norm-equivalence constants run on
+mpmath's ``libmp`` alone (see :mod:`cqgkhint._libmp`), at the caller's
 ``precision_bits``: each sum, square root and power is the ``mpf_*`` call
-with ``round_nearest`` that the ``mp`` context makes, and each tail the
-``mpi_*`` calls of the ``iv`` context, so importing this module does not
-import mpmath.  Their results are :class:`~cqgkhint._libmp.MpfValue`, which
-mpmath reads exactly.  :func:`decay_rate` imports mpmath when it runs.
+with ``round_nearest`` that the ``mp`` context makes, and each tail and
+envelope the ``mpi_*`` calls of the ``iv`` context, so this module imports no
+mpmath module, when it is loaded or when it runs.  Their results are
+:class:`~cqgkhint._libmp.MpfValue`, which mpmath reads exactly.
 """
 
 from __future__ import annotations
@@ -31,22 +31,18 @@ from fractions import Fraction
 from functools import partial, reduce
 from numbers import Real
 from operator import add, lshift, mul
-from typing import TYPE_CHECKING
 
-from ._libmp import Intervals, MpfValue, libmp
-from .chebyshev import interval_precision, iv_growth_base
+from ._libmp import Intervals, MpfValue, libmp, n_over_d
 from .exact import DEFAULT_PRECISION_BITS, HorizonError, KacDivergenceError, as_fraction
 from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
     QuantumGroupModel,
+    _check_horizon,
     _check_length,
     construct_model,
 )
 from .record import Record
-
-if TYPE_CHECKING:
-    import mpmath
 
 from_int, from_man_exp, from_rational = libmp.from_int, libmp.from_man_exp, libmp.from_rational
 mpf_div, mpf_exp, mpf_log, mpf_mul = libmp.mpf_div, libmp.mpf_exp, libmp.mpf_log, libmp.mpf_mul
@@ -120,9 +116,9 @@ class DecayReport(Record):
     """
 
     model_spec: str
-    theoretical_base: mpmath.mpf
-    empirical_base: mpmath.mpf
-    constant_envelope: mpmath.mpf
+    theoretical_base: MpfValue
+    empirical_base: MpfValue
+    constant_envelope: MpfValue
     horizon: int
     polynomial_factor: bool
 
@@ -280,7 +276,10 @@ class _GradedPlan:
         else:
             x_n, x_d = iv.integer(model.dimB), iv.rational(model.d1 + 1)
             traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
-        return tuple(iv_growth_base(t, t2, iv) for t, t2 in traces)
+        # u = (t + sqrt(t^2 - 4))/2, from t^2 as given, so that a trace known through
+        # its square is not squared back; exactly [1, 1] at t = 2
+        four, two = iv.integer(4), iv.integer(2)
+        return tuple(iv.div(iv.add(t, iv.sqrt(iv.sub(t2, four))), two) for t, t2 in traces)
 
     def _spread(self, u: tuple) -> tuple:
         """``u - 1/u``."""
@@ -738,43 +737,43 @@ def decay_rate(
 ) -> DecayReport:
     """Theoretical and empirical decay base of ``n/d`` along the grading.
 
-    Computed with mpmath's ``mp`` and ``iv`` contexts, which it imports.
+    Computed at ``precision_bits`` with the calls that mpmath's ``mp`` and
+    ``iv`` contexts make at that precision: ``n/d`` is
+    ``mp.mpf(n) * den / num`` (see :func:`~cqgkhint._libmp.n_over_d`), the
+    empirical base ``mp.power(worst, mp.mpf(1) / horizon)``, and each label's
+    envelope ratio the upper end of
+    ``iv.mpf(n) * iv.mpf(den) / iv.mpf(num) / base**k``.
     """
-    if horizon < 1:
-        raise HorizonError("horizon must be >= 1")
-    horizon = _check_length(horizon)
-    precision_bits = _check_precision(precision_bits)
+    horizon = _check_horizon(horizon)
+    prec = _check_precision(precision_bits)
     model = construct_model(model)
-    from mpmath import iv, mp
+    iv = Intervals(prec)
+    if model.is_kac():
+        base, theoretical, polynomial = iv.integer(1), libmp.fone, False
+    else:
+        base, theoretical, polynomial = _summation_plan(model, prec).decay_base()
 
-    with mp.workprec(precision_bits), interval_precision():
-        if model.is_kac():
-            theo_iv, theoretical, polynomial = iv.mpf(1), mp.mpf(1), False
-        else:
-            base, value, polynomial = _summation_plan(model, precision_bits).decay_base()
-            theo_iv, theoretical = iv.make_mpf(base), mp.make_mpf(value)
+    worst = max(MpfValue(n_over_d(data.n, data.d, prec)) for data in model.level_data(horizon))
+    root = mpf_div(libmp.fone, from_int(horizon), prec, round_nearest)
+    empirical = libmp.mpf_pow(worst._mpf_, root, prec, round_nearest)
 
-        worst = max(
-            mp.mpf(data.n) * data.d.denominator / data.d.numerator
-            for data in model.level_data(horizon)
-        )
-        empirical = mp.power(worst, mp.mpf(1) / horizon)
-
-        # explicit constant C with n/d <= C * base^k, checked on every level
-        envelope = mp.mpf(0)
-        for k in range(0, horizon + 1):
-            base_k = theo_iv**k
-            for data in model.level_data(k):
-                ratio = iv.mpf(data.n) * iv.mpf(data.d.denominator) / iv.mpf(data.d.numerator)
-                envelope = max(envelope, mp.mpf((ratio / base_k).b))
-        return DecayReport(
-            model_spec=model.spec_string(),
-            theoretical_base=theoretical,
-            empirical_base=empirical,
-            constant_envelope=envelope,
-            horizon=horizon,
-            polynomial_factor=polynomial,
-        )
+    # explicit constant C with n/d <= C * base^k, checked on every level
+    envelope = libmp.fzero
+    for k in range(0, horizon + 1):
+        base_k = iv.pow(base, k)
+        for data in model.level_data(k):
+            n, den, num = map(iv.integer, (data.n, data.d.denominator, data.d.numerator))
+            _, upper = iv.div(iv.div(iv.mul(n, den), num), base_k)
+            if libmp.mpf_gt(upper, envelope):
+                envelope = upper
+    return DecayReport(
+        model_spec=model.spec_string(),
+        theoretical_base=MpfValue(theoretical),
+        empirical_base=MpfValue(empirical),
+        constant_envelope=MpfValue(envelope),
+        horizon=horizon,
+        polynomial_factor=polynomial,
+    )
 
 
 def _is_dyadic_power(p: Fraction) -> bool:

@@ -12,7 +12,8 @@ cannot corrupt the cache.  Drinfeld-Jimbo models also own the integer root
 pairings ``(mu + rho, beta)`` of every label, as blocks of arithmetic
 progressions (``level_blocks``) that the ``K_p`` sum of
 :mod:`cqgkhint.khintchine` reads directly; the level data reads rows expanded
-from them (``level_pairings``), and no rows are kept.
+from them (``level_pairings``), and no rows are kept.  Only they load
+:mod:`cqgkhint.rootsys`, when one is constructed.
 
 Family conventions
 ------------------
@@ -39,11 +40,13 @@ from fractions import Fraction
 from itertools import chain, repeat
 from numbers import Real
 from operator import add
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from .exact import as_fraction
+from .exact import HorizonError, as_fraction
 from .record import Record
-from .rootsys import InvalidRootSystemError, RootSystem, build_root_system
+
+if TYPE_CHECKING:
+    from .rootsys import RootSystem
 
 __all__ = [
     "InvalidModelError",
@@ -107,6 +110,13 @@ def _check_length(k: int) -> int:
     return int(k)
 
 
+def _check_horizon(horizon: int) -> int:
+    """A horizon of ``verify`` or ``decay``: a length of at least 1."""
+    if isinstance(horizon, Real) and horizon < 1:
+        raise HorizonError("horizon must be >= 1")
+    return _check_length(horizon)
+
+
 class DrinfeldJimboModel(QuantumGroupModel):
     """Drinfeld-Jimbo deformation ``G_q`` of a simple compact Lie group.
 
@@ -120,6 +130,8 @@ class DrinfeldJimboModel(QuantumGroupModel):
     family = "drinfeld-jimbo"
 
     def __init__(self, lie_type: str, rank: int, q):
+        from .rootsys import InvalidRootSystemError, build_root_system
+
         try:
             self.root_system: RootSystem = build_root_system(lie_type, rank)
         except InvalidRootSystemError as exc:
@@ -153,8 +165,10 @@ class DrinfeldJimboModel(QuantumGroupModel):
 
     def _q_factor(self, m: int) -> int:
         """``a^2m - b^2m`` for ``q = a/b``: ``q^m - q^-m`` times ``(ab)^m``, tabulated."""
-        table, a, b = self._q_factors, self.q.numerator, self.q.denominator
-        table.extend(a ** (2 * j) - b ** (2 * j) for j in range(len(table), m + 1))
+        table = self._q_factors
+        if m >= len(table):
+            a, b = self.q.numerator, self.q.denominator
+            table.extend(a ** (2 * j) - b ** (2 * j) for j in range(len(table), m + 1))
         return table[m]
 
     def level_blocks(self, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -202,7 +216,7 @@ class DrinfeldJimboModel(QuantumGroupModel):
             math.prod(map(self._q_factor, ms)),
             self._q_denom * ab ** (sum(ms) - self._rho_sum),
         )
-        return IrrData(label=mu, n=n, d=d, chi_sup=n, length=sum(mu))
+        return IrrData(mu, n, d, n, sum(mu))  # label, n, d, chi_sup, length
 
     def irr_data(self, label) -> IrrData:
         mu = self.root_system._check_dominant(label)
@@ -265,7 +279,7 @@ class _GradedModel(QuantumGroupModel):
         self._stream = [self._record(0, 1, Fraction(1)), self._record(1, n1, d1)]
 
     def _record(self, k: int, n: int, d: Fraction) -> IrrData:
-        return IrrData(label=k, n=n, d=d, chi_sup=self.chi_slope * k + 1, length=k)
+        return IrrData(k, n, d, self.chi_slope * k + 1, k)  # label, n, d, chi_sup, length
 
     def _step(self):
         (n_prev, d_prev), (n_cur, d_cur) = self._last_two

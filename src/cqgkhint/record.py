@@ -29,22 +29,28 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if args:
-            named = dict(zip(fields, args))
-            if len(args) > len(fields) or not named.keys().isdisjoint(kwargs):
-                raise TypeError(f"{type(self).__name__}: too many or repeated field values")
-            kwargs.update(named)
+        if kwargs or len(args) != len(fields):
+            args = self._ordered(args, kwargs)
+        # object.__setattr__ keeps the values in the instance's own slots; going
+        # through self.__dict__ would make every later read about 3x slower
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def _ordered(self, args: tuple, kwargs: dict) -> list:
+        """The field values in field order, from values given by position and keyword."""
+        fields = self._fields
+        named = dict(zip(fields, args))
+        if len(args) > len(fields) or not named.keys().isdisjoint(kwargs):
+            raise TypeError(f"{type(self).__name__}: too many or repeated field values")
+        kwargs.update(named)
         try:
-            values = [(name, kwargs.pop(name)) for name in fields]
+            values = [kwargs.pop(name) for name in fields]
         except KeyError as exc:
             raise TypeError(f"{type(self).__name__} is missing the field {exc}") from None
         if kwargs:
             raise TypeError(f"{type(self).__name__} has no fields {tuple(kwargs)}")
-        # object.__setattr__ keeps the values in the instance's own slots; going
-        # through self.__dict__ would make every later read about 3x slower
-        for name, value in values:
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+        return values
 
     def __post_init__(self):
         pass

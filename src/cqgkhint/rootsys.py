@@ -12,8 +12,11 @@ recorded in every report emitted by the CLI.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import neg, sub
 from typing import Sequence
 
 from .exact import as_fraction, rational_inverse
@@ -147,10 +150,10 @@ class QSpectrum(Record):
         return sum(m for _, m in self.entries)
 
     def trace(self):
-        return sum((v * m for v, m in self.entries), start=Fraction(0) * self.entries[0][0])
+        return _weighted_sum(self.entries, invert=False)
 
     def inv_trace(self):
-        return sum((m / v for v, m in self.entries), start=Fraction(0) * self.entries[0][0])
+        return _weighted_sum(self.entries, invert=True)
 
     def is_trace_symmetric(self) -> bool:
         return self.trace() == self.inv_trace()
@@ -166,13 +169,52 @@ class QSpectrum(Record):
         return self.entries[0][0]
 
 
+def _weighted_sum(entries, invert: bool):
+    """``sum m v`` (``sum m / v`` when ``invert``) over ``(v, m)`` pairs.
+
+    Rational values are summed as integers over one common denominator and
+    reduced once, instead of once per term; other values (radicals) add up
+    one by one.
+    """
+    if all(isinstance(v, Fraction) for v, _ in entries):
+        terms = [
+            (m, v.denominator, v.numerator) if invert else (m, v.numerator, v.denominator)
+            for v, m in entries
+        ]
+        den = math.lcm(*(d for _, _, d in terms))
+        return Fraction(sum(m * n * (den // d) for m, n, d in terms), den)
+    terms = (m / v if invert else v * m for v, m in entries)
+    return sum(terms, start=Fraction(0) * entries[0][0])
+
+
+def _times_sine(coeffs: list[int], m: int) -> list[int]:
+    """``coeffs`` times ``x^m - x^-m``, both as coefficients of ``x^-t .. x^t``."""
+    pad = [0] * (2 * m)
+    return list(map(sub, pad + coeffs, coeffs + pad))
+
+
+def _divide_by_sine(coeffs: list[int], h: int) -> list[int]:
+    """The exact quotient of ``coeffs`` by ``x^h - x^-h``.
+
+    A quotient ``c`` of ``p`` has ``p[j] = c[j - 2h] - c[j]``, so ``c`` is, on
+    each residue class of the index mod ``2h``, the running sum of ``-p``; the
+    division is exact when the running sums vanish past the quotient's length.
+    """
+    step = 2 * h
+    out = [0] * len(coeffs)
+    for r in range(min(step, len(coeffs))):
+        out[r::step] = accumulate(map(neg, coeffs[r::step]))
+    if any(out[len(coeffs) - step :]):
+        raise ArithmeticError(f"x^{h} - x^-{h} does not divide the Weyl numerator")
+    return out[: len(coeffs) - step]
+
+
 class RootSystem:
     """Root and weight data of a simple Lie type, all rational and exact.
 
     Construct through :func:`build_root_system`, which validates the
-    (type, rank) pair and caches instances so the memoised weight systems are
-    shared.  All methods are pure; the caches are only ever extended with
-    values that are a function of the key, so concurrent use is safe.
+    (type, rank) pair and caches instances.  All methods are pure and keep no
+    per-weight state, so concurrent use is safe.
     """
 
     def __init__(self, lie_type: str, rank: int):
@@ -207,8 +249,6 @@ class RootSystem:
             self.d[i] * sum(root[i] for root in self.positive_roots)
             for i in range(rank)
         )
-
-        self._weight_system_cache: dict[Weight, dict[Weight, int]] = {}
 
     # -- root generation -------------------------------------------------
 
@@ -356,9 +396,6 @@ class RootSystem:
            walked down from ``lambda`` by ``s_i`` wherever ``w_i > 0``.
         """
         mu = self._check_dominant(mu)
-        cached = self._weight_system_cache.get(mu)
-        if cached is not None:
-            return dict(cached)
 
         # 1. dominant weights, each with the simple-root coordinates of mu - nu
         roots = list(zip(self.positive_roots, map(self._omega_coords, self.positive_roots)))
@@ -410,7 +447,6 @@ class RootSystem:
                         if v not in system:
                             system[v] = m
                             orbit.append(v)
-        self._weight_system_cache[mu] = dict(system)
         return system
 
     # -- modular matrix data -------------------------------------------------
@@ -426,18 +462,41 @@ class RootSystem:
         """``(weight, 2 rho)`` as an exact integer."""
         return sum(int(weight[i]) * self.two_rho_pairing[i] for i in range(self.rank))
 
+    def two_rho_histogram(self, mu: Sequence[int]) -> tuple[tuple[int, int], ...]:
+        """Pairs ``(e, m)``, ``e`` descending: ``V_mu`` has ``m`` weights ``nu``
+        (with multiplicity) with ``(nu, 2 rho) = e``.
+
+        The histogram is the coefficient list of the Weyl character at ``2 rho``
+        (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+        §24.3, without the limit ``q -> 1``)::
+
+            sum_nu x^{(nu, 2 rho)} = prod_b (x^{m_b} - x^{-m_b}) / (x^{h_b} - x^{-h_b})
+
+        over the positive roots ``b``, with ``m_b = (mu + rho, b)`` and
+        ``h_b = (rho, b)``.  It is computed on integer coefficient lists: every
+        numerator factor is multiplied in first, then the denominator factors
+        are divided out exactly.  The order matters, since one factor
+        ``(x^m - x^-m) / (x^h - x^-h)`` is a polynomial only when ``h``
+        divides ``m``.  :meth:`weight_system` gives the same histogram by
+        Freudenthal's formula, an independent route kept as the oracle.
+        """
+        mu = self._check_dominant(mu)
+        shifted = tuple(c + 1 for c in mu)
+        roots = range(len(self.positive_roots))
+        coeffs = [1]
+        for idx in roots:
+            coeffs = _times_sine(coeffs, self.root_pairing(shifted, idx))
+        for idx in roots:
+            coeffs = _divide_by_sine(coeffs, self.root_pairing(self.rho, idx))
+        top = len(coeffs) // 2
+        return tuple((top - j, c) for j, c in enumerate(reversed(coeffs)) if c)
+
     def q_matrix_spectrum(self, mu: Sequence[int], q) -> QSpectrum:
-        """Spectrum of the modular matrix: eigenvalue ``q^{-(nu, 2 rho)}`` per weight."""
+        """Spectrum of the modular matrix: eigenvalue ``q^{-(nu, 2 rho)}`` per weight,
+        from :meth:`two_rho_histogram`."""
         mu = self._check_dominant(mu)
         q = self._check_q(q)
-        by_exponent: dict[int, int] = {}
-        for nu, mult in self.weight_system(mu).items():
-            e = self.two_rho_exponent(nu)
-            by_exponent[e] = by_exponent.get(e, 0) + mult
-        entries = tuple(
-            (q ** (-e), m) for e, m in sorted(by_exponent.items(), reverse=True)
-        )
-        return QSpectrum(entries)
+        return QSpectrum(tuple((q ** (-e), m) for e, m in self.two_rho_histogram(mu)))
 
     def quantum_dimension(self, mu: Sequence[int], q) -> Fraction:
         """Quantum dimension as the trace of the modular matrix."""
@@ -447,8 +506,8 @@ class RootSystem:
         """Quantum dimension by the q-deformed Weyl product.
 
         ``prod (q^{(mu+rho,b)} - q^{-(mu+rho,b)}) / (q^{(rho,b)} - q^{-(rho,b)})``
-        over positive roots b.  Independent of :meth:`quantum_dimension`; the
-        two routes are cross-checked in the test suite.
+        over positive roots b, in rationals; :meth:`quantum_dimension` evaluates
+        the same quotient as a Laurent polynomial at ``q^-1``.
         """
         mu = self._check_dominant(mu)
         q = self._check_q(q)

@@ -9,7 +9,7 @@ modular matrix ``Q`` and quantum dimension ``d = Tr(Q) = Tr(Q^{-1})``::
 
 and to the modular automorphism ``sigma_z(u_st) = Q_ss^{iz} Q_tt^{iz} u_st``.
 For purely imaginary ``z = -i s`` with rational ``s`` the multipliers are
-exact radicals (:class:`~cqgkhint.exact.Radical`), so every identity checked
+exact radicals (:class:`~cqgkhint.radical.Radical`), so every identity checked
 below — the smoothed-character norm, modular duality, the squared-norm
 identity for central series — is verified in exact arithmetic whenever the
 input data is exact.  General complex ``z`` is supported in float mode.
@@ -22,7 +22,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, Sequence
 
-from .exact import Radical, as_fraction
+from .exact import as_fraction
+from .radical import Radical
 from .record import Record
 from .rootsys import QSpectrum
 

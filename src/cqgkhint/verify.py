@@ -2,23 +2,23 @@
 
 Each check is exact (rational arithmetic) unless noted; the report is a flat
 pass/fail list with deterministic detail strings, so two runs over the same
-model produce identical bytes.
+model produce identical bytes.  The root-system checks load
+:mod:`cqgkhint.rootsys` and the fusion checks :mod:`cqgkhint.fusion`, each
+only for the family it checks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import HorizonError
-from .fusion import tensor_decompose, tensor_with_generator
 from .models import (
     DrinfeldJimboModel,
     FreeOrthogonalModel,
     QuantumGroupModel,
+    _check_horizon,
     construct_model,
 )
 from .record import Record
-from .rootsys import POSITIVE_ROOT_COUNTS
 
 __all__ = ["VerifyCheck", "VerifyReport", "verify_model"]
 
@@ -42,7 +42,19 @@ def _check(name, passed, detail) -> VerifyCheck:
     return VerifyCheck(name=name, passed=bool(passed), detail=detail)
 
 
+def _weight_histogram(rs, mu) -> tuple[tuple[int, int], ...]:
+    """``RootSystem.two_rho_histogram(mu)`` by the independent route: the
+    Freudenthal multiplicities of the full weight system, binned by ``(nu, 2 rho)``."""
+    by_exponent: dict[int, int] = {}
+    for nu, mult in rs.weight_system(mu).items():
+        e = rs.two_rho_exponent(nu)
+        by_exponent[e] = by_exponent.get(e, 0) + mult
+    return tuple(sorted(by_exponent.items(), reverse=True))
+
+
 def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[VerifyCheck]:
+    from .rootsys import POSITIVE_ROOT_COUNTS
+
     rs = model.root_system
     out = []
 
@@ -89,17 +101,26 @@ def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[Veri
         _check("t-constants-below-one", all(t < 1 for t in ts), f"t = {tuple(map(str, ts))}")
     )
 
+    weights_ok = True
     grid_ok = True
     trace_ok = True
     sup_ok = True
     tested = 0
     for k in range(0, min(horizon, 4) + 1):
         for mu in model.enumerate_level(k):
+            weights_ok = weights_ok and _weight_histogram(rs, mu) == rs.two_rho_histogram(mu)
             spec = rs.q_matrix_spectrum(mu, q)
             trace_ok = trace_ok and spec.is_trace_symmetric()
             grid_ok = grid_ok and spec.trace() == rs.quantum_dimension_product(mu, q)
             sup_ok = sup_ok and spec.max_eigenvalue() == rs.q_sup_norm(mu, q)
             tested += 1
+    out.append(
+        _check(
+            "spectrum-weight-system",
+            weights_ok,
+            f"weight multiplicities by (nu, 2 rho) equal the q-Weyl polynomial on {tested} weights",
+        )
+    )
     out.append(
         _check("spectrum-trace-symmetric", trace_ok, f"Tr(Q) = Tr(Q^-1) on {tested} weights")
     )
@@ -121,6 +142,8 @@ def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[Veri
 
 
 def _graded_checks(model: QuantumGroupModel, horizon: int) -> list[VerifyCheck]:
+    from .fusion import tensor_decompose, tensor_with_generator
+
     rule = "su2" if isinstance(model, FreeOrthogonalModel) else "so3"
     out = []
 
@@ -161,8 +184,7 @@ def _graded_checks(model: QuantumGroupModel, horizon: int) -> list[VerifyCheck]:
 
 def verify_model(model, horizon: int = 12) -> VerifyReport:
     """Run the invariant suite for one model; all checks are deterministic."""
-    if horizon < 1:
-        raise HorizonError("horizon must be >= 1")
+    horizon = _check_horizon(horizon)
     model = construct_model(model)
     checks: list[VerifyCheck] = []
 

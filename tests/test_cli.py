@@ -78,6 +78,15 @@ def test_fusion_command(capsys):
     assert report["decomposition"] == [[0, 1], [1, 1], [2, 1]]
 
 
+def test_fusion_rule_choices_are_the_fusion_rules():
+    # the parser names the rules itself, so that commands other than fusion
+    # do not load cqgkhint.fusion
+    from cqgkhint.cli import FUSION_RULES
+    from cqgkhint.fusion import RULES
+
+    assert FUSION_RULES == RULES
+
+
 # -- kp -----------------------------------------------------------------------------
 
 
@@ -550,9 +559,10 @@ def test_cli_commands_do_not_import_numpy():
 
 
 # Modules the command itself loads, beyond those of the interpreter's start-up:
-# exact commands load neither mpmath nor the private copy of its libmp, the K_p
-# commands load that copy and no mpmath module, and no command needs
-# dataclasses/inspect.
+# no command loads mpmath, chebyshev, radical, schur or dataclasses/inspect;
+# exact commands load neither the private copy of mpmath's libmp nor
+# khintchine; only fusion and verify load fusion or verify; and only
+# Drinfeld-Jimbo models load rootsys.
 _LOADED_BY_COMMAND = (
     "import json, runpy, sys\n"
     "before = set(sys.modules)\n"
@@ -562,26 +572,44 @@ _LOADED_BY_COMMAND = (
     "except SystemExit as exc:\n"
     "    print(json.dumps([exc.code, sorted(set(sys.modules) - before)]), file=sys.stderr)\n"
 )
-_EXACT = {"mpmath", "cqgkhint._libmp", "dataclasses", "inspect"}
-_K_P = {"mpmath", "dataclasses", "inspect"}
-_ANY = {"dataclasses", "inspect"}
+_ANY = {
+    "mpmath",
+    "cqgkhint.chebyshev",
+    "cqgkhint.radical",
+    "cqgkhint.schur",
+    "dataclasses",
+    "inspect",
+}
+_NUMERIC = {"cqgkhint._libmp", "cqgkhint.khintchine"}
+_REPORT = {"cqgkhint.fusion", "cqgkhint.verify"}
+_ROOTSYS = {"cqgkhint.rootsys"}
+_EXACT = _ANY | _NUMERIC | _REPORT
+_K_P = _ANY | _REPORT
 
 
 @pytest.mark.parametrize(
     "argv, unused",
     [
-        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], _EXACT),
+        (
+            ["fusion", "--rule", "su2", "--k", "1", "--l", "1"],
+            _ANY | _NUMERIC | _ROOTSYS | {"cqgkhint.verify"},
+        ),
         (["dims", "--model", "djq:A2:1/2", "--max-length", "3"], _EXACT),
         (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"], _EXACT),
-        (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], _EXACT),
-        (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], _EXACT),
-        (["kp", "--model", "oplus:3:7/2", "--p", "4"], _K_P),
+        (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], _ANY | _NUMERIC | _ROOTSYS),
+        (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], _ANY | _NUMERIC),
+        (["kp", "--model", "oplus:3:7/2", "--p", "4"], _K_P | _ROOTSYS),
         (["kp", "--model", "djq:B2:3/4", "--p", "4"], _K_P),
-        (["kp", "--model", "oplus:3:3", "--p", "4"], _K_P),
-        (["table", "--model", "aut:5:5", "--kind", "kp", "--p-list", "3,4"], _K_P),
+        (["kp", "--model", "oplus:3:3", "--p", "4"], _K_P | _ROOTSYS),
+        (["table", "--model", "aut:5:5", "--kind", "kp", "--p-list", "3,4"], _K_P | _ROOTSYS),
         (["constants", "--model", "djq:A2:1/2", "--p", "4", "--r", "3"], _K_P),
-        (["decay", "--model", "aut:5:5", "--horizon", "5"], _ANY),
-        (["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "5"], _ANY),
+        (["decay", "--model", "aut:5:5", "--horizon", "5"], _K_P | _ROOTSYS),
+        (
+            ["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "5"],
+            _ANY | _REPORT | _ROOTSYS | {"cqgkhint.khintchine"},
+        ),
+        (["dims", "--model", "aut:5:5", "--max-length", "3"], _EXACT | _ROOTSYS),
+        (["decay", "--model", "djq:B2:3/4", "--horizon", "5"], _K_P),
     ],
 )
 def test_cli_commands_load_only_what_they_run(argv, unused):

@@ -2,13 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from cqgkhint.exact import (
-    ExactArithmeticError,
-    Radical,
-    as_fraction,
-    rational_inverse,
-    sqrt_exact,
-)
+from cqgkhint.exact import ExactArithmeticError, as_fraction, rational_inverse
+from cqgkhint.radical import Radical, sqrt_exact
 
 
 def test_as_fraction_float_is_exact_binary():

@@ -20,6 +20,7 @@ from cqgkhint.khintchine import (
     norm_equivalence_constants,
 )
 from cqgkhint.models import DrinfeldJimboModel, FreeOrthogonalModel, parse_model_spec
+from cqgkhint.verify import verify_model
 
 HALF = Fraction(1, 2)
 
@@ -163,6 +164,19 @@ def test_non_finite_lengths_rejected(length):
         certified_tail("oplus:3:7/2", 4, length)
     with pytest.raises(ValueError, match="length must be a nonnegative integer"):
         decay_rate("oplus:3:7/2", horizon=length)
+
+
+@pytest.mark.parametrize("run", [verify_model, decay_rate], ids=["verify", "decay"])
+@pytest.mark.parametrize("horizon", [2.5, float("inf"), float("nan"), "3"])
+def test_horizon_not_an_integer_rejected(run, horizon):
+    # ValueError, not the TypeError of range(2.5) or of "3" < 1
+    with pytest.raises(ValueError, match="length must be a nonnegative integer"):
+        run("oplus:3:7/2", horizon=horizon)
+
+
+@pytest.mark.parametrize("run", [verify_model, decay_rate], ids=["verify", "decay"])
+def test_integral_float_horizon_accepted(run):
+    assert run("oplus:3:7/2", horizon=2.0) == run("oplus:3:7/2", horizon=2)
 
 
 # -- structural properties ------------------------------------------------------------

@@ -102,11 +102,13 @@ def _mpmath_modules(importtime: bytes) -> list[str]:
         "kp --model djq:A3:1/2 --p 4",
         "constants --model oplus:3:7/2 --p 4 --r 3",
         "kp --model djq:A3:0.99 --p 4 --max-length 150",
+        "decay --model oplus:3:7/2",
+        "decay --model djq:A2:1/2",
     ],
 )
 def test_report_bytes_pinned_without_mpmath(command):
-    # the K_p commands, run as fresh processes, import no mpmath module and
-    # print the pinned bytes
+    # the K_p and decay commands, run as fresh processes, import no mpmath
+    # module and print the pinned bytes
     proc = _run_fresh(["-X", "importtime", "-m", "cqgkhint.cli", *command.split()])
     assert _mpmath_modules(proc.stderr) == [], proc.stderr.decode()[-2000:]
     assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == PINNED[command]

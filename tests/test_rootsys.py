@@ -278,66 +278,62 @@ def test_weight_system_returns_copies():
     assert rs.weight_system((1, 1)) == expected
 
 
-def _times_sine(poly, m):
-    """Multiply a Laurent polynomial ``{exponent: coefficient}`` by ``x^m - x^-m``."""
-    out = {}
-    for e, c in poly.items():
-        out[e + m] = out.get(e + m, 0) + c
-        out[e - m] = out.get(e - m, 0) - c
-    return {e: c for e, c in out.items() if c}
+def _weight_histogram(rs, mu):
+    """``(e, m)`` pairs, ``e`` descending: ``m`` weights of ``V_mu`` have ``(nu, 2 rho) = e``."""
+    by_exponent = {}
+    for nu, mult in rs.weight_system(mu).items():
+        e = rs.two_rho_exponent(nu)
+        by_exponent[e] = by_exponent.get(e, 0) + mult
+    return tuple(sorted(by_exponent.items(), reverse=True))
 
 
-def _divide_by_sine(poly, h):
-    """Exact quotient of a Laurent polynomial by ``x^h - x^-h``."""
-    rest = dict(poly)
-    low = min(rest)
-    quotient = {}
-    while rest:
-        top = max(rest)
-        assert top - 2 * h >= low, "not divisible"
-        c = rest.pop(top)
-        quotient[top - h] = c
-        below = rest.get(top - 2 * h, 0) + c
-        if below:
-            rest[top - 2 * h] = below
-        else:
-            rest.pop(top - 2 * h, None)
-    return quotient
+# every dominant weight with |mu| <= 6 (E8: <= 1, the trivial and the 248-dim
+# adjoint) and dimension <= 400, plus larger ones
+_CHARACTER_CASES = [
+    ("A", 1, 6, []),
+    ("A", 2, 6, []),
+    ("A", 3, 6, [(6, 6, 6)]),
+    ("A", 4, 6, [(3, 3, 3, 3)]),
+    ("A", 5, 6, []),
+    ("B", 2, 6, []),
+    ("B", 3, 6, []),
+    ("B", 4, 6, []),
+    ("C", 3, 6, [(4, 4, 4)]),
+    ("C", 4, 6, []),
+    ("D", 4, 6, [(2, 1, 1, 2)]),
+    ("D", 5, 6, []),
+    ("G", 2, 6, [(5, 5)]),
+    ("F", 4, 6, [(1, 1, 0, 0)]),
+    ("E", 6, 6, [(1, 0, 0, 0, 1, 0)]),
+    ("E", 7, 6, []),
+    ("E", 8, 1, []),
+]
 
 
 @pytest.mark.parametrize(
-    "lie_type,mus",
-    [
-        ("A", [(1,), (4,)]),
-        ("A", [(1, 1), (2, 0), (3, 1)]),
-        ("B", [(1, 0), (0, 1), (2, 1)]),
-        ("G", [(1, 0), (0, 1), (1, 1)]),
-        ("A", [(1, 0, 1), (2, 1, 0), (0, 2, 0)]),
-        ("C", [(1, 0, 0), (0, 1, 1), (0, 0, 2)]),
-        ("B", [(1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]),
-        ("D", [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)]),
-        ("F", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)]),
-        ("E", [(1, 0, 0, 0, 0, 0)]),
-    ],
-    ids=["A1", "A2", "B2", "G2", "A3", "C3", "B3", "D4", "F4", "E6"],
+    "lie_type,rank,max_total,larger",
+    _CHARACTER_CASES,
+    ids=[f"{lie_type}{rank}" for lie_type, rank, _, _ in _CHARACTER_CASES],
 )
-def test_spectrum_exponents_match_weyl_character_at_two_rho(lie_type, mus):
-    # third route: sum_nu mult(nu) x^{(nu, 2 rho)} is the Weyl character at 2 rho,
-    # prod_beta (x^{m_beta} - x^{-m_beta}) / (x^{h_beta} - x^{-h_beta}),
-    # with m_beta = (mu + rho, beta) and h_beta = (rho, beta)
-    rs = build_root_system(lie_type, len(mus[0]))
-    for mu in mus:
-        by_exponent = {}
-        for nu, mult in rs.weight_system(mu).items():
-            e = rs.two_rho_exponent(nu)
-            by_exponent[e] = by_exponent.get(e, 0) + mult
-        shifted = tuple(c + 1 for c in mu)
-        poly = {0: 1}
-        for idx in range(len(rs.positive_roots)):
-            poly = _times_sine(poly, rs.root_pairing(shifted, idx))
-        for idx in range(len(rs.positive_roots)):
-            poly = _divide_by_sine(poly, rs.root_pairing(rs.rho, idx))
-        assert by_exponent == poly, mu
+def test_spectrum_exponents_match_weyl_character_at_two_rho(lie_type, rank, max_total, larger):
+    # the modular spectrum's exponents come from the Weyl character at 2 rho,
+    # prod_beta (x^{m_beta} - x^{-m_beta}) / (x^{h_beta} - x^{-h_beta}); the
+    # Freudenthal weight system gives the same histogram by another route
+    rs = build_root_system(lie_type, rank)
+    mus = [
+        mu
+        for total in range(max_total + 1)
+        for mu in _compositions(total, rank)
+        if rs.weyl_dimension(mu) <= 400
+    ]
+    for mu in mus + larger:
+        expected = _weight_histogram(rs, mu)
+        assert rs.two_rho_histogram(mu) == expected, mu
+        spec = rs.q_matrix_spectrum(mu, HALF)
+        assert spec.entries == tuple((HALF ** -e, m) for e, m in expected), mu
+        # the traces over one common denominator equal the term-by-term sums
+        assert spec.trace() == sum((v * m for v, m in spec.entries), Fraction(0)), mu
+        assert spec.inv_trace() == sum((m / v for v, m in spec.entries), Fraction(0)), mu
 
 
 def _compositions(total, parts):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqgkhint import schur
-from cqgkhint.exact import Radical, sqrt_exact
+from cqgkhint.radical import Radical, sqrt_exact
 from cqgkhint.rootsys import QSpectrum, build_root_system
 
 HALF = Fraction(1, 2)
