@@ -47,7 +47,7 @@ from .models import DrinfeldJimboModel, parse_model_spec
 
 __all__ = ["main"]
 
-SCHEMA = "cqgkhint/v1"
+SCHEMA = "cqgkhint/v2"
 NORMALIZATION_NOTE = "short roots have squared length 2"
 # cqgkhint.fusion.RULES, for the parser's choices without loading fusion
 FUSION_RULES = ("su2", "so3")

@@ -7,13 +7,15 @@ series::
 
 summed here by ascending length.  The evaluator returns a *certified
 interval*: an exact-ordered partial sum at a fixed precision (so results are
-bit-stable) plus a rigorous bound on the dropped tail, computed with interval
-arithmetic from growth envelopes.  What a family knows, its table of terms,
-its level sums, its tail series and its decay base, is one summation plan
-(:class:`_GradedPlan` for ``oplus`` and ``aut``, :class:`_DrinfeldJimboPlan`
-for ``djq``); :class:`KpEvaluator` is the driver the plans share.  Kac-type
-models are reported divergent with a certified witness (every level
-contributes a term >= 1), never via timeout.
+bit-stable) plus a rigorous enclosure of the dropped tail, computed with
+interval arithmetic from growth envelopes, or for ``oplus`` and ``aut`` from
+the closed-form asymptotics of the summand (:mod:`cqgkhint.graded_tail`).
+What a family knows, its table of terms, its level sums, its tail series and
+its decay base, is one summation plan (:class:`_GradedPlan` for ``oplus``
+and ``aut``, :class:`_DrinfeldJimboPlan` for ``djq``), and
+:class:`KpEvaluator` runs every plan.  Kac-type models are reported divergent
+with a certified witness (every level contributes a term >= 1), never via
+timeout.
 
 The ``K_p`` path, the decay rates and the norm-equivalence constants run on
 mpmath's ``libmp`` alone (see :mod:`cqgkhint._libmp`), at the caller's
@@ -82,10 +84,16 @@ class KpReport(Record):
     """Certified summary of a ``K_p`` evaluation.
 
     ``verdict`` is one of ``"converged"``, ``"divergent"``, ``"inconclusive"``.
-    For a converged report ``K_p^2`` lies in
-    ``[partial_sum, partial_sum + tail_bound]`` and ``kp_interval`` is the
-    square-root interval.  A divergent report carries the certified lower
-    bound on infinitely many terms instead.
+    ``partial_sum`` is the sum of levels ``0..terms_summed``, and the terms
+    beyond lie in ``[lower, lower + tail_bound]``: ``tail_bound`` is the
+    width of that enclosure.  For a converged report ``K_p^2`` lies in
+    ``kp2_interval = [partial_sum + lower, partial_sum + lower + tail_bound]``
+    and ``kp_interval`` is the square-root interval.  ``lower`` is 0 on the
+    geometric tail; on the Euler-Maclaurin tail of ``oplus`` and ``aut`` it is
+    the enclosure's lower end, and the ends of both intervals are rounded
+    outward.  An inconclusive report carries the geometric tail at
+    ``max_length`` (or None), a divergent one the certified lower bound on
+    infinitely many terms instead.
     """
 
     model_spec: str
@@ -267,9 +275,9 @@ class _GradedPlan:
         # the aim's doubles (see log_tail_series)
         self._floats: tuple | None = None
 
-    def _bases(self) -> tuple:
-        """Interval growth bases ``(u_n, u_d)``."""
-        model, iv = self.model, self.iv
+    def _bases(self, iv: Intervals | None = None) -> tuple:
+        """Interval growth bases ``(u_n, u_d)``, in ``iv`` or at the plan's precision."""
+        model, iv = self.model, iv or self.iv
         if isinstance(model, FreeOrthogonalModel):
             t_n, t_d = iv.integer(model.N), iv.rational(model.Nq)
             traces = (t_n, iv.mul(t_n, t_n)), (t_d, iv.mul(t_d, t_d))
@@ -317,7 +325,9 @@ class _GradedPlan:
         step = iv.div(iv.integer(j0 + s + 1), iv.integer(j0 + 1))
         return first, iv.mul(iv.pow(step, a), rho_s)
 
-    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
+    def _logs(self) -> tuple:
+        """``(unit, log u_n, log u_d, log(u_n - 1/u_n), log(u_d - 1/u_d))`` in doubles,
+        with ``unit`` for ``u_n = 1`` and its ``log(u_n - 1/u_n)`` read as 0."""
         if self._floats is None:
             iv = self.iv
             u_n, u_d = self._bases()
@@ -327,7 +337,10 @@ class _GradedPlan:
                 libmp.to_float(libmp.mpi_mid(iv.log(x), self.prec))
                 for x in (u_n, u_d, one if unit else self._spread(u_n), self._spread(u_d))
             )
-        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._floats
+        return self._floats
+
+    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
+        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._logs()
         s = self.s
         j0 = s * (L + 1)
         a = e1 + e2 if unit else e1
@@ -343,6 +356,13 @@ class _GradedPlan:
         u_n, u_d = self._bases()
         base = iv.pow(iv.div(u_n, u_d), self.s)
         return base, libmp.mpi_mid(base, self.prec), u_n == iv.integer(1)
+
+    def asymptotic_tail(self, p: Fraction):
+        """The Euler-Maclaurin tail at ``p`` (see :mod:`cqgkhint.graded_tail`), or None
+        when its doubles cannot aim a cutoff.  The model is not of Kac type."""
+        from .graded_tail import graded_tail
+
+        return graded_tail(self._bases, self._logs(), self.s, p, self.prec)
 
 
 class _DrinfeldJimboPlan:
@@ -457,6 +477,10 @@ class _DrinfeldJimboPlan:
     def decay_base(self) -> tuple:
         return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
 
+    def asymptotic_tail(self, p: Fraction) -> None:
+        """No closed-form tail: the geometric one serves every ``p``."""
+        return None
+
 
 def _summation_plan(model, prec: int):
     """The summation plan of ``model``'s family at ``prec`` bits."""
@@ -469,13 +493,14 @@ class KpEvaluator:
     """Certified summation of ``K_p^2`` over one model, by its family's plan.
 
     The plan (:class:`_GradedPlan` or :class:`_DrinfeldJimboPlan`) knows the
-    family, through six methods: ``ratio(i)``, the exact ``(x, y, s)`` of
+    family, through seven methods: ``ratio(i)``, the exact ``(x, y, s)`` of
     table term ``i``, ``s^2 (x/y)^(2/p)``; ``table_top(k)``, the last term
     level ``k`` reads; ``level_sum(k, mans, exps)``, the level's summand read
     from the table; ``tail_constants(2/p)`` and ``tail_series(L, ...)``, the
     first term and the term ratio bound of the dominating series beyond
     length ``L`` in intervals, with ``log_tail_series`` their logs in doubles;
-    and ``decay_base()``.  The evaluator owns what is the same for every
+    ``asymptotic_tail(p)``, a closed-form tail enclosure or None; and
+    ``decay_base()``.  The evaluator owns what is the same for every
     family:
 
     * the table of terms per ``p`` (see :meth:`_terms`), built from one
@@ -488,6 +513,10 @@ class KpEvaluator:
     * the cutoff, aimed in doubles and decided in intervals (see
       :meth:`_cutoff`), which relies on the certified tail being monotone
       nonincreasing in the length;
+    * the route: a plan's ``asymptotic_tail(p)`` (None for ``djq``) is tried
+      first and sets a shorter cutoff with one enclosure of the tail (see
+      :meth:`_asymptotic_cutoff`); the geometric route runs unchanged when it
+      declines;
     * the summation order (ascending length, then label order), which makes
       reports bit-identical from run to run, and the report.
 
@@ -595,14 +624,13 @@ class KpEvaluator:
         Found by galloping from 0 and bisecting over :meth:`_log_tail`;
         ``max_length`` when no ``L <= max_length`` passes.
         """
-        log_tol = math.log(tol)
-
-        def passes(L: int) -> bool:
-            log_tail = self._log_tail(L, p)
-            return log_tail is not None and log_tail <= log_tol
-
-        aim = _first_passing(passes, 0, max_length)
+        aim = _first_passing(partial(self._log_tail_passes, p=p, tol=tol), 0, max_length)
         return max_length if aim is None else aim
+
+    def _log_tail_passes(self, L: int, p: Fraction, tol: float) -> bool:
+        """Whether the double log-tail at ``L`` is ``<= log tol``; monotone in ``L``."""
+        log_tail = self._log_tail(L, p)
+        return log_tail is not None and log_tail <= math.log(tol)
 
     # -- the evaluator --------------------------------------------------------
 
@@ -635,21 +663,50 @@ class KpEvaluator:
             return "inconclusive", max_length, tails[max_length]
         return "converged", L, tails[L]
 
+    def _asymptotic_cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple | None:
+        """``(L, lower, width)`` by the plan's asymptotic tail, or None for the geometric route.
+
+        The cutoff is the smallest ``L <= max_length`` whose certified width
+        bound (see :mod:`cqgkhint.graded_tail`) is ``<= tol``, aimed in doubles
+        and decided in intervals by :func:`_first_passing`, as in
+        :meth:`_cutoff`; then one Euler-Maclaurin evaluation encloses the tail
+        beyond ``L`` in ``[lower, lower + width]``.  None, and the geometric
+        :meth:`_cutoff` runs unchanged, when the plan has no such tail, when
+        its aim is not below the geometric one (which then passes at it, the
+        geometric test being monotone), when no ``L <= max_length`` certifies,
+        or when the enclosure is wider than ``tol``.
+        """
+        tail = self._plan.asymptotic_tail(p)
+        if tail is None:
+            return None
+        log_tol = math.log(tol)
+        aim = _first_passing(lambda L: tail.log_width_bound(L) <= log_tol, 0, max_length)
+        if aim is None or self._log_tail_passes(aim, p, tol):
+            return None
+        L = _first_passing(lambda L: MpfValue(tail.width_bound(L)) <= tol, aim, max_length)
+        enclosure = None if L is None else tail.enclosure(L, tol)
+        if enclosure is None or MpfValue(enclosure[1]) > tol:
+            return None
+        return L, *enclosure
+
     def kp_constant(
         self,
         p,
         tol: float = 1e-10,
         max_length: int = 4000,
     ) -> KpReport:
-        """Certified ``K_p`` with a dropped tail of at most ``tol``.
+        """Certified ``K_p`` with a dropped tail enclosed within ``tol``.
 
-        The cutoff ``L`` is the first length whose certified tail is
-        ``<= tol``, aimed in doubles and decided in intervals by
-        :meth:`_cutoff` (which depends on the tail being monotone in ``L``).
-        With ``L`` known, the table of terms is filled once, and levels
-        ``0..L`` are then summed in order.  When no ``L <= max_length``
-        certifies, the verdict is ``inconclusive`` with levels
-        ``0..max_length`` summed.  A Kac-type model is ``divergent``, with
+        For a non-Kac ``oplus`` or ``aut`` model the cutoff ``L`` and the
+        enclosure of the tail come from :meth:`_asymptotic_cutoff`, with one
+        Euler-Maclaurin evaluation.  Otherwise, or when that declines, ``L``
+        is the first length whose certified geometric tail is ``<= tol``,
+        aimed in doubles and decided in intervals by :meth:`_cutoff` (which
+        depends on the tail being monotone in ``L``), and the enclosure is
+        ``[0, tail]``.  With ``L`` known, the table of terms is filled once,
+        and levels ``0..L`` are then summed in order.  When no
+        ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
+        levels ``0..max_length`` summed.  A Kac-type model is ``divergent``, with
         levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
         that is not positive and finite, or is below ``2^-precision_bits``,
         or a ``max_length`` that is not a positive integer, raises
@@ -664,20 +721,33 @@ class KpEvaluator:
             raise ValueError(f"max_length must be a positive integer, got {max_length}")
         max_length = int(max_length)
         prec = self.precision_bits
+        asymptotic = None
         if self.model.is_kac():
             # n = d for every label, so each level contributes
             # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
             verdict, last, tail = "divergent", min(max_length, 8), None
         else:
-            verdict, last, tail = self._cutoff(p, tol, max_length)
+            asymptotic = self._asymptotic_cutoff(p, tol, max_length)
+            if asymptotic is None:
+                verdict, last, tail = self._cutoff(p, tol, max_length)
+            else:
+                last, lower, width = asymptotic
+                verdict, tail = "converged", MpfValue(width)
         self._terms(p, self._plan.table_top(last))
         partial = libmp.fzero
         for L in range(0, last + 1):
             partial = libmp.mpf_add(partial, self.level_term_sum(L, p)._mpf_, prec, round_nearest)
         kp2 = kp = None
         if verdict == "converged":
-            kp2 = partial, libmp.mpf_add(partial, tail._mpf_, prec, round_nearest)
-            kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, round_nearest)) for x in kp2)
+            # [partial + lower, partial + lower + tail]: the Euler-Maclaurin ends are
+            # rounded outward, the geometric ones (lower = 0) to nearest
+            if asymptotic is None:
+                lower, rounding = libmp.fzero, (round_nearest, round_nearest)
+            else:
+                rounding = libmp.round_floor, libmp.round_ceiling
+            ends = lower, libmp.mpf_add(lower, tail._mpf_)  # exact
+            kp2 = [libmp.mpf_add(partial, x, prec, rnd) for x, rnd in zip(ends, rounding)]
+            kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, rnd)) for x, rnd in zip(kp2, rounding))
             kp2 = tuple(map(MpfValue, kp2))
         return KpReport(
             model_spec=self.model.spec_string(),

@@ -33,7 +33,7 @@ def test_dims_table_example(capsys):
     )
     assert code == 0
     report = json.loads(out)
-    assert report["schema"] == "cqgkhint/v1"
+    assert report["schema"] == "cqgkhint/v2"
     assert report["model"] == "djq:A1:1/2"
     assert report["normalization"] == "short roots have squared length 2"
     rows = [(r["length"], r["n"], r["d"], r["chi_sup"]) for r in report["rows"]]
@@ -117,6 +117,18 @@ def test_kp_inconclusive_exit_code(capsys):
     assert code == 3
     report = json.loads(out)
     assert report["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("model", ["oplus:3:3.01", "aut:5:4.01", "oplus:3:3.001"])
+def test_kp_near_kac_converges_in_few_levels(capsys, model):
+    # rho = (u_n/u_d)^(1/2) is within 0.003 of 1, so a geometric tail needs
+    # 17,461 levels or more; the asymptotic tail needs a few dozen whatever rho
+    # is.  The bound on the levels is a bound on work, not a wall-clock gate.
+    code, out, err = run_cli(capsys, "kp", "--model", model, "--p", "4")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "converged"
+    assert report["terms_summed"] <= 100
 
 
 @pytest.mark.parametrize(
@@ -326,9 +338,9 @@ def test_zero_denominator_flag_is_a_usage_error(capsys, argv):
 
 def test_config_supplies_defaults_flags_override(tmp_path, capsys):
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"model": "oplus:3:3.5", "p": 4, "max_length": 40}))
+    config.write_text(json.dumps({"model": "oplus:3:3.5", "p": 4, "max_length": 8}))
     code, out, err = run_cli(capsys, "kp", "--config", str(config))
-    assert code == 3  # max_length 40 is inconclusive at p=4
+    assert code == 3  # max_length 8 is inconclusive at p=4 (the cutoff is 13)
     code, out, err = run_cli(capsys, "kp", "--config", str(config), "--max-length", "2000")
     assert code == 0  # the flag overrides the config value
 
@@ -345,7 +357,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     "config,flags,expected_code,expected_err",
     [
         ({"tol": "1e-10"}, ["--tol", "1e-10"], 0, ""),
-        ({"max_length": "50"}, ["--max-length", "50"], 3, ""),
+        ({"max_length": "8"}, ["--max-length", "8"], 3, ""),
         ({"model": 5}, None, 2, "error[bad-model-spec]: malformed model spec '5'"),
         (5, None, 2, "error[bad-config]"),
         ({"format": "xml"}, None, 2, "error[bad-config]: config key 'format'"),
@@ -561,8 +573,9 @@ def test_cli_commands_do_not_import_numpy():
 # Modules the command itself loads, beyond those of the interpreter's start-up:
 # no command loads mpmath, chebyshev, radical, schur or dataclasses/inspect;
 # exact commands load neither the private copy of mpmath's libmp nor
-# khintchine; only fusion and verify load fusion or verify; and only
-# Drinfeld-Jimbo models load rootsys.
+# khintchine; only fusion and verify load fusion or verify; only
+# Drinfeld-Jimbo models load rootsys; and only the K_p of a non-Kac graded
+# model loads graded_tail.
 _LOADED_BY_COMMAND = (
     "import json, runpy, sys\n"
     "before = set(sys.modules)\n"
@@ -580,7 +593,8 @@ _ANY = {
     "dataclasses",
     "inspect",
 }
-_NUMERIC = {"cqgkhint._libmp", "cqgkhint.khintchine"}
+_ASYMPTOTIC = {"cqgkhint.graded_tail"}
+_NUMERIC = {"cqgkhint._libmp", "cqgkhint.khintchine"} | _ASYMPTOTIC
 _REPORT = {"cqgkhint.fusion", "cqgkhint.verify"}
 _ROOTSYS = {"cqgkhint.rootsys"}
 _EXACT = _ANY | _NUMERIC | _REPORT
@@ -599,20 +613,41 @@ _K_P = _ANY | _REPORT
         (["verify", "--model", "oplus:3:7/2", "--horizon", "4"], _ANY | _NUMERIC | _ROOTSYS),
         (["verify", "--model", "djq:B2:3/4", "--horizon", "2"], _ANY | _NUMERIC),
         (["kp", "--model", "oplus:3:7/2", "--p", "4"], _K_P | _ROOTSYS),
-        (["kp", "--model", "djq:B2:3/4", "--p", "4"], _K_P),
-        (["kp", "--model", "oplus:3:3", "--p", "4"], _K_P | _ROOTSYS),
+        (["kp", "--model", "djq:B2:3/4", "--p", "4"], _K_P | _ASYMPTOTIC),
+        (["kp", "--model", "oplus:3:3", "--p", "4"], _K_P | _ROOTSYS | _ASYMPTOTIC),
         (["table", "--model", "aut:5:5", "--kind", "kp", "--p-list", "3,4"], _K_P | _ROOTSYS),
-        (["constants", "--model", "djq:A2:1/2", "--p", "4", "--r", "3"], _K_P),
-        (["decay", "--model", "aut:5:5", "--horizon", "5"], _K_P | _ROOTSYS),
+        (["constants", "--model", "djq:A2:1/2", "--p", "4", "--r", "3"], _K_P | _ASYMPTOTIC),
+        (["decay", "--model", "aut:5:5", "--horizon", "5"], _K_P | _ROOTSYS | _ASYMPTOTIC),
         (
             ["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "5"],
-            _ANY | _REPORT | _ROOTSYS | {"cqgkhint.khintchine"},
+            _ANY | _REPORT | _ROOTSYS | _ASYMPTOTIC | {"cqgkhint.khintchine"},
         ),
         (["dims", "--model", "aut:5:5", "--max-length", "3"], _EXACT | _ROOTSYS),
-        (["decay", "--model", "djq:B2:3/4", "--horizon", "5"], _K_P),
+        (["decay", "--model", "djq:B2:3/4", "--horizon", "5"], _K_P | _ASYMPTOTIC),
     ],
 )
 def test_cli_commands_load_only_what_they_run(argv, unused):
+    loaded = _loaded_by(argv)
+    assert "cqgkhint.models" in loaded
+    # a name in unused stands for itself and every submodule under it
+    found = [m for m in loaded if any(m == u or m.startswith(f"{u}.") for u in unused)]
+    assert not found, found
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kp", "--model", "oplus:3:7/2", "--p", "4"],
+        ["table", "--model", "aut:5:5", "--kind", "kp", "--p-list", "3,4"],
+    ],
+)
+def test_graded_kp_loads_the_asymptotic_tail(argv):
+    # the commands above that leave out mpmath, dataclasses and inspect do load it
+    assert "cqgkhint.graded_tail" in _loaded_by(argv)
+
+
+def _loaded_by(argv: list[str]) -> list[str]:
+    """The modules a fresh CLI process loads for ``argv``, once it exits 0."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -624,7 +659,4 @@ def test_cli_commands_load_only_what_they_run(argv, unused):
     )
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
-    assert "cqgkhint.models" in loaded
-    # a name in unused stands for itself and every submodule under it
-    found = [m for m in loaded if any(m == u or m.startswith(f"{u}.") for u in unused)]
-    assert not found, found
+    return loaded

@@ -1,10 +1,11 @@
 """Pinned report bytes: the sha256 of ``cli.main`` stdout, and the exit code.
 
 The corpus runs every ``K_p`` summation and tail path of both families (the
-graded ``oplus``/``aut`` levels and the Drinfeld-Jimbo psi-table blocks), the
-Kac witnesses, an inconclusive cap, and precisions other than the default, so
-a refactor of the summation or of the tails that moves one bit of any report
-fails here.  A deliberate change of a report must update its digest here and
+graded ``oplus``/``aut`` levels with the Euler-Maclaurin tail, near the Kac
+point too, and with the geometric tail where it is shorter or the other
+cannot certify, and the Drinfeld-Jimbo psi-table blocks), the Kac witnesses,
+inconclusive caps, and precisions other than the default, so a refactor of
+the summation or of the tails that moves one bit of any report fails here.  A deliberate change of a report must update its digest here and
 say why.
 """
 
@@ -23,52 +24,55 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # command -> (exit code, sha256 of stdout)
 PINNED = {
-    "kp --model oplus:3:7/2 --p 4": (0, "18750a889191575fa67066570de5695f3849abdb62aed7f762a2b316d7100f8d"),
-    "kp --model oplus:3:7/2 --p 5/2": (0, "a0ddeedf9756b616e49cb0517fa04a6efbb88c928f10b46974644dd11ed2f1ca"),
-    "table --model oplus:3:7/2 --kind kp": (0, "2d786d870b25cc7567a675af833c579d88bbec589b4615a3ac02244ea1efd02a"),
-    "decay --model oplus:3:7/2": (0, "271b5e5617321bb632c92a6da6236485ce0ce1e014f28da295cc8f5f1c060505"),
-    "constants --model oplus:3:7/2 --p 4 --r 3": (0, "0753014620b985e6db20a88eef34d9d92641c1f570b75b079168297927f7a759"),
-    "kp --model oplus:2:5/2 --p 4": (0, "314c0f7a9f55aa1f2f24c1aaeb3e12ef1fce91d4da2c0d8bb78602c34ca3de16"),
-    "kp --model oplus:2:5/2 --p 5/2": (0, "5385e0a5b5618505cfc3a006d87e93110402f2b4a244f153f85fe77b561794fd"),
-    "table --model oplus:2:5/2 --kind kp": (0, "9c61d1fce81718061ab1f7df4c970d17caa398650f1c34bf8a03541a11734045"),
-    "decay --model oplus:2:5/2": (0, "c8343f48cc3e3102b2dbf840f1cba38ca7dbc0d5c16494b61eb99999d11f6d83"),
-    "constants --model oplus:2:5/2 --p 4 --r 3": (0, "5edac7b64d0a8dee39107d0c940ff3af2e499c5df9913034fc7507eab1fcf83a"),
-    "kp --model oplus:4:5 --p 4": (0, "6331f23a837dbb96812cf43949a15bed981606c4238eb59208f1aafa098fc204"),
-    "kp --model oplus:4:5 --p 5/2": (0, "23e979d45f6bc78655afe6e96cd380cb50bfabb46d5dfb44064a726a85e385df"),
-    "table --model oplus:4:5 --kind kp": (0, "c1251dbb4bd6861c33ca1fe6fa39061f7e9ae7dd67c3d4d2953c359dcfacbe75"),
-    "decay --model oplus:4:5": (0, "8bf190088aa85825635226d49fc374cf2607d25018fa2ff9cb58e21f3c4bbc3a"),
-    "constants --model oplus:4:5 --p 4 --r 3": (0, "5b92527b0581880bf7392a2cd480bf73f152af8519de516c3eeff3f8bc07ae6b"),
-    "kp --model aut:5:5 --p 4": (0, "1db3867aac332ff484d41724e44f6f494440fface0a528119755f969befa37a3"),
-    "kp --model aut:5:5 --p 5/2": (0, "1538f611fe24f355f5667703e0c4d95fdd0b990280e50e5452ffc2984c66e1a8"),
-    "table --model aut:5:5 --kind kp": (0, "1d7a1b8f2a6bca247c8b732ad6dc895cf9bdc4c296a3a9279db6d3dc0cd760bc"),
-    "decay --model aut:5:5": (0, "12ecc852b0a85e478b2ad1f5060c5dde0ba1f75115eb466d2e52d8260d9ea046"),
-    "constants --model aut:5:5 --p 4 --r 3": (0, "a28c845fd5f35a845e12ec9d1a190a714a36ead1bced65526e26a58f943d33ed"),
-    "kp --model aut:4:5 --p 4": (0, "2a12ed9551b093fcb5bade5b1341782a426b5e108c81d1f29efb4b8f5d61733f"),
-    "kp --model aut:4:5 --p 5/2": (0, "db1c2d252df03d41bda91576e6ef879d51bef33c523b55df0752a95f505f34a6"),
-    "table --model aut:4:5 --kind kp": (0, "9d7609481f4831f1a19523ef6cd818d83d3fbebca6cad24e0b936aac5d6e98fa"),
-    "decay --model aut:4:5": (0, "c73f16731b3fbb9116f3710ef62efe0971ebf9b3321be326e5042004a04b0cb5"),
-    "constants --model aut:4:5 --p 4 --r 3": (0, "c90e047e8f5d50b602ab234e1fe8b181ddaf7804bab6c112a5a36105eb7dcb61"),
-    "kp --model aut:6:7 --p 4": (0, "586991c733dbb29a4ca904ccc2102ab3657be4b85e8697d53ce8c91370985243"),
-    "kp --model aut:6:7 --p 5/2": (0, "5933f54b28b3604ad2c0ff9adb26275d3c87ac9cd89de50e57db08c1fc71aeb0"),
-    "table --model aut:6:7 --kind kp": (0, "ee9d4b51705dbf9f8883f5d2ae260816f2f86b05fc076eca3655a151056e4fed"),
-    "decay --model aut:6:7": (0, "d2a6b327491db16fde7f48b5a83461a2ca19ab48c1e5b49a24fb995017747c0d"),
-    "constants --model aut:6:7 --p 4 --r 3": (0, "fbde9c20acccdf24c1614d51c2cc99c9b9a171f3d67968547a4f991c868f262b"),
-    "kp --model oplus:3:3 --p 4": (0, "7326c0828d9bd8ee8bb87b17ab0e0376d02a13c26c8743e3c656af4c5833b545"),
-    "decay --model oplus:3:3": (0, "90645472c03f03dc2d5d8009654941ba7bcf1675ed7f2d303df5bef47f29439b"),
-    "kp --model aut:4:3 --p 4": (0, "129b2003e8b5c9e076bada649077c760e9240f4dc268a18e25c8de473a10f758"),
-    "decay --model aut:4:3": (0, "c609615484280551285c24fb9c693f3ac3a10101e42e80626ab690ce8d5dbb04"),
-    "kp --model djq:A1:1/2 --p 4": (0, "5f767d267592100724c3c382cbd4dd7aaad63adb99b1e679187bd74d5ee1ca09"),
-    "kp --model djq:A2:1/2 --p 4": (0, "27a1b64a4a58b3c874ac902b536a6f1f297bc84a6a7b675f2ef5d3d2fdd5d0f8"),
-    "kp --model djq:B2:3/4 --p 4": (0, "a08056c233b5e0a46aa5fcffc852885523381c3975354e1ece751ebc7b6e1c82"),
-    "kp --model djq:G2:1/2 --p 4": (0, "6f7b295607131930fa13e7eec9da119e82829e28558513ddb27bf2390db28a9f"),
-    "kp --model djq:A3:1/2 --p 4": (0, "e1d02e242d1dec235cbdac1821571f5da71575860d40906198e052f5fb69343c"),
-    "kp --model djq:C3:1/2 --p 4": (0, "e9adab46ce25c553b77a7e1f297724b1a2b4a634ac90d3808d5861cea530da9e"),
-    "kp --model djq:B3:1/2 --p 4": (0, "3b19a12038073729afe461820bd2708c55dba6b3c8b32f2349013847fc416ffc"),
-    "table --model djq:A2:1/2 --kind kp": (0, "675e6ad780c2ce264ccaeb463ab734331cd025e30141614406c89363791e40c5"),
-    "decay --model djq:A2:1/2": (0, "d7cd902bb4b636f961ee49228fed9dc2d64f6bdce6a1f93cc0f94e949c3d45d2"),
-    "kp --model djq:A3:0.99 --p 4 --max-length 150": (3, "1a0c13c96f44346287282470496d96c486c891945f0cb2e8a5eeb04789793c48"),
-    "kp --model oplus:3:7/2 --p 4 --precision-bits 128": (0, "26358997ca8f07fd4b8b3d674e1f227781b2aa359e615415f2af35df04bbf660"),
-    "kp --model djq:B2:3/4 --p 4 --precision-bits 320": (0, "3502ca9a887d1b751708dca5a0644eddb53f28331278157bddb1eb820e3ac408"),
+    "kp --model oplus:3:7/2 --p 4": (0, "6b6e9e0322208cef211d876d0f47d7ca16ae47bda2248e04d18ffd138f04751e"),
+    "kp --model oplus:3:7/2 --p 5/2": (0, "fa62266548b4d558728e14fbb37af2639d50faa9eca1e58e328eecc3a2c1c0cd"),
+    "table --model oplus:3:7/2 --kind kp": (0, "1a4a5a09ddd8ffd1584a6727fcec26391f75ee0e35dbeb85ef2939208b16cf6a"),
+    "decay --model oplus:3:7/2": (0, "5d70b896072ffec424833110aef01e0a93db624bd793e0246201712497245fc1"),
+    "constants --model oplus:3:7/2 --p 4 --r 3": (0, "fbb0980e935ba7c2b33bc2e90e5c22f2797c864fc8a83f13598254db000d03a9"),
+    "kp --model oplus:2:5/2 --p 4": (0, "657f3fbe77630edb429a3851a28f034d6eaaa16758772263b6d908fe8d6d60d1"),
+    "kp --model oplus:2:5/2 --p 5/2": (0, "b139dbe3e0a399d0cfe891df9ab7d39f670b838265a2b40c63aa82fae8c4c95d"),
+    "table --model oplus:2:5/2 --kind kp": (0, "e7f9a7218089d5493928bf4c1aaac916c1a15c84a713e56098fb1ffd03831fd9"),
+    "decay --model oplus:2:5/2": (0, "2764182bcfa1621567218e5581362c66c3909d49650f5d02804e47eab0e1ca97"),
+    "constants --model oplus:2:5/2 --p 4 --r 3": (0, "2e3064b0a44a61b6355aec39b9c15b61215f30bd7840988e16f1230d5fd489f5"),
+    "kp --model oplus:4:5 --p 4": (0, "17455d12829d8831def32c1dc6250cbad529f500a1abc5ccd9d67bea057a27f7"),
+    "kp --model oplus:4:5 --p 5/2": (0, "da8fa5a3a51c240db9a4c65a171cdc9d210939248cd91818d5aa725b91596868"),
+    "table --model oplus:4:5 --kind kp": (0, "2e98abd26fdaec1a2f28b95ce54db50d55a376165c3e3e7575e8aeeb88c2c617"),
+    "decay --model oplus:4:5": (0, "28fe2c5928f0c126ed776ac24726f4e1702b5fe758051f16991eb255d73d7ff5"),
+    "constants --model oplus:4:5 --p 4 --r 3": (0, "ce5be392b391da6a21803234856db9d2d6881349ccd46594d4be4b6c9c9d684f"),
+    "kp --model aut:5:5 --p 4": (0, "78e823e187fcdaf9d6d2de8dd7f1b85e6e6607b1b59f59bf8aa5b3ee273d5b37"),
+    "kp --model aut:5:5 --p 5/2": (0, "a1945288a8ac4df863d1de6411bd0d7b8ab97cf17d338193d88cea4efb07f63c"),
+    "table --model aut:5:5 --kind kp": (0, "2566333727f372f3d61f1834886a37488dd8ccde1c884b4953ec8df03fa8ddea"),
+    "decay --model aut:5:5": (0, "f0ee649407035735e2347564f5f18ba0e31e3d16a5fa24cc56366ffe6155cb87"),
+    "constants --model aut:5:5 --p 4 --r 3": (0, "3aa251f93a5f4d98b82d2ce9b33c52b499e6a1e9ceed73e160b5883632e4a885"),
+    "kp --model aut:4:5 --p 4": (0, "e3d5f2fe24499c4f75341bae0dc21d7938ffd23b1685b6ee70532c03d77cb2c9"),
+    "kp --model aut:4:5 --p 5/2": (0, "d05497a3d26d675904fc63443a448a06641c446c6e3a2b059d7c9a8daf850133"),
+    "table --model aut:4:5 --kind kp": (0, "5900e64e4ededcee2a047ed86896df9781cfc193bef0dd3196fde4e346e6638d"),
+    "decay --model aut:4:5": (0, "8ef7c10db50585844df50967ebdbe296b0f2c078ef9715c37feb8a33ae75b6ef"),
+    "constants --model aut:4:5 --p 4 --r 3": (0, "ec9b388b2ff6667b02177716e37ab7b982f8fa62b3b49b812b731242000134fa"),
+    "kp --model aut:6:7 --p 4": (0, "64010e1c1724e2bcefb906e1854e529cc7faceea6ef38e93d7c4dfd63c435b8d"),
+    "kp --model aut:6:7 --p 5/2": (0, "651e03f5f40e46063ebd1d14d1e83ba056d1d5dcdf63598ad87c4ac5bf5d4481"),
+    "table --model aut:6:7 --kind kp": (0, "41c8c10726ee6286d120a2f2efb867a3f936b6e31c8ebb94c19a54ed9ee2f1e8"),
+    "decay --model aut:6:7": (0, "e8d37a35f7a3c7c8ee23f11424f7c2526629a6aa044659409c80d8a87fb67334"),
+    "constants --model aut:6:7 --p 4 --r 3": (0, "65ee3118964edac57e138cc2ef6a9ea25ac8214ef7586bf055911d7fda4468d4"),
+    "kp --model oplus:3:3 --p 4": (0, "30755cde9768264baf85bef43a4ef6eb552b290d6387b7be021fe2017a79b9b3"),
+    "decay --model oplus:3:3": (0, "30f6cacf3e6e6795692c2f91493f054e2526a9c3a5794dd573565069b03d5099"),
+    "kp --model aut:4:3 --p 4": (0, "5597c575b8b0480b6767f427d466329c0eba4ebff16398b160808ec4369b3004"),
+    "decay --model aut:4:3": (0, "3795e58954e9fe4f1fd54e256e9de309b198f529c3bcf469404b28c8400e122c"),
+    "kp --model djq:A1:1/2 --p 4": (0, "df1edec124790c74338e0b54918889fbe8302d37ee746ed47300b42023274c5f"),
+    "kp --model djq:A2:1/2 --p 4": (0, "692ed5577593c77ab10b3f91e2293b3d7fcaddae9b71098288dd5dc12b8cb03d"),
+    "kp --model djq:B2:3/4 --p 4": (0, "49d8ef9b7f5088927fd294b51fd66f79de22a12ba465a0d526fe8741339abe32"),
+    "kp --model djq:G2:1/2 --p 4": (0, "b94582926e165c95e0e6f9ce8cecd1ea42d279155707461ab2d4b21d81b9fdb6"),
+    "kp --model djq:A3:1/2 --p 4": (0, "df810ca46b67b80128beda6b1a98df55119e88985212a1be8870f046183059b7"),
+    "kp --model djq:C3:1/2 --p 4": (0, "430c143b0a3a592fd5bd34b1bec0ee3707f8abfc6c32632b4e2839f404c52479"),
+    "kp --model djq:B3:1/2 --p 4": (0, "cc339d1f2a7f469c84a579594b823dccbd7a521d328c44fab6426b35521a91be"),
+    "table --model djq:A2:1/2 --kind kp": (0, "7d8f20d8b9d0e492a7f34303c977a3769b9c26a71fa11e686e9f16cf6d036f5e"),
+    "decay --model djq:A2:1/2": (0, "8cb7453b374e6d90e9a23190617e24f0efe63ea7963a4dccb832ea602b26592d"),
+    "kp --model djq:A3:0.99 --p 4 --max-length 150": (3, "b6ce5fb25e4de3f4442ca2e48bfbfb4856a20fcc87b33f4d54b9b169da099623"),
+    "kp --model oplus:3:7/2 --p 4 --precision-bits 128": (0, "ea2e00ac87d53520b4a5ae46db3eaba4625ff087f10f209670231c47f175cfec"),
+    "kp --model djq:B2:3/4 --p 4 --precision-bits 320": (0, "85a5a849dd2274a31102a93786e2fc06f94a1d9f9bfb62e71d7ed15a1cb1a759"),
+    "kp --model oplus:3:100 --p 5/2": (0, "e88a6eee7d3a2a9a04e03a85f6fe3761f0e57e9710903fdf027609d6a15002cc"),
+    "kp --model oplus:3:7/2 --p 4 --max-length 10": (3, "bca66216e10b010dc873164529ebd502db7e3155f1a6810ac9941463ec5bdfc0"),
+    "kp --model oplus:3:3.01 --p 4": (0, "e62a6fb204da17bb6207e590e1a48e813dd5dad9e761ad6e314aeca96593b307"),
 }
 
 
