@@ -4,9 +4,9 @@ Every command of the command-line tool loads this module, so it holds only
 what they share: :func:`as_fraction`, :func:`rational_inverse` (for the
 root-system Gram matrix), the working-precision default and the exceptions
 the tool reports, which the high-precision :mod:`cqgkhint.khintchine`
-re-exports.  It never imports mpmath.  The radical monomials of the
-modular-automorphism layer live in :mod:`cqgkhint.radical`, which no command
-loads.
+re-exports.  It never imports mpmath.  The one-root radicals
+``coef * base^(1/index)`` of the modular-automorphism layer live in
+:mod:`cqgkhint.radical`, which no command loads.
 """
 
 from __future__ import annotations

@@ -1,167 +1,142 @@
-"""Exact radical monomials: numbers ``r * prod(b_i ** e_i)``.
+"""Exact one-root radicals: real numbers ``coef * base ** (1/index)``.
 
-The modular-automorphism layer needs numbers of the form ``r * prod(b_i ** e_i)``
-with rational ``r``, positive rational bases ``b_i`` and rational exponents
-``e_i`` (for instance ``sqrt(Q_jj)`` when a character is smoothed).  Products,
-powers and magnitude-squares of such numbers never leave this class, and all
-the identity checks in :mod:`cqgkhint.schur` collapse back to plain rationals
-by exponent cancellation, so equality tests stay exact.
+The modular-automorphism layer needs numbers such as ``sqrt(Q_jj)`` or
+``(Q_ss Q_tt)^s`` for rational ``s``: real numbers ``v`` with some power
+``v^n`` rational.  Products, quotients, rational powers and magnitude-squares
+of such numbers never leave this class, and the identity checks of
+:mod:`cqgkhint.schur` compare them exactly.
+
+A nonzero value is stored as ``coef * base ** (1/index)`` with a rational
+``coef``, a positive rational ``base`` and ``index`` the least ``n >= 1`` with
+``v^n`` rational.
+
+*The least index is canonical.*  The ``n >= 1`` with ``v^n`` rational are the
+positive multiples of the least one, ``n_0``: if ``v^a`` and ``v^b`` are
+rational, so is ``v^gcd(a, b) = v^(xa + yb)`` (``v != 0``).  So ``n_0`` depends
+on the value alone, and so does the rational ``v^n_0 = coef^n_0 * base``.
+Since ``v`` is the real ``n_0``-th root of ``v^n_0`` of its sign, the triple
+``(index, sign, coef^index * base)`` identifies the value: ``==`` and
+``hash`` compare it, and equality is exact for every input.
+
+*Reducing the index.*  Any ``c * B^(1/N)`` has ``v^N`` rational, so ``n_0``
+divides ``N``.  If ``n_0 < n`` for a multiple ``n`` of ``n_0``, some prime
+``r`` divides ``n / n_0``, and then ``v^(n/r) = c^(n/r) B^(1/r)`` is rational:
+``B`` is a perfect ``r``-th power.  So the pass that lowers ``n`` by ``r``,
+taking ``B`` to its ``r``-th root, while ``B`` is a perfect ``r``-th power, for
+each prime ``r | N``, ends at ``n_0`` as long as each prime it has finished
+with stays finished.  It does: a base that is not an ``r``-th power never
+becomes one by taking roots, because ``b^s`` is an ``r``-th power whenever
+``b`` is.  No base is ever factored; only the index is, by trial division up
+to its square root.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable
 
 from .exact import ExactArithmeticError, as_fraction
 
 __all__ = ["Radical", "sqrt_exact"]
 
 
-_SMALL_PRIMES: list[int] = []
-_SIEVE_BOUND = 0
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing ``n >= 1``, by trial division up to ``sqrt(n)``."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
-def _primes_up_to(n: int) -> list[int]:
-    global _SMALL_PRIMES, _SIEVE_BOUND
-    if _SIEVE_BOUND >= n:
-        return _SMALL_PRIMES
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    _SMALL_PRIMES = [i for i, v in enumerate(sieve) if v]
-    _SIEVE_BOUND = n
-    return _SMALL_PRIMES
+def _int_root(n: int, r: int) -> int | None:
+    """The integer ``r``-th root of ``n >= 1``, or ``None`` if there is none."""
+    if r == 2:
+        x = math.isqrt(n)
+    elif n.bit_length() <= r:  # 1 <= n < 2^r: only 1 is an r-th power here
+        x = 1
+    else:
+        # integer Newton from above: x_{k+1} = ((r-1) x_k + n // x_k^(r-1)) // r
+        x = 1 << -(-n.bit_length() // r)
+        while True:
+            y = ((r - 1) * x + n // x ** (r - 1)) // r
+            if y >= x:
+                break
+            x = y
+    return x if x**r == n else None
 
 
-_FACTOR_LIMIT = 3000
-_FACTOR_CACHE: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+def _fraction_root(x: Fraction, r: int) -> Fraction | None:
+    """The positive rational ``r``-th root of ``x > 0``, or ``None``."""
+    num = _int_root(x.numerator, r)
+    if num is None:
+        return None
+    den = _int_root(x.denominator, r)
+    return None if den is None else Fraction(num, den)
 
 
-def _factor_int(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Trial-divide ``n > 0``; return (prime powers, unfactored remainder).
-
-    Memoised by value: radical normalisation refactors the same bases over
-    and over in the identity checks.
-    """
-    cached = _FACTOR_CACHE.get(n)
-    if cached is not None:
-        return cached
-    original = n
-    powers: dict[int, int] = {}
-    for p in _primes_up_to(_FACTOR_LIMIT):
-        if p * p > n:
-            break
-        while n % p == 0:
-            powers[p] = powers.get(p, 0) + 1
-            n //= p
-    if n > 1 and n <= _FACTOR_LIMIT * _FACTOR_LIMIT:
-        # remaining cofactor below the square of the trial bound is prime
-        powers[n] = powers.get(n, 0) + 1
-        n = 1
-    result = (tuple(sorted(powers.items())), n)
-    if len(_FACTOR_CACHE) < 200_000:
-        _FACTOR_CACHE[original] = result
-    return result
+def _make(coef: Fraction, base: Fraction, index: int) -> "Radical":
+    """A radical from a form already known to be reduced."""
+    out = object.__new__(Radical)
+    out.coef, out.base, out.index = coef, base, index
+    return out
 
 
-def _split_base(base) -> tuple[tuple[tuple[object, int], ...]]:
-    """Canonical multiplicative splitting of a positive rational base.
-
-    Returns ``((factor, multiplicity), ...)`` where factors are prime ints
-    plus at most two opaque leftovers (as Fractions) that resisted factoring.
-    """
-    base = as_fraction(base)
-    if base <= 0:
-        raise ExactArithmeticError(f"radical base must be positive, got {base}")
-    parts: list[tuple[object, int]] = []
-    powers_n, rest_n = _factor_int(base.numerator)
-    powers_d, rest_d = _factor_int(base.denominator)
-    parts.extend(powers_n)
-    parts.extend((p, -k) for p, k in powers_d)
-    if rest_n != 1 or rest_d != 1:
-        parts.append((Fraction(rest_n, rest_d), 1))
-    return tuple(parts)
-
-
-_SPLIT_CACHE: dict[object, tuple] = {}
-
-
-def _split_base_cached(base):
-    key = base
-    hit = _SPLIT_CACHE.get(key)
-    if hit is None:
-        hit = _split_base(base)
-        if len(_SPLIT_CACHE) < 100_000:
-            _SPLIT_CACHE[key] = hit
-    return hit
-
-
-def _base_sort_key(base):
-    if isinstance(base, int):
-        return (0, base, 1)
-    return (1, base.numerator, base.denominator)
+_ONE = Fraction(1)
 
 
 class Radical:
-    """Exact positive-real monomial ``coef * prod(base ** exp)``.
+    """Exact real number ``coef * base ** (1/index)``.
 
-    ``coef`` is a rational (zero only for the zero element); every stored
-    base is a prime integer or an opaque positive rational that resisted
-    factoring, and every exponent is a rational in ``(0, 1)`` after
-    normalisation.  With exponents constrained to proper fractions the
-    representation is unique (logs of distinct primes are linearly
-    independent over the rationals), so ``==`` is a genuine equality test on
-    values (conservative only across distinct opaque leftovers).
+    ``coef`` is rational (zero only for the zero element), ``base`` a positive
+    rational and ``index`` the least ``n`` with ``value^n`` rational (see the
+    module docstring); a rational value has ``index == 1`` and ``base == 1``.
     """
 
-    __slots__ = ("coef", "radical")
+    __slots__ = ("coef", "base", "index")
 
-    def __init__(self, coef, radical: Iterable[tuple[object, Fraction]] = ()):
-        coef = as_fraction(coef)
-        if coef == 0:
-            self.coef = Fraction(0)
-            self.radical = ()
-            return
-        merged: dict[object, Fraction] = {}
-        for base, exp in radical:
-            if exp == 0 or base == 1:
-                continue
-            if isinstance(base, int):
-                # int bases are primes by construction; keep them as-is
-                merged[base] = merged.get(base, 0) + exp
-            else:
-                for factor, mult in _split_base_cached(base):
-                    merged[factor] = merged.get(factor, 0) + mult * exp
-        parts: list[tuple[object, Fraction]] = []
-        for base, exp in merged.items():
-            exp = as_fraction(exp)
-            whole, frac = divmod(exp, 1)
-            if whole:
-                coef *= Fraction(base) ** int(whole)
-            if frac:
-                parts.append((base, frac))
-        parts.sort(key=lambda item: _base_sort_key(item[0]))
+    def __init__(self, coef, base=1, index: int = 1):
+        coef, base = as_fraction(coef), as_fraction(base)
+        if index < 1:
+            raise ValueError(f"radical index must be >= 1, got {index}")
+        if base <= 0:
+            raise ExactArithmeticError(f"radical base must be positive, got {base}")
+        if coef == 0 or base == 1:
+            index = 1
+        else:
+            for r in _prime_factors(index):
+                while index % r == 0:
+                    root = _fraction_root(base, r)
+                    if root is None:
+                        break
+                    base, index = root, index // r
+        if index == 1:
+            coef, base = coef * base, _ONE
         self.coef: Fraction = coef
-        self.radical: tuple[tuple[object, Fraction], ...] = tuple(parts)
+        self.base: Fraction = base
+        self.index: int = index
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_rational(cls, x) -> "Radical":
-        return cls(as_fraction(x))
+        return cls(x)
 
     # -- predicates / conversions --------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return not self.radical
+        return self.index == 1
 
     def as_fraction(self) -> Fraction:
-        if self.radical:
+        if self.index != 1:
             raise ExactArithmeticError(f"{self!r} is irrational")
         return self.coef
 
@@ -169,17 +144,16 @@ class Radical:
         import mpmath
 
         val = mpmath.mpf(self.coef.numerator) / self.coef.denominator
-        for base, exp in self.radical:
-            if isinstance(base, int):
-                b = mpmath.mpf(base)
-            else:
-                b = mpmath.mpf(base.numerator) / base.denominator
-            e = mpmath.mpf(exp.numerator) / exp.denominator
-            val *= mpmath.power(b, e)
-        return val
+        if self.index == 1:
+            return val
+        base = mpmath.mpf(self.base.numerator) / self.base.denominator
+        return val * mpmath.root(base, self.index)
 
     def __float__(self) -> float:
-        return float(self.to_mpf())
+        if self.index == 1:
+            return float(self.coef)
+        log_base = math.log(self.base.numerator) - math.log(self.base.denominator)
+        return float(self.coef) * math.exp(log_base / self.index)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -187,13 +161,21 @@ class Radical:
     def _coerce(other) -> "Radical":
         if isinstance(other, Radical):
             return other
-        return Radical(as_fraction(other))
+        return Radical(other)
 
     def __mul__(self, other) -> "Radical":
         other = self._coerce(other)
         if self.coef == 0 or other.coef == 0:
             return Radical(0)
-        return Radical(self.coef * other.coef, list(self.radical) + list(other.radical))
+        coef = self.coef * other.coef
+        # a rational factor keeps the other's base and index
+        if self.index == 1:
+            return _make(coef, other.base, other.index)
+        if other.index == 1:
+            return _make(coef, self.base, self.index)
+        index = math.lcm(self.index, other.index)
+        base = self.base ** (index // self.index) * other.base ** (index // other.index)
+        return Radical(coef, base, index)
 
     __rmul__ = __mul__
 
@@ -205,18 +187,17 @@ class Radical:
 
     def __pow__(self, exponent) -> "Radical":
         exponent = as_fraction(exponent)
+        p, q = exponent.numerator, exponent.denominator
         if self.coef == 0:
             if exponent <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
             return Radical(0)
-        if self.coef < 0 and exponent.denominator != 1:
+        if q == 1:
+            return Radical(self.coef**p, self.base**p, self.index)
+        if self.coef < 0:
             raise ExactArithmeticError("fractional power of a negative value")
-        parts = [(base, exp * exponent) for base, exp in self.radical]
-        if exponent.denominator == 1:
-            return Radical(self.coef ** int(exponent), parts)
-        # move the coefficient into the radical part
-        parts.append((self.coef, exponent))
-        return Radical(1, parts)
+        # (c B^(1/D))^(p/q) = (c^(pD) B^p)^(1/(qD))
+        return Radical(1, self.coef ** (p * self.index) * self.base**p, q * self.index)
 
     def __add__(self, other) -> "Radical":
         other = self._coerce(other)
@@ -224,23 +205,27 @@ class Radical:
             return other
         if other.coef == 0:
             return self
-        if self.radical != other.radical:
-            raise ExactArithmeticError(
-                "cannot add radicals with different monomial parts exactly"
-            )
-        return Radical(self.coef + other.coef, self.radical)
+        if self.index == other.index:
+            if self.base == other.base:
+                ratio = _ONE
+            else:
+                # rationally proportional exactly when base'/base is an index-th power
+                ratio = _fraction_root(other.base / self.base, self.index)
+            if ratio is not None:
+                coef = self.coef + other.coef * ratio
+                return _make(coef, self.base, self.index) if coef else Radical(0)
+        raise ExactArithmeticError(f"cannot add {self!r} and {other!r} exactly")
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Radical":
-        other = self._coerce(other)
-        return self + Radical(-other.coef, other.radical)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other) -> "Radical":
         return self._coerce(other) - self
 
     def __neg__(self) -> "Radical":
-        return Radical(-self.coef, self.radical)
+        return _make(-self.coef, self.base, self.index)
 
     def abs_squared(self) -> "Radical":
         """``|x|^2`` (values here are real, so this is just the square)."""
@@ -248,23 +233,32 @@ class Radical:
 
     # -- comparison ------------------------------------------------------
 
+    def _key(self) -> tuple:
+        """``(index, sign, value^index)``, which identifies the value."""
+        return (self.index, self.coef > 0, self.coef**self.index * self.base)
+
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Rational, int)):
-            return self.is_rational and self.coef == other
-        if not isinstance(other, Radical):
-            return NotImplemented
-        return self.coef == other.coef and self.radical == other.radical
+        if self is other:
+            return True
+        if isinstance(other, Radical):
+            if self.index != other.index:
+                return False
+            if self.base is other.base or self.base == other.base:
+                return self.coef == other.coef
+            return self._key() == other._key()
+        if isinstance(other, Rational):
+            return self.index == 1 and self.coef == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.is_rational:
+        if self.index == 1:
             return hash(self.coef)
-        return hash((self.coef, self.radical))
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        if self.is_rational:
+        if self.index == 1:
             return f"Radical({self.coef})"
-        rad = "*".join(f"({b})^({e})" for b, e in self.radical)
-        return f"Radical({self.coef}*{rad})"
+        return f"Radical({self.coef}*({self.base})^(1/{self.index}))"
 
 
 def sqrt_exact(x) -> Radical:

@@ -116,7 +116,7 @@ class CoefficientVector:
                 raise ValueError(
                     f"index ({i}, {j}) outside 0..{n - 1} for label {label!r}"
                 )
-            if not _is_zero(value):
+            if value != 0:
                 self.entries[(label, i, j)] = _canonical_value(value)
 
     def copy_with(self, entries) -> "CoefficientVector":
@@ -136,15 +136,6 @@ class CoefficientVector:
                 merged[key] = value
         return CoefficientVector(spectra, merged)
 
-    def support_labels(self) -> set:
-        return {label for (label, _, _) in self.entries}
-
-
-def _is_zero(value) -> bool:
-    if isinstance(value, Radical):
-        return value.coef == 0
-    return value == 0
-
 
 def _canonical_value(value):
     if isinstance(value, (int, Rational)) and not isinstance(value, bool):
@@ -154,19 +145,13 @@ def _canonical_value(value):
 
 def _add_values(a, b):
     if isinstance(a, (Fraction, Radical)) and isinstance(b, (Fraction, Radical)):
-        ar = a if isinstance(a, Radical) else Radical.from_rational(a)
-        br = b if isinstance(b, Radical) else Radical.from_rational(b)
-        out = ar + br
-        return out.as_fraction() if out.is_rational else out
-    return _to_complex(a) + _to_complex(b)
+        return _simplify(a + b)
+    return complex(a) + complex(b)
 
 
-def _to_complex(value) -> complex:
-    if isinstance(value, Radical):
-        return complex(float(value))
-    if isinstance(value, Fraction):
-        return complex(value)
-    return complex(value)
+def _simplify(value):
+    """A rational :class:`Radical` as its :class:`Fraction`; anything else as is."""
+    return value.as_fraction() if isinstance(value, Radical) and value.is_rational else value
 
 
 def character_vector(label, spectrum: QSpectrum, coefficient=1) -> CoefficientVector:
@@ -193,10 +178,9 @@ def apply_modular_imaginary(vec: CoefficientVector, s) -> CoefficientVector:
         diag = diagonals[label]
         multiplier = _exact_q(diag[i]) ** s * _exact_q(diag[j]) ** s
         if isinstance(value, (Fraction, Radical)):
-            new = multiplier * value
-            new = new.as_fraction() if isinstance(new, Radical) and new.is_rational else new
+            new = _simplify(multiplier * value)
         else:
-            new = _to_complex(value) * float(multiplier)
+            new = complex(value) * float(multiplier)
         out[(label, i, j)] = new
     return vec.copy_with(out)
 
@@ -217,7 +201,7 @@ def apply_modular_automorphism(vec: CoefficientVector, z: complex) -> Coefficien
         diag = diagonals[label]
         base = float(_exact_q(diag[i]) * _exact_q(diag[j]))
         multiplier = cmath.exp(1j * z * cmath.log(base))
-        out[(label, i, j)] = _to_complex(value) * multiplier
+        out[(label, i, j)] = complex(value) * multiplier
     return vec.copy_with(out)
 
 
@@ -243,11 +227,11 @@ def l2_norm_squared(vec):
                 / traces[label]
             )
             total = total + term
-        return total.as_fraction() if total.is_rational else total
+        return _simplify(total)
     total_f = 0.0
     for (label, i, j), value in vec.entries.items():
         diag = diagonals[label]
-        c = _to_complex(value)
+        c = complex(value)
         total_f += (c.conjugate() * c).real * float(_exact_q(diag[i]) ** -1) / float(
             traces[label]
         )
@@ -280,11 +264,8 @@ def smoothed_character_norm_check(spectrum: QSpectrum) -> SmoothingCheck:
     chi = character_vector("chi", spectrum)
     smoothed = apply_modular_imaginary(chi, Fraction(1, 4))
     lhs = l2_norm_squared(smoothed)
-    rhs = Radical.from_rational(spectrum.n) / _exact_q(spectrum.trace())
-    rhs = rhs.as_fraction() if rhs.is_rational else rhs
-    lhs_cmp = _exact_q(lhs) if not isinstance(lhs, Radical) else lhs
-    rhs_cmp = _exact_q(rhs) if not isinstance(rhs, Radical) else rhs
-    return SmoothingCheck(lhs=lhs, rhs=rhs, equal=lhs_cmp == rhs_cmp)
+    rhs = _simplify(spectrum.n / _exact_q(spectrum.trace()))
+    return SmoothingCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
 def modular_duality_check(spectrum: QSpectrum) -> bool:
@@ -322,50 +303,57 @@ def modular_duality_check(spectrum: QSpectrum) -> bool:
 
 
 class CentralSeries:
-    """Finite central series ``sum_a x_a (x) chi_a`` with matrix coefficients."""
+    """Finite central series ``sum_a x_a (x) chi_a`` with matrix coefficients.
+
+    Each coefficient ``x_a`` is kept as a ``dim x dim`` tuple of rows of
+    ``complex``, read from any nested sequence (numpy arrays included).
+    """
 
     def __init__(self, dim: int, terms: Mapping, spectra: Mapping):
-        import numpy as np  # loaded on first use: nothing else in the package needs it
-
         self.dim = int(dim)
         self.spectra = dict(spectra)
         self.terms = {}
         for label, matrix in terms.items():
             if label not in self.spectra:
                 raise MissingQDataError(f"no modular data for label {label!r}")
-            arr = np.asarray(matrix, dtype=complex)
-            if arr.shape != (self.dim, self.dim):
+            try:
+                rows = tuple(tuple(complex(v) for v in row) for row in matrix)
+            except TypeError:
+                rows = None
+            if rows is None or len(rows) != self.dim or any(len(r) != self.dim for r in rows):
                 raise ValueError(
-                    f"coefficient for {label!r} has shape {arr.shape}, "
-                    f"expected ({self.dim}, {self.dim})"
+                    f"coefficient for {label!r} is not a ({self.dim}, {self.dim}) matrix"
                 )
-            self.terms[label] = arr
+            self.terms[label] = rows
+
+
+def _frobenius_squared(x) -> float:
+    """``tr(x^* x) = sum_ij |x_ij|^2``."""
+    return sum(v.real * v.real + v.imag * v.imag for row in x for v in row)
 
 
 def series_norm_squared_direct(series: CentralSeries) -> float:
     """Shortcut ``sum_a tr(x_a^* x_a)`` using orthonormality of characters."""
-    return float(sum((x.conj().T @ x).trace().real for x in series.terms.values()))
+    return float(sum(_frobenius_squared(x) for x in series.terms.values()))
 
 
 def series_norm_squared_expanded(series: CentralSeries) -> float:
     """Independent expansion of ``||f||^2`` through the left Schur relation.
 
-    Expands ``(tr (x) h)(f^* f)`` over all matrix-entry pairs of each
-    character, keeping the ``Q_ii^{-1}/d`` weights explicit (cross-label terms
-    vanish by orthogonality of inequivalent irreducibles).  Equality with
-    :func:`series_norm_squared_direct` uses ``Tr(Q^{-1}) = Tr(Q) = d``.
+    Expands ``(tr (x) h)(f^* f)`` over the matrix entries of each character:
+    ``h((u_ii)^* u_jj) = delta_ij Q_ii^{-1}/d``, so only the ``n`` diagonal
+    pairs contribute, each with its ``Q_ii^{-1}/d`` weight kept explicit
+    (cross-label terms vanish by orthogonality of inequivalent irreducibles).
+    Equality with :func:`series_norm_squared_direct` uses
+    ``Tr(Q^{-1}) = Tr(Q) = d``.
     """
     total = 0.0
     for label, x in series.terms.items():
         spec = series.spectra[label]
-        diag = spec.diagonal()
         d = float(_exact_q(spec.trace()))
-        coeff = float((x.conj().T @ x).trace().real)
-        for i in range(spec.n):
-            for j in range(spec.n):
-                if i != j:
-                    continue  # h((u_ii)^* u_jj) = 0 unless i == j
-                total += coeff * float(_exact_q(diag[i]) ** -1) / d
+        coeff = _frobenius_squared(x)
+        for q_ii in spec.diagonal():
+            total += coeff * float(_exact_q(q_ii) ** -1) / d
     return total
 
 
@@ -393,8 +381,7 @@ def l2_khintchine_check(series: CentralSeries, k2: float | None = None) -> L2Khi
     lhs_sq_exp = series_norm_squared_expanded(series)
     lhs_sq_dir = series_norm_squared_direct(series)
     lhs = lhs_sq_exp**0.5
-    gram = sum(x.conj().T @ x for x in series.terms.values())
-    square_function = float(gram.trace().real) ** 0.5
+    square_function = lhs_sq_dir**0.5  # tr(sum_a x_a^* x_a)^{1/2}
     if k2 is None:
         k2 = (
             1.0

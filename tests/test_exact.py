@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -116,3 +118,75 @@ def test_radical_pow_tower(a, e, k):
 def test_radical_sqrt_multiplicativity(a, b):
     assert sqrt_exact(a) * sqrt_exact(b) == sqrt_exact(a * b)
     assert (sqrt_exact(a) * sqrt_exact(a)).as_fraction() == a
+
+
+# -- one-root form: equality is exact for every base, however large ----------
+
+P, Q = 3001, 3011  # primes above any trial-division bound of small primes
+
+
+def test_product_of_large_prime_roots_equals_root_of_product():
+    assert sqrt_exact(P) * sqrt_exact(Q) == sqrt_exact(P * Q)
+
+
+def test_root_of_large_square_is_rational():
+    r = sqrt_exact((P * Q) ** 2)
+    assert r.is_rational and r.as_fraction() == P * Q
+
+
+def test_sum_of_equal_values_built_by_different_routes():
+    assert sqrt_exact(P) * sqrt_exact(Q) + sqrt_exact(P * Q) == 2 * sqrt_exact(P * Q)
+
+
+def test_hash_is_consistent_with_equality():
+    assert hash(sqrt_exact(4)) == hash(2) and sqrt_exact(4) == 2
+    assert hash(sqrt_exact(Fraction(9, 4))) == hash(Fraction(3, 2))
+    a = sqrt_exact(P) * sqrt_exact(Q)
+    b = sqrt_exact(P * Q)
+    c = Radical.from_rational(P * Q) ** Fraction(3, 2) / (P * Q)
+    assert a == b == c and hash(a) == hash(b) == hash(c)
+    assert hash(sqrt_exact(8)) == hash(2 * sqrt_exact(2))
+    assert len({sqrt_exact(2) * sqrt_exact(3), sqrt_exact(6), 2 * sqrt_exact(Fraction(3, 2))}) == 1
+
+
+def test_large_exponent_denominator_is_fast():
+    # the index is factored up to its square root; the base is never factored
+    start = time.perf_counter()
+    x = Radical.from_rational(2) ** Fraction(1, 10007)
+    assert not x.is_rational and x.index == 10007
+    assert x**10007 == 2
+    assert abs(float(x) - 2 ** (1 / 10007)) < 1e-15
+    assert time.perf_counter() - start < 1.0
+
+
+def test_least_index_and_sign():
+    x = Radical.from_rational(64) ** Fraction(1, 6)  # 64^(1/6) = 2
+    assert x.is_rational and x == 2
+    y = Radical.from_rational(4) ** Fraction(1, 6)  # 4^(1/6) = 2^(1/3)
+    assert y.index == 3 and y == Radical.from_rational(2) ** Fraction(1, 3)
+    assert -sqrt_exact(2) != sqrt_exact(2)
+    assert (-sqrt_exact(2)) ** 2 == 2 and (-sqrt_exact(2)) ** 3 == -2 * sqrt_exact(2)
+    with pytest.raises(ExactArithmeticError):
+        _ = sqrt_exact(2) + Radical.from_rational(2) ** Fraction(1, 3)
+
+
+large_primes = st.sampled_from([3001, 3011, 3019, 4099, 7919, 10007, 65537, 1_000_003])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.lists(large_primes, min_size=1, max_size=3),
+    b=st.lists(large_primes, min_size=1, max_size=3),
+    k=st.integers(1, 3),
+)
+def test_radical_products_of_large_primes(a, b, k):
+    m = math.prod(a)
+    n = math.prod(b)
+    lhs = sqrt_exact(m) * sqrt_exact(n)
+    rhs = sqrt_exact(m * n)
+    assert lhs == rhs and hash(lhs) == hash(rhs)
+    assert (lhs + rhs) == 2 * rhs
+    cube = Radical.from_rational(m) ** Fraction(k, 3) * Radical.from_rational(n) ** Fraction(k, 3)
+    assert cube == Radical.from_rational(m * n) ** Fraction(k, 3)
+    assert cube**3 == (m * n) ** k
+    assert sqrt_exact(m * m * n).is_rational == (math.isqrt(n) ** 2 == n)

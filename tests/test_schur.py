@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +258,40 @@ def test_series_shape_validation():
         schur.CentralSeries(2, {0: np.eye(3)}, {0: a1_spectrum()})
     with pytest.raises(schur.MissingQDataError):
         schur.CentralSeries(2, {0: np.eye(2)}, {})
+    for bad in ([[1.0, 2.0], [3.0]], [1.0, 2.0], 1.0):  # ragged, a 1-D row, a scalar
+        with pytest.raises(ValueError):
+            schur.CentralSeries(2, {0: bad}, {0: a1_spectrum()})
+
+
+def test_central_series_runs_without_numpy():
+    # numpy is a test dependency only: the Schur layer takes nested lists and tuples
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from fractions import Fraction\n"
+        "from cqgkhint import schur\n"
+        "from cqgkhint.rootsys import QSpectrum\n"
+        "spectra = {0: QSpectrum(((Fraction(1), 2),)), 1: schur.symmetrize_spectrum([2, 1, 3])}\n"
+        "terms = {0: [[3, 0], [0, 4j]], 1: ((1.0, 2.0), (0.5, -1.0))}\n"
+        "series = schur.CentralSeries(2, terms, spectra)\n"
+        "chk = schur.l2_khintchine_check(series)\n"
+        "direct = schur.series_norm_squared_direct(series)\n"
+        "expanded = schur.series_norm_squared_expanded(series)\n"
+        "assert chk.holds and direct == 31.25, direct\n"
+        "assert abs(expanded - direct) < 1e-12 and abs(schur.l2_norm(series) - 31.25**0.5) < 1e-12\n"
+        "print(sorted(m for m, mod in sys.modules.items() if mod and m.split('.')[0] == 'numpy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_l2_norm_accepts_series():
