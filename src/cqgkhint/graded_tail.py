@@ -1,10 +1,12 @@
 """Certified Euler-Maclaurin tail of the graded families ``oplus`` and ``aut``.
 
-The geometric tail of :class:`cqgkhint.khintchine._GradedPlan` certifies a
-cutoff ``L`` only once ``rho^L`` itself is below ``tol``, so near the Kac
-point, where ``rho -> 1``, it needs thousands of levels.  This module
-encloses the tail beyond ``L`` by the closed-form asymptotics of the summand
-instead, so that the cutoff depends on ``u^(-2L)``, whatever ``rho`` is.
+This module is the only tail of a non-Kac graded ``K_p``: it decides the
+cutoff, encloses the tail beyond it, and bounds the tail beyond any length.
+A geometric bound on the summand certifies a cutoff ``L`` only once
+``rho^L`` itself is below ``tol``, so near the Kac point, where
+``rho -> 1``, it needs thousands of levels.  This module encloses the tail
+beyond ``L`` by the closed-form asymptotics of the summand instead, so that
+the cutoff depends on ``u^(-2L)``, whatever ``rho`` is.
 
 The summand.  Level ``k`` of a non-Kac graded model has ``m = s k + 1`` and
 ``(n, d) = (f_(m-1)(t_n), f_(m-1)(t_d))`` with ``f_j(t) = (u^(j+1) -
@@ -77,8 +79,11 @@ plus its maximum, taken at ``m = a / c1``.  The spread of ``G`` adds at
 most ``delta B`` to the width, so ``2 delta B <= tol`` leaves at least half
 of ``tol`` to the Euler-Maclaurin part; it is monotone in ``L``.
 
-Only :meth:`cqgkhint.khintchine._GradedPlan.asymptotic_tail` loads this
-module, for a non-Kac graded ``K_p`` evaluation.  It runs on mpmath's
+The bound.  :meth:`GradedTail.tail_bound` is a plain upper bound on the tail,
+for any ``L``, from the same constants: see its docstring.
+
+Only :class:`cqgkhint.khintchine._GradedPlan` loads this module, for the
+``K_p`` or a tail bound of a non-Kac graded model.  It runs on mpmath's
 ``libmp`` alone, and imports no mpmath module.
 """
 
@@ -96,7 +101,7 @@ round_floor, round_ceiling = libmp.round_floor, libmp.round_ceiling
 mpf_div, mpf_mul = libmp.mpf_div, libmp.mpf_mul
 
 # the most Euler-Maclaurin corrections tried: beyond, the remainder of a c
-# near 2 pi shrinks too slowly, and the geometric tail serves better
+# near 2 pi shrinks too slowly, and the enclosure declines
 K_MAX = 48
 # guard bits of the enclosure over the caller's precision and the size of B
 GUARD_BITS = 24
@@ -331,7 +336,8 @@ class GradedTail:
     Made by :func:`graded_tail`.  :meth:`log_width_bound` and
     :meth:`width_bound` are the cutoff's monotone bound ``2 delta B`` on the
     width, in doubles to aim and in intervals to decide; :meth:`enclosure`
-    is the Euler-Maclaurin enclosure of the tail (see the module docstring).
+    is the Euler-Maclaurin enclosure of the tail (see the module docstring),
+    and :meth:`tail_bound` a monotone upper bound on it.
     """
 
     def __init__(self, bases, unit: bool, s: int, p: Fraction, prec: int, floats: tuple):
@@ -377,6 +383,39 @@ class GradedTail:
         """The upper end of ``2 delta B``, certified, as a raw mpf."""
         iv = self.iv
         return iv.mul(iv.integer(2), self._delta(self._first_m(L)), self.B)[1]
+
+    def tail_bound(self, L: int) -> tuple:
+        """An upper bound on the tail beyond ``L``, nonincreasing in ``L``.
+
+        A raw mpf at the caller's precision, rounded up.  With ``M = s (L + 1)
+        + 1``, ``G_hi = 1`` when ``u_n > 1`` or ``1 + delta(M)`` when ``u_n = 1``
+        (so ``G_m <= G_hi`` for ``m >= M``; see the module docstring) and
+        ``y = s (c1 - a/M)``, it is the upper end of ``G_hi B``, or of
+        ``G_hi min(B, C M^a e^(-c1 M) / (1 - e^(-y)))`` when ``1 - e^(-y) > 0``
+        is certain.
+
+        Proof.  For ``m >= M``, ``T_m <= C G_hi m^a e^(-c1 m)`` and, as
+        ``1 + r <= e^r``, ``(m/M)^a <= e^(a (m - M)/M)``: the term at
+        ``m = M + s i`` is at most ``C G_hi M^a e^(-c1 M) e^(-y i)``, a
+        geometric series for ``y > 0``.  The terms being positive, they also
+        sum to at most ``G_hi C sum_(m >= 1) m^a rho^m <= G_hi B``.  Monotone:
+        ``G_hi`` falls as ``M`` grows; once ``y > 0`` it grows with ``M``, and
+        ``M^a e^(-c1 M)`` falls, its log having derivative ``a/M - c1 =
+        -y/s``.  Below that ``M`` the bound is ``G_hi B``, no smaller than the
+        minimum beyond.
+        """
+        iv, M = self.iv, self._first_m(L)
+        one = iv.integer(1)
+        G_hi = iv.add(one, self._delta(M)) if self.unit else one
+        bound = self.B
+        y = iv.mul(iv.integer(self.s), iv.sub(self.c1_iv, iv.div(iv.rational(self.a), iv.integer(M))))
+        gap = iv.sub(one, iv.exp(libmp.mpi_neg(y)))
+        if libmp.mpf_gt(gap[0], libmp.fzero):
+            decay = iv.exp(libmp.mpi_neg(iv.mul(iv.integer(M), self.c1_iv)))
+            series = iv.div(iv.mul(self.C, iv.pow(iv.integer(M), self.a), decay), gap)
+            if libmp.mpf_lt(series[1], bound[1]):
+                bound = series
+        return libmp.mpf_pos(iv.mul(G_hi, bound)[1], self.prec, round_ceiling)
 
     def _choose_K(self, M: int, budget: float) -> int | None:
         """The fewest corrections whose remainder, in doubles, puts at most
@@ -432,17 +471,24 @@ def _spread(iv: Intervals, u: tuple) -> tuple:
     return iv.sub(u, iv.div(iv.integer(1), u))
 
 
-def graded_tail(bases, logs: tuple, s: int, p: Fraction, prec: int) -> GradedTail | None:
+def graded_tail(bases, s: int, p: Fraction, prec: int) -> GradedTail | None:
     """The asymptotic tail of a non-Kac graded model at ``p``, or None.
 
     ``bases(iv)`` gives the interval growth bases ``(u_n, u_d)`` in the
-    :class:`~cqgkhint._libmp.Intervals` ``iv``, and ``logs`` is the plan's
-    ``(unit, log u_n, log u_d, log(u_n - 1/u_n), log(u_d - 1/u_d))`` in
-    doubles (``log(u_n - 1/u_n)`` read as 0 when ``unit``).  None when the
-    doubles cannot aim a cutoff: ``c1 = e log(u_d/u_n)`` underflows, as at
-    ``p = 10^400``, or ``B`` overflows.
+    :class:`~cqgkhint._libmp.Intervals` ``iv``.  The doubles that aim the
+    cutoff are the midpoints of ``log u_n``, ``log u_d``, ``log(u_n - 1/u_n)``
+    (0 when ``unit``, ``u_n = 1``) and ``log(u_d - 1/u_d)`` at ``prec`` bits.
+    None when they cannot aim a cutoff: ``c1 = e log(u_d/u_n)`` underflows,
+    as at ``p = 10^400``, or ``B`` overflows.
     """
-    unit, log_u_n, log_u_d, log_spread_n, log_spread_d = logs
+    iv = Intervals(prec)
+    u_n, u_d = bases(iv)
+    one = iv.integer(1)
+    unit = u_n == one
+    log_u_n, log_u_d, log_spread_n, log_spread_d = (
+        libmp.to_float(libmp.mpi_mid(iv.log(x), prec))
+        for x in (u_n, u_d, one if unit else _spread(iv, u_n), _spread(iv, u_d))
+    )
     e = 2 / p
     a = float(2 - e if unit else 2 - 2 * e)
     e = float(e)

@@ -8,12 +8,13 @@ series::
 summed here by ascending length.  The evaluator returns a *certified
 interval*: an exact-ordered partial sum at a fixed precision (so results are
 bit-stable) plus a rigorous enclosure of the dropped tail, computed with
-interval arithmetic from growth envelopes, or for ``oplus`` and ``aut`` from
-the closed-form asymptotics of the summand (:mod:`cqgkhint.graded_tail`).
-What a family knows, its table of terms, its level sums, its tail series and
-its decay base, is one summation plan (:class:`_GradedPlan` for ``oplus``
-and ``aut``, :class:`_DrinfeldJimboPlan` for ``djq``), and
-:class:`KpEvaluator` runs every plan.  Kac-type models are reported divergent
+interval arithmetic: for ``djq`` from growth envelopes, by a geometric
+series, and for ``oplus`` and ``aut`` from the closed-form asymptotics of the
+summand (:mod:`cqgkhint.graded_tail`), one tail route per family.  What a
+family knows, its table of terms, its level sums, its tail and its decay
+base, is one summation plan (:class:`_GradedPlan` for ``oplus`` and ``aut``,
+:class:`_DrinfeldJimboPlan` for ``djq``), and :class:`KpEvaluator` runs
+every plan.  Kac-type models are reported divergent
 with a certified witness (every level contributes a term >= 1), never via
 timeout.
 
@@ -38,7 +39,6 @@ from ._libmp import Intervals, MpfValue, libmp, n_over_d
 from .exact import DEFAULT_PRECISION_BITS, HorizonError, KacDivergenceError, as_fraction
 from .models import (
     DrinfeldJimboModel,
-    FreeOrthogonalModel,
     QuantumGroupModel,
     _check_horizon,
     _check_length,
@@ -56,6 +56,7 @@ __all__ = [
     "RValueError",
     "HorizonError",
     "KpNotConvergedError",
+    "TolBelowRoundingError",
     "KpReport",
     "DecayReport",
     "ConstantsReport",
@@ -80,6 +81,10 @@ class KpNotConvergedError(ArithmeticError):
     code = "kp-not-converged"
 
 
+class TolBelowRoundingError(ValueError):
+    code = "tol-below-rounding"
+
+
 class KpReport(Record):
     """Certified summary of a ``K_p`` evaluation.
 
@@ -89,11 +94,12 @@ class KpReport(Record):
     width of that enclosure.  For a converged report ``K_p^2`` lies in
     ``kp2_interval = [partial_sum + lower, partial_sum + lower + tail_bound]``
     and ``kp_interval`` is the square-root interval.  ``lower`` is 0 on the
-    geometric tail; on the Euler-Maclaurin tail of ``oplus`` and ``aut`` it is
-    the enclosure's lower end, and the ends of both intervals are rounded
-    outward.  An inconclusive report carries the geometric tail at
-    ``max_length`` (or None), a divergent one the certified lower bound on
-    infinitely many terms instead.
+    geometric tail of ``djq``; on the Euler-Maclaurin tail of ``oplus`` and
+    ``aut`` it is the enclosure's lower end, and the ends of both intervals
+    are rounded outward.  An inconclusive report carries its family's
+    certified tail bound at ``max_length`` (:meth:`KpEvaluator.tail_bound`,
+    or None), a divergent one the certified lower bound on infinitely many
+    terms instead.
     """
 
     model_spec: str
@@ -157,11 +163,6 @@ def _mpf_from_fraction(x: Fraction, prec: int) -> tuple:
     """Raw ``mp.mpf(x.numerator) / x.denominator`` at ``prec`` bits."""
     numerator = from_int(x.numerator, prec, round_nearest)
     return mpf_div(numerator, from_int(x.denominator), prec, round_nearest)
-
-
-def _log_fraction(x: Fraction) -> float:
-    """``log x`` in doubles for a positive rational whose terms may overflow a double."""
-    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _log_ratio(x: int, y: int, prec: int) -> tuple[int, tuple]:
@@ -243,56 +244,54 @@ def _first_passing(passes, guess: int, top: int) -> int | None:
     return passing
 
 
+def _aim(log_bound, tol: float, max_length: int) -> int:
+    """The first ``L`` whose double ``log_bound(L)`` (None when infinite) is ``<= log tol``.
+
+    Found by :func:`_first_passing` from 0, ``log_bound`` being monotone in
+    ``L``; ``max_length`` when no ``L <= max_length`` passes.  It only aims
+    a cutoff, which a certified bound then decides.
+    """
+    log_tol = math.log(tol)
+    aim = _first_passing(lambda L: (b := log_bound(L)) is not None and b <= log_tol, 0, max_length)
+    return max_length if aim is None else aim
+
+
 class _GradedPlan:
     """Summation plan of the graded families ``oplus:N:Nq`` and ``aut:dimB:d1``.
 
     Level ``k`` holds one label, ``(n, d) = (f_j(t_n), f_j(t_d))`` with
     ``j = s k`` and ``chi_sup = j + 1``: ``s = 1`` at the traces ``N`` and
     ``Nq`` for ``oplus``, ``s = 2`` at ``sqrt(dimB)`` and ``sqrt(d1 + 1)`` for
-    ``aut``.  Its summand is table entry ``k``, ``s^2 r^(2/p)`` with
-    ``s = chi`` and ``r = n / (d chi^2)``.
+    ``aut``, which the model gives as ``traces(iv)``.  Its summand is table
+    entry ``k``, ``s^2 r^(2/p)`` with ``s = chi`` and ``r = n / (d chi^2)``.
 
-    The tail.  With the growth bases ``u = (t + sqrt(t^2 - 4))/2``, the closed
-    form ``f_j(t) = (u^(j+1) - u^-(j+1)) / (u - 1/u)`` gives, for ``j >= j0``,
-    ``n <= u_n^(j+1) / (u_n - 1/u_n)`` (``n = j + 1`` when ``u_n = 1``) and
-    ``d >= u_d^(j+1) (1 - u_d^(-2(j0+1))) / (u_d - 1/u_d)``.  So the summand
-    at ``j`` is at most ``(j + 1)^a c^(2/p) rho^(j+1)``, with
-    ``rho = (u_n/u_d)^(2/p)``, ``a = 2 - 4/p`` and
-    ``c = (u_d - 1/u_d) / ((u_n - 1/u_n) (1 - u_d^(-2(j0+1))))`` (when
-    ``u_n = 1``: ``a = 2 - 2/p`` and no factor ``u_n - 1/u_n``).  Beyond
-    length ``L`` the levels are ``j = j0, j0 + s, ...`` with
-    ``j0 = s (L + 1)``; the dominating series has first term
-    ``(j0 + 1)^a c^(2/p) rho^(j0+1)`` and term ratios that decrease in ``j``
-    from ``((j0 + s + 1)/(j0 + 1))^a rho^s``.  The decay base of ``n/d`` per
-    level is ``(u_n/u_d)^s``, with a polynomial factor when ``u_n = 1``.
+    The tail is the Euler-Maclaurin one of :mod:`cqgkhint.graded_tail`, kept
+    as one :class:`~cqgkhint.graded_tail.GradedTail` per ``p`` and built from
+    the growth bases ``u = (t + sqrt(t^2 - 4))/2``: it decides the cutoff
+    (see :meth:`KpEvaluator._asymptotic_cutoff`), encloses the tail beyond it,
+    and bounds the tail beyond any length (:meth:`tail_bound`).  The decay
+    base of ``n/d`` per level is ``(u_n/u_d)^s``, with a polynomial factor
+    when ``u_n = 1``.
     """
+
+    asymptotic = True
+    entries_per_label = 1
 
     def __init__(self, model, prec: int):
         self.model = model
         self.prec = prec
         self.iv = Intervals(prec)
         self.s = model.chi_slope
-        # the aim's doubles (see log_tail_series)
-        self._floats: tuple | None = None
+        # the GradedTail (or None) per p
+        self._tails: dict = {}
 
     def _bases(self, iv: Intervals | None = None) -> tuple:
         """Interval growth bases ``(u_n, u_d)``, in ``iv`` or at the plan's precision."""
-        model, iv = self.model, iv or self.iv
-        if isinstance(model, FreeOrthogonalModel):
-            t_n, t_d = iv.integer(model.N), iv.rational(model.Nq)
-            traces = (t_n, iv.mul(t_n, t_n)), (t_d, iv.mul(t_d, t_d))
-        else:
-            x_n, x_d = iv.integer(model.dimB), iv.rational(model.d1 + 1)
-            traces = (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
-        # u = (t + sqrt(t^2 - 4))/2, from t^2 as given, so that a trace known through
-        # its square is not squared back; exactly [1, 1] at t = 2
+        iv = iv or self.iv
+        traces = self.model.traces(iv)
+        # u = (t + sqrt(t^2 - 4))/2, from t^2 as the model gives it; exactly [1, 1] at t = 2
         four, two = iv.integer(4), iv.integer(2)
         return tuple(iv.div(iv.add(t, iv.sqrt(iv.sub(t2, four))), two) for t, t2 in traces)
-
-    def _spread(self, u: tuple) -> tuple:
-        """``u - 1/u``."""
-        iv = self.iv
-        return iv.sub(u, iv.div(iv.integer(1), u))
 
     def ratio(self, i: int) -> tuple[int, int, int]:
         data = self.model.irr_data(i)
@@ -306,51 +305,6 @@ class _GradedPlan:
         man = mans[k]
         return 0, man, exps[k], man.bit_length()
 
-    def tail_constants(self, e2: Fraction) -> tuple:
-        iv = self.iv
-        u_n, u_d = self._bases()
-        rho = iv.pow(iv.div(u_n, u_d), e2)
-        return u_n, u_d, rho, iv.pow(rho, self.s)
-
-    def tail_series(self, L: int, e1: Fraction, e2: Fraction, constants: tuple) -> tuple:
-        iv = self.iv
-        u_n, u_d, rho, rho_s = constants
-        s = self.s
-        j0 = s * (L + 1)
-        one = iv.integer(1)
-        slack = iv.sub(one, iv.pow(u_d, -2 * (j0 + 1)))
-        a, spread_n = (e1 + e2, one) if u_n == one else (e1, self._spread(u_n))
-        c = iv.div(self._spread(u_d), iv.mul(spread_n, slack))
-        first = iv.mul(iv.pow(iv.integer(j0 + 1), a), iv.pow(c, e2), iv.pow(rho, j0 + 1))
-        step = iv.div(iv.integer(j0 + s + 1), iv.integer(j0 + 1))
-        return first, iv.mul(iv.pow(step, a), rho_s)
-
-    def _logs(self) -> tuple:
-        """``(unit, log u_n, log u_d, log(u_n - 1/u_n), log(u_d - 1/u_d))`` in doubles,
-        with ``unit`` for ``u_n = 1`` and its ``log(u_n - 1/u_n)`` read as 0."""
-        if self._floats is None:
-            iv = self.iv
-            u_n, u_d = self._bases()
-            one = iv.integer(1)
-            unit = u_n == one
-            self._floats = unit, *(
-                libmp.to_float(libmp.mpi_mid(iv.log(x), self.prec))
-                for x in (u_n, u_d, one if unit else self._spread(u_n), self._spread(u_d))
-            )
-        return self._floats
-
-    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
-        unit, log_u_n, log_u_d, log_spread_n, log_spread_d = self._logs()
-        s = self.s
-        j0 = s * (L + 1)
-        a = e1 + e2 if unit else e1
-        log_rho = e2 * (log_u_n - log_u_d)
-        log_c = log_spread_d - log_spread_n - math.log(-math.expm1(-2 * (j0 + 1) * log_u_d))
-        return (
-            a * math.log(j0 + 1) + e2 * log_c + (j0 + 1) * log_rho,
-            a * math.log1p(s / (j0 + 1)) + s * log_rho,
-        )
-
     def decay_base(self) -> tuple:
         iv = self.iv
         u_n, u_d = self._bases()
@@ -360,9 +314,16 @@ class _GradedPlan:
     def asymptotic_tail(self, p: Fraction):
         """The Euler-Maclaurin tail at ``p`` (see :mod:`cqgkhint.graded_tail`), or None
         when its doubles cannot aim a cutoff.  The model is not of Kac type."""
-        from .graded_tail import graded_tail
+        if p not in self._tails:
+            from .graded_tail import graded_tail
 
-        return graded_tail(self._bases, self._logs(), self.s, p, self.prec)
+            self._tails[p] = graded_tail(self._bases, self.s, p, self.prec)
+        return self._tails[p]
+
+    def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
+        """``GradedTail.tail_bound`` at ``p``, or None when :meth:`asymptotic_tail` is."""
+        tail = self.asymptotic_tail(p)
+        return None if tail is None else MpfValue(tail.tail_bound(L))
 
 
 class _DrinfeldJimboPlan:
@@ -384,9 +345,14 @@ class _DrinfeldJimboPlan:
     ``poly(k)^sigma tau^k``, ``tau = t_max^(2/p)``, so beyond length ``L``
     the dominating series has first term
     ``C(k0 + r - 1, r - 1) poly(k0)^sigma tau^k0`` at ``k0 = L + 1`` and term
-    ratios that decrease in ``k`` from the one at ``k0``.  The decay base of
-    ``n/d`` per length is ``t_max``, with a polynomial factor.
+    ratios that decrease in ``k`` from the one at ``k0``.  Once that ratio is
+    certifiably below 1 the tail is at most ``first / (1 - ratio)``: in
+    intervals for :meth:`tail_bound`, and in doubles for :meth:`log_tail`,
+    which aims the cutoff.  The decay base of ``n/d`` per length is
+    ``t_max``, with a polynomial factor.
     """
+
+    asymptotic = False
 
     def __init__(self, model, prec: int):
         self.model = model
@@ -395,8 +361,14 @@ class _DrinfeldJimboPlan:
         rs = model.root_system
         self.t_max = model.q ** min(rs.two_rho_pairing)
         self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
-        # the aim's doubles (see log_tail_series): log t_max and C_beta
-        self._floats = _log_fraction(self.t_max), tuple(map(float, self.cs))
+        # the aim's doubles (see log_tail): log t_max, whose terms may overflow a double,
+        # and C_beta
+        t = self.t_max
+        self._floats = math.log(t.numerator) - math.log(t.denominator), tuple(map(float, self.cs))
+        # a label's summand reads one table entry per positive root, over one per root
+        self.entries_per_label = 2 * len(model.rho_pairing)
+        # the tail constant tau = t_max^(2/p) per 2/p
+        self._taus: dict[Fraction, tuple] = {}
 
     def ratio(self, i: int) -> tuple[int, int, int]:
         if i == 0:
@@ -439,47 +411,56 @@ class _DrinfeldJimboPlan:
         denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
         return mpf_div(total, denom, self.prec, round_nearest)
 
-    def tail_constants(self, e2: Fraction) -> tuple:
-        iv = self.iv
-        return iv.pow(iv.rational(self.t_max), e2)
-
     def _count_poly(self, k: int) -> tuple[int, Fraction]:
         """The number of labels of length ``k``, and ``poly(k)``."""
         rank = self.model.rank
         return math.comb(k + rank - 1, rank - 1), math.prod((1 + c * k for c in self.cs), start=1)
 
-    def tail_series(self, L: int, e1: Fraction, e2: Fraction, tau: tuple) -> tuple:
+    def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
+        """The certified tail beyond ``L``, or None while the term ratio is not certainly < 1."""
         iv = self.iv
-        sigma = e1 + e2  # = 2 - 2/p
+        e2 = Fraction(2) / p
+        sigma = 2 - e2
+        tau = self._taus.get(e2)
+        if tau is None:
+            tau = self._taus[e2] = iv.pow(iv.rational(self.t_max), e2)
         (count, poly), (count_next, poly_next) = map(self._count_poly, (L + 1, L + 2))
         first = iv.mul(iv.integer(count), iv.pow(iv.rational(poly), sigma), iv.pow(tau, L + 1))
         ratio = iv.mul(
             iv.div(iv.integer(count_next), iv.integer(count)),
             iv.pow(iv.rational(poly_next / poly), sigma),
+            tau,
         )
-        return first, iv.mul(ratio, tau)
+        if not libmp.mpf_lt(ratio[1], libmp.fone):
+            return None
+        _, upper = iv.div(first, iv.sub(iv.integer(1), ratio))
+        return MpfValue(upper)
 
-    def log_tail_series(self, L: int, e1: float, e2: float) -> tuple[float, float]:
-        # in logs throughout: the polynomial of E8 overflows a double
+    def log_tail(self, L: int, p: Fraction) -> float | None:
+        """``log`` of the :meth:`tail_bound` formula in doubles, or None when the
+        double term ratio is ``>= 1``.  In logs, as the polynomial of E8 overflows
+        a double, and without rounding control: it aims the cutoff, never decides it."""
         log_t_max, cs = self._floats
         rank = self.model.rank
-        sigma = e1 + e2
+        e2 = float(2 / p)
+        sigma = float(2 - 4 / p) + e2
         k0 = L + 1
-        return (
+        log_first = (
             math.log(math.comb(k0 + rank - 1, rank - 1))
             + sigma * sum(math.log1p(c * k0) for c in cs)
-            + k0 * e2 * log_t_max,
+            + k0 * e2 * log_t_max
+        )
+        ratio = math.exp(
             math.log1p((rank - 1) / (k0 + 1))
             + sigma * sum(math.log1p(c / (1 + c * k0)) for c in cs)
-            + e2 * log_t_max,
+            + e2 * log_t_max
         )
+        if ratio >= 1:
+            return None
+        return log_first - math.log1p(-ratio)
 
     def decay_base(self) -> tuple:
         return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
-
-    def asymptotic_tail(self, p: Fraction) -> None:
-        """No closed-form tail: the geometric one serves every ``p``."""
-        return None
 
 
 def _summation_plan(model, prec: int):
@@ -493,32 +474,27 @@ class KpEvaluator:
     """Certified summation of ``K_p^2`` over one model, by its family's plan.
 
     The plan (:class:`_GradedPlan` or :class:`_DrinfeldJimboPlan`) knows the
-    family, through seven methods: ``ratio(i)``, the exact ``(x, y, s)`` of
-    table term ``i``, ``s^2 (x/y)^(2/p)``; ``table_top(k)``, the last term
-    level ``k`` reads; ``level_sum(k, mans, exps)``, the level's summand read
-    from the table; ``tail_constants(2/p)`` and ``tail_series(L, ...)``, the
-    first term and the term ratio bound of the dominating series beyond
-    length ``L`` in intervals, with ``log_tail_series`` their logs in doubles;
-    ``asymptotic_tail(p)``, a closed-form tail enclosure or None; and
-    ``decay_base()``.  The evaluator owns what is the same for every
-    family:
+    family: ``ratio(i)``, the exact ``(x, y, s)`` of table term ``i``,
+    ``s^2 (x/y)^(2/p)``; ``table_top(k)``, the last term level ``k`` reads;
+    ``level_sum(k, mans, exps)``, the level's summand read from the table;
+    ``entries_per_label``, the table entries one summand reads;
+    ``tail_bound(L, p)``, its certified tail beyond length ``L`` or None;
+    ``decay_base()``; and its tail route, ``asymptotic``.  The evaluator owns
+    what is the same for every family:
 
     * the table of terms per ``p`` (see :meth:`_terms`), built from one
       ``log(x/y)`` per term (see :func:`_log_ratio`) and shared by every
       ``p``;
-    * the one geometric closure of the tail series, ``first / (1 - ratio)``
-      once ``ratio`` is certifiably below 1, in intervals for
-      :meth:`tail_bound` and in doubles for :meth:`_log_tail`, with the
-      plan's tail constants cached per ``2/p``;
-    * the cutoff, aimed in doubles and decided in intervals (see
-      :meth:`_cutoff`), which relies on the certified tail being monotone
+    * the route, one per family.  A ``djq`` plan has a geometric tail, whose
+      cutoff is aimed in doubles by its ``log_tail`` and decided in
+      intervals by :meth:`tail_bound` (see :meth:`_cutoff`).  A graded plan's
+      ``asymptotic_tail(p)`` sets the cutoff and encloses the tail beyond it
+      with one Euler-Maclaurin evaluation (see :meth:`_asymptotic_cutoff`).
+      Both searches rely on their certified bounds being monotone
       nonincreasing in the length;
-    * the route: a plan's ``asymptotic_tail(p)`` (None for ``djq``) is tried
-      first and sets a shorter cutoff with one enclosure of the tail (see
-      :meth:`_asymptotic_cutoff`); the geometric route runs unchanged when it
-      declines;
     * the summation order (ascending length, then label order), which makes
-      reports bit-identical from run to run, and the report.
+      reports bit-identical from run to run, the check of ``tol`` against the
+      rounding of the sum, and the report.
 
     Everything is computed at ``precision_bits``, whatever mpmath's ``mp.prec``
     and ``iv.prec`` are.  The exact ``(n, d, chi_sup)`` triples are a view of
@@ -532,8 +508,6 @@ class KpEvaluator:
         # summands: (wp, log r_i, s_i^2) per term, raw terms per p
         self._logs: list[tuple[int, tuple, tuple]] = []
         self._tables: dict[tuple[int, int], tuple[list[int], list[int], dict]] = {}
-        # the plan's tail constants per 2/p
-        self._tail_constants: dict[Fraction, tuple] = {}
 
     # -- exact level data --------------------------------------------------
 
@@ -581,63 +555,27 @@ class KpEvaluator:
     # -- certified tails ------------------------------------------------------
 
     def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
-        """Upper bound on the sum of all terms of length > L, or None.
+        """The plan's certified upper bound on the sum of all terms of length > L, or None.
 
-        Returns a certified (interval-arithmetic) bound once the dominating
-        series has term ratio < 1 at length L+1; None means the ratio test is
-        not yet conclusive at this cutoff.
+        None for ``djq`` while its geometric ratio test is not yet conclusive,
+        and for ``oplus`` and ``aut`` when ``asymptotic_tail(p)`` is None.
         """
         if self.model.is_kac():
             raise KacDivergenceError(
                 "Kac-type model: terms do not vanish, no finite tail bound exists"
             )
-        e1 = Fraction(2) - Fraction(4) / p
-        e2 = Fraction(2) / p
-        constants = self._tail_constants.get(e2)
-        if constants is None:
-            constants = self._tail_constants[e2] = self._plan.tail_constants(e2)
-        first, ratio = self._plan.tail_series(L, e1, e2, constants)
-        if not libmp.mpf_lt(ratio[1], libmp.fone):  # certain only if the upper end is < 1
-            return None
-        iv = self._plan.iv
-        _, upper = iv.div(first, iv.sub(iv.integer(1), ratio))
-        return MpfValue(upper)
+        return self._plan.tail_bound(L, p)
 
-    # -- the cutoff aim, in doubles -------------------------------------------
-
-    def _log_tail(self, L: int, p: Fraction) -> float | None:
-        """``log`` of the :meth:`tail_bound` formula in doubles, or None.
-
-        The same dominating series as the certified tail, evaluated in logs
-        and without rounding control: it only aims the cutoff search and
-        never decides one.  None when the double term ratio is ``>= 1``.
-        """
-        log_first, log_ratio = self._plan.log_tail_series(L, float(2 - 4 / p), float(2 / p))
-        ratio = math.exp(log_ratio)
-        if ratio >= 1:
-            return None
-        return log_first - math.log1p(-ratio)
+    # -- the cutoffs ------------------------------------------------------------
 
     def _aim_cutoff(self, p: Fraction, tol: float, max_length: int) -> int:
-        """Proposed cutoff: the first ``L`` whose double log-tail is ``<= log tol``.
-
-        Found by galloping from 0 and bisecting over :meth:`_log_tail`;
-        ``max_length`` when no ``L <= max_length`` passes.
-        """
-        aim = _first_passing(partial(self._log_tail_passes, p=p, tol=tol), 0, max_length)
-        return max_length if aim is None else aim
-
-    def _log_tail_passes(self, L: int, p: Fraction, tol: float) -> bool:
-        """Whether the double log-tail at ``L`` is ``<= log tol``; monotone in ``L``."""
-        log_tail = self._log_tail(L, p)
-        return log_tail is not None and log_tail <= math.log(tol)
-
-    # -- the evaluator --------------------------------------------------------
+        """Proposed ``djq`` cutoff: :func:`_aim` over the plan's double ``log_tail``."""
+        return _aim(partial(self._plan.log_tail, p=p), tol, max_length)
 
     def _cutoff(
         self, p: Fraction, tol: float, max_length: int
     ) -> tuple[str, int, MpfValue | None]:
-        """``(verdict, L, tail)``: the summation cutoff and its certified tail.
+        """``(verdict, L, tail)``: the ``djq`` summation cutoff and its certified tail.
 
         Doubles aim, intervals decide.  :meth:`_aim_cutoff` proposes ``L``
         from the double log-tails; the certified :meth:`tail_bound` is then
@@ -663,31 +601,26 @@ class KpEvaluator:
             return "inconclusive", max_length, tails[max_length]
         return "converged", L, tails[L]
 
-    def _asymptotic_cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple | None:
-        """``(L, lower, width)`` by the plan's asymptotic tail, or None for the geometric route.
+    def _asymptotic_cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple:
+        """``(verdict, L, lower, tail)``: the graded cutoff and its Euler-Maclaurin tail.
 
         The cutoff is the smallest ``L <= max_length`` whose certified width
-        bound (see :mod:`cqgkhint.graded_tail`) is ``<= tol``, aimed in doubles
-        and decided in intervals by :func:`_first_passing`, as in
-        :meth:`_cutoff`; then one Euler-Maclaurin evaluation encloses the tail
-        beyond ``L`` in ``[lower, lower + width]``.  None, and the geometric
-        :meth:`_cutoff` runs unchanged, when the plan has no such tail, when
-        its aim is not below the geometric one (which then passes at it, the
-        geometric test being monotone), when no ``L <= max_length`` certifies,
-        or when the enclosure is wider than ``tol``.
+        bound (see :mod:`cqgkhint.graded_tail`) is ``<= tol``: aimed by
+        ``log_width_bound`` in doubles (at ``max_length`` when none passes)
+        and decided by ``width_bound`` in intervals, as in :meth:`_cutoff`.
+        One enclosure then puts the tail beyond ``L`` in ``[lower, lower +
+        tail]``, ``"converged"``.  When ``asymptotic_tail(p)`` is None, no
+        ``L <= max_length`` certifies, or the enclosure is None or wider than
+        ``tol``, it is ``("inconclusive", max_length, 0, tail_bound(max_length))``.
         """
         tail = self._plan.asymptotic_tail(p)
-        if tail is None:
-            return None
-        log_tol = math.log(tol)
-        aim = _first_passing(lambda L: tail.log_width_bound(L) <= log_tol, 0, max_length)
-        if aim is None or self._log_tail_passes(aim, p, tol):
-            return None
-        L = _first_passing(lambda L: MpfValue(tail.width_bound(L)) <= tol, aim, max_length)
-        enclosure = None if L is None else tail.enclosure(L, tol)
-        if enclosure is None or MpfValue(enclosure[1]) > tol:
-            return None
-        return L, *enclosure
+        if tail is not None:
+            aim = _aim(tail.log_width_bound, tol, max_length)
+            L = _first_passing(lambda L: MpfValue(tail.width_bound(L)) <= tol, aim, max_length)
+            enclosure = None if L is None else tail.enclosure(L, tol)
+            if enclosure is not None and MpfValue(enclosure[1]) <= tol:
+                return "converged", L, enclosure[0], MpfValue(enclosure[1])
+        return "inconclusive", max_length, libmp.fzero, self.tail_bound(max_length, p)
 
     def kp_constant(
         self,
@@ -697,20 +630,22 @@ class KpEvaluator:
     ) -> KpReport:
         """Certified ``K_p`` with a dropped tail enclosed within ``tol``.
 
-        For a non-Kac ``oplus`` or ``aut`` model the cutoff ``L`` and the
-        enclosure of the tail come from :meth:`_asymptotic_cutoff`, with one
-        Euler-Maclaurin evaluation.  Otherwise, or when that declines, ``L``
-        is the first length whose certified geometric tail is ``<= tol``,
-        aimed in doubles and decided in intervals by :meth:`_cutoff` (which
-        depends on the tail being monotone in ``L``), and the enclosure is
-        ``[0, tail]``.  With ``L`` known, the table of terms is filled once,
-        and levels ``0..L`` are then summed in order.  When no
-        ``L <= max_length`` certifies, the verdict is ``inconclusive`` with
-        levels ``0..max_length`` summed.  A Kac-type model is ``divergent``, with
-        levels ``0..min(max_length, 8)`` summed as the witness.  A ``tol``
-        that is not positive and finite, or is below ``2^-precision_bits``,
-        or a ``max_length`` that is not a positive integer, raises
-        :class:`ValueError`.
+        A Kac-type model is ``divergent``, with levels ``0..min(max_length,
+        8)`` summed as the witness.  Otherwise the family's route sets the
+        cutoff ``L`` and the enclosure of the tail: for ``oplus`` and ``aut``
+        :meth:`_asymptotic_cutoff`, with one Euler-Maclaurin evaluation; for
+        ``djq`` :meth:`_cutoff`, the first length whose certified geometric
+        tail is ``<= tol``, with the enclosure ``[0, tail]``.  With ``L``
+        known, the table of terms is filled once, and levels ``0..L`` are
+        then summed in order.  When no ``L <= max_length`` certifies, the
+        verdict is ``inconclusive`` with levels ``0..max_length`` summed and
+        the report carries ``tail_bound(max_length)``.
+
+        A ``tol`` that is not positive and finite, or is below
+        ``2^-precision_bits``, or a ``max_length`` that is not a positive
+        integer, raises :class:`ValueError`.  A ``tol`` below a proved bound
+        on the rounding of the partial sum makes a report that would be
+        ``converged`` raise :class:`TolBelowRoundingError`.
         """
         p = _check_p(p)
         if not 0 < tol < math.inf:
@@ -721,30 +656,38 @@ class KpEvaluator:
             raise ValueError(f"max_length must be a positive integer, got {max_length}")
         max_length = int(max_length)
         prec = self.precision_bits
-        asymptotic = None
+        lower = libmp.fzero
         if self.model.is_kac():
             # n = d for every label, so each level contributes
             # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
             verdict, last, tail = "divergent", min(max_length, 8), None
+        elif self._plan.asymptotic:
+            verdict, last, lower, tail = self._asymptotic_cutoff(p, tol, max_length)
         else:
-            asymptotic = self._asymptotic_cutoff(p, tol, max_length)
-            if asymptotic is None:
-                verdict, last, tail = self._cutoff(p, tol, max_length)
-            else:
-                last, lower, width = asymptotic
-                verdict, tail = "converged", MpfValue(width)
+            verdict, last, tail = self._cutoff(p, tol, max_length)
         self._terms(p, self._plan.table_top(last))
         partial = libmp.fzero
         for L in range(0, last + 1):
             partial = libmp.mpf_add(partial, self.level_term_sum(L, p)._mpf_, prec, round_nearest)
         kp2 = kp = None
         if verdict == "converged":
+            # the rounding of the partial sum is at most (F + L + 2) 2^(1 - prec) partial,
+            # F = entries_per_label: with u = 2^-prec, each table entry is within one ulp,
+            # a relative 2u (see _log_ratio), so a summand, an exact product and quotient
+            # of F entries, is within 2Fu before its level sum is rounded once (u), and
+            # each running add is rounded once (u of at most partial); the (L + 2) u left
+            # over covers the higher orders, as (F + L) u is far below 1
+            scale = from_int(self._plan.entries_per_label + last + 2)
+            rounding = libmp.mpf_shift(mpf_mul(scale, partial), 1 - prec)
+            if libmp.mpf_lt(libmp.from_float(tol), rounding):
+                raise TolBelowRoundingError(
+                    f"tol {tol!r} is below {libmp.to_str(rounding, 3)}, the bound on the "
+                    f"rounding of the partial sum at {prec} bits; raise the precision"
+                )
             # [partial + lower, partial + lower + tail]: the Euler-Maclaurin ends are
             # rounded outward, the geometric ones (lower = 0) to nearest
-            if asymptotic is None:
-                lower, rounding = libmp.fzero, (round_nearest, round_nearest)
-            else:
-                rounding = libmp.round_floor, libmp.round_ceiling
+            outward = libmp.round_floor, libmp.round_ceiling
+            rounding = outward if self._plan.asymptotic else (round_nearest, round_nearest)
             ends = lower, libmp.mpf_add(lower, tail._mpf_)  # exact
             kp2 = [libmp.mpf_add(partial, x, prec, rnd) for x, rnd in zip(ends, rounding)]
             kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, rnd)) for x, rnd in zip(kp2, rounding))
@@ -787,11 +730,13 @@ def certified_tail(
     L: int,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> MpfValue:
-    """A number T with ``sum of terms of length > L <= T``.
+    """A number T with ``sum of terms of length > L <= T``, monotone nonincreasing in ``L``.
 
-    Monotone nonincreasing in ``L`` (infinite while the ratio test is not yet
-    conclusive); the cutoff search of :meth:`KpEvaluator.kp_constant` depends
-    on this.  Raises :class:`KacDivergenceError` for Kac models, and
+    For ``djq`` the geometric tail, infinite while its ratio test is not yet
+    conclusive, whose monotony the ``djq`` cutoff search relies on; for
+    ``oplus`` and ``aut`` :meth:`~cqgkhint.graded_tail.GradedTail.tail_bound`,
+    finite (infinite at every ``L`` when the tail cannot be aimed, as at
+    ``p = 10^400``).  Raises :class:`KacDivergenceError` for Kac models, and
     :class:`ValueError` when ``L`` is not a nonnegative integer.
     """
     L = _check_length(L)

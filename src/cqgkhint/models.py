@@ -304,6 +304,9 @@ class _GradedModel(QuantumGroupModel):
     ``chi_slope`` is also the index stride: level ``k`` is ``(f_j(t_n),
     f_j(t_d))`` with ``j = chi_slope * k``, Chebyshev polynomials at the two
     traces (see :mod:`cqgkhint.chebyshev`), and ``chi_sup = f_j(2)``.
+    ``traces(iv)`` gives both traces as interval pairs ``(t, t^2)`` in the
+    :class:`~cqgkhint._libmp.Intervals` ``iv``, a trace known through its
+    square not squared back.
     """
 
     chi_slope: int
@@ -365,6 +368,11 @@ class FreeOrthogonalModel(_GradedModel):
     def is_kac(self) -> bool:
         return self.Nq == self.N
 
+    def traces(self, iv) -> tuple:
+        """``(t, t^2)`` at the traces ``N`` and ``Nq``."""
+        t_n, t_d = iv.integer(self.N), iv.rational(self.Nq)
+        return (t_n, iv.mul(t_n, t_n)), (t_d, iv.mul(t_d, t_d))
+
     def spec_string(self) -> str:
         return f"oplus:{self.N}:{self.Nq}"
 
@@ -393,6 +401,11 @@ class QuantumAutomorphismModel(_GradedModel):
 
     def is_kac(self) -> bool:
         return self.d1 == self.n1
+
+    def traces(self, iv) -> tuple:
+        """``(t, t^2)`` at the traces ``sqrt(dimB)`` and ``sqrt(d1 + 1)``, from ``t^2``."""
+        x_n, x_d = iv.integer(self.dimB), iv.rational(self.d1 + 1)
+        return (iv.sqrt(x_n), x_n), (iv.sqrt(x_d), x_d)
 
     def spec_string(self) -> str:
         return f"aut:{self.dimB}:{self.d1}"

@@ -155,6 +155,16 @@ def test_kp_tol_below_precision_refused(capsys):
     assert "error[tol-below-precision]" in err
 
 
+def test_tol_below_rounding_of_the_sum_refused(capsys):
+    # converged at L = 95 by its tail, but the partial sum near 243.1 has an ulp
+    # of 1.4e-17 at 64 bits
+    argv = ["kp", "--model", "djq:A2:1/2", "--p", "4", "--precision-bits", "64", "--tol", "1e-18"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error[tol-below-rounding]" in err
+
+
 # -- decay / constants -----------------------------------------------------------------
 
 

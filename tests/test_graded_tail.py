@@ -108,8 +108,7 @@ def test_enclosure_contains_summed_remainder(spec, p, L, budget_exp):
     enclosure = tail.enclosure(L, 10.0**budget_exp)
     if enclosure is None:  # no K <= K_MAX fits the budget: declined, never wrong
         return
-    verdict, far, far_tail = ev._cutoff(p, 1e-36, 20000)
-    assert verdict == "converged"
+    far, far_tail = _far_cutoff(tail, L)
     with mp.workprec(400):
         lo = _mpf(enclosure[0])
         hi = lo + _mpf(enclosure[1])
@@ -118,6 +117,36 @@ def test_enclosure_contains_summed_remainder(spec, p, L, budget_exp):
         slack = direct * mp.ldexp(1, -188)
         assert lo <= direct + far_tail + slack
         assert direct - slack <= hi
+
+
+def _far_cutoff(tail, L: int) -> tuple[int, mpmath.mpf]:
+    """A length beyond ``L`` whose tail bound is below 1e-36, and that bound."""
+    far = L + 1
+    while _mpf(tail.tail_bound(far)) > 1e-36:
+        far *= 2
+    return far, _mpf(tail.tail_bound(far))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(spec=MODELS, p=P_GRID, L=st.integers(0, 60))
+# u_n > 1 and u_n = 1, index stride 1 and 2; at p = 2 a = 0 for u_n > 1
+@example(spec="oplus:3:7/2", p=Fraction(4), L=0)
+@example(spec="oplus:2:5/2", p=Fraction(13, 3), L=5)
+@example(spec="aut:5:11/2", p=Fraction(2), L=20)
+@example(spec="aut:4:5", p=Fraction(5, 2), L=40)
+def test_tail_bound_covers_summed_remainder_and_falls(spec, p, L):
+    ev = KpEvaluator(parse_model_spec(spec))
+    tail = ev._plan.asymptotic_tail(p)
+    assert tail is not None
+    bounds = [tail.tail_bound(k) for k in range(L, L + 8)]
+    # finite, and nonincreasing in L
+    assert all(libmp.mpf_lt(b, libmp.finf) for b in bounds)
+    assert all(libmp.mpf_ge(a, b) for a, b in zip(bounds, bounds[1:]))
+    far, _ = _far_cutoff(tail, L)
+    with mp.workprec(400):
+        direct = mp.fsum(ev.level_term_sum(k, p) for k in range(L + 1, far + 1))
+        # every level term is within one unit in the last place of 192 bits
+        assert direct - direct * mp.ldexp(1, -188) <= _mpf(bounds[0])
 
 
 # -- the route in kp_constant ------------------------------------------------------------
@@ -162,16 +191,17 @@ def test_no_enclosure_for_drinfeld_jimbo_or_kac(spec, monkeypatch):
     assert calls == []
 
 
-def test_geometric_route_when_the_asymptotic_tail_cannot_certify(monkeypatch):
+def test_inconclusive_when_the_asymptotic_tail_cannot_certify(monkeypatch):
     calls = _count_enclosures(monkeypatch)
     ev = KpEvaluator(parse_model_spec("oplus:3:7/2"), 64)
     # 64 bits cannot hold a tail lower end near 34 to 1e-19: the enclosure is
-    # tried and refused, and the geometric cutoff decides, with no lower end
+    # tried once and refused, and the report is inconclusive, with every level
+    # summed and the tail bound at max_length
     report = ev.kp_constant(4, tol=1e-19, max_length=2000)
     assert len(calls) == 1
-    verdict, L, tail = ev._cutoff(Fraction(4), 1e-19, 2000)
-    assert (report.verdict, report.terms_summed, report.tail_bound) == (verdict, L, tail)
-    assert report.kp2_interval[0] == report.partial_sum
+    assert (report.verdict, report.terms_summed) == ("inconclusive", 2000)
+    assert report.tail_bound == ev.tail_bound(2000, Fraction(4))
+    assert report.kp2_interval is None
     # below the asymptotic cutoff nothing is tried
     del calls[:]
     assert kp_constant("oplus:3:7/2", 4, max_length=12).verdict == "inconclusive"

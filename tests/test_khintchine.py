@@ -8,12 +8,14 @@ from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from conftest import q_integer
+from cqgkhint._libmp import MpfValue, libmp
 from cqgkhint.chebyshev import envelope
 from cqgkhint.khintchine import (
     KacDivergenceError,
     KpEvaluator,
     KpNotConvergedError,
     PValueError,
+    TolBelowRoundingError,
     certified_tail,
     decay_rate,
     kp_constant,
@@ -122,7 +124,20 @@ def test_tol_below_working_precision_rejected():
         kp_constant("oplus:3:7/2", 4, tol=1e-300)
     with pytest.raises(ValueError, match="precision"):
         kp_constant("djq:A2:1/2", 4, tol=2.0**-65, precision_bits=64)
-    assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).converged
+    # the boundary tol is accepted, not refused up front; 64 bits cannot hold the
+    # Euler-Maclaurin tail's lower end to it, so the report is inconclusive
+    assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).verdict == "inconclusive"
+
+
+def test_tol_below_the_rounding_of_the_sum_refused():
+    # at 64 bits the partial sum near 243.1 of djq:A2:1/2 has an ulp of 1.4e-17:
+    # a certified tail below 1e-18 claims more than the sum holds
+    with pytest.raises(TolBelowRoundingError, match="rounding") as raised:
+        kp_constant("djq:A2:1/2", 4, tol=1e-18, precision_bits=64)
+    assert isinstance(raised.value, ValueError)
+    assert raised.value.code == "tol-below-rounding"
+    # at the default precision the same tol converges
+    assert kp_constant("djq:A2:1/2", 4, tol=1e-18).converged
 
 
 @pytest.mark.parametrize("p", [float("inf"), float("-inf"), float("nan"), mpmath.mpf("inf")])
@@ -213,8 +228,8 @@ def test_certified_tail_monotone_and_small():
     "spec", ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5", "djq:B2:3/4"]
 )
 def test_certified_tail_monotone_after_ratio_test(spec):
-    # the cutoff search in kp_constant relies on this: once the ratio test
-    # passes, the tail stays certified and never grows
+    # certified_tail's contract: once the djq ratio test passes, the tail stays
+    # certified and never grows; the graded bound is finite and never grows
     ev = KpEvaluator(parse_model_spec(spec))
     for p in (Fraction(4), Fraction(16)):
         with mp.workprec(192):
@@ -231,8 +246,8 @@ def test_certified_tail_kac_fails_loudly():
 
 @pytest.mark.parametrize("spec", ["oplus:3:7/2", "oplus:2:5/2", "aut:5:5", "aut:4:5"])
 def test_tail_bound_covers_actual_remainder(spec):
-    # the certified tail must dominate the actually-summed remainder, on each
-    # branch of the graded envelope (u_n > 1 and u_n = 1, index stride 1 and 2)
+    # the graded tail bound must dominate the actually-summed remainder, on each
+    # branch (u_n > 1 and u_n = 1, index stride 1 and 2)
     ev = KpEvaluator(parse_model_spec(spec))
     p = Fraction(4)
     with mp.workprec(192):
@@ -270,7 +285,37 @@ def _scan_cutoffs(ev, p, tols, max_length):
     return {tol: found.get(tol, ("inconclusive", max_length, tail)) for tol in tols}
 
 
+def _scan_widths(ev, p, tols, max_length):
+    """Per tol, the first ``L <= max_length`` whose certified width bound is
+    ``<= tol``, by a level-by-level scan, or None."""
+    tail = ev._plan.asymptotic_tail(p)
+    found = {}
+    for L in range(max_length + 1):
+        width = MpfValue(tail.width_bound(L))
+        for tol in tols:
+            if tol not in found and width <= tol:
+                found[tol] = L
+        if len(found) == len(tols):
+            break
+    return {tol: found.get(tol) for tol in tols}
+
+
+def _check_asymptotic_cutoffs(ev, p, cap, scanned):
+    for tol, L in scanned.items():
+        # the cap lands beyond the cutoff, exactly on it, or just before it
+        caps = {cap} if L is None else {cap, max(L, 1), max(L - 1, 1)}
+        for top in caps:
+            expected = ("inconclusive", top, libmp.fzero, ev.tail_bound(top, p))
+            if L is not None and L <= top:
+                enclosure = ev._plan.asymptotic_tail(p).enclosure(L, tol)
+                if enclosure is not None and MpfValue(enclosure[1]) <= tol:
+                    expected = ("converged", L, enclosure[0], MpfValue(enclosure[1]))
+            assert ev._asymptotic_cutoff(p, tol, top) == expected, (tol, top)
+
+
 CUTOFF_TOLS = (1e3, 1e-5, 1e-10, 1e-20)
+# the geometric search of the djq plan against a scan of its certified tail, and
+# the Euler-Maclaurin search of the graded plan against a scan of its width bound
 CUTOFF_CASES = [
     ("oplus:2:5/2", (Fraction(5, 2), Fraction(4), Fraction(16)), 3000),
     ("oplus:3:7/2", (Fraction(5, 2), Fraction(4)), 3000),
@@ -302,7 +347,10 @@ def _check_cutoffs(ev, p, cap, scanned):
 def test_cutoff_search_matches_linear_scan(spec, ps, cap):
     ev = KpEvaluator(parse_model_spec(spec))
     for p in ps:
-        _check_cutoffs(ev, p, cap, _scan_cutoffs(ev, p, CUTOFF_TOLS, cap))
+        if ev._plan.asymptotic:
+            _check_asymptotic_cutoffs(ev, p, cap, _scan_widths(ev, p, CUTOFF_TOLS, cap))
+        else:
+            _check_cutoffs(ev, p, cap, _scan_cutoffs(ev, p, CUTOFF_TOLS, cap))
 
 
 @pytest.mark.parametrize(
@@ -318,6 +366,15 @@ def test_cutoff_recovers_from_missed_aims(spec, p, monkeypatch):
     # an aim at 0 must be walked up, and one at the cap walked down, to the
     # cutoff the linear scan finds
     ev = KpEvaluator(parse_model_spec(spec))
+    if ev._plan.asymptotic:
+        # the graded aim is the first length whose double width bound passes
+        scanned = _scan_widths(ev, p, CUTOFF_TOLS, 3000)
+        tail = ev._plan.asymptotic_tail(p)
+        for aim in (0, 3000):
+            passes = lambda L, aim=aim: -math.inf if L >= aim else math.inf  # noqa: E731
+            monkeypatch.setattr(tail, "log_width_bound", passes)
+            _check_asymptotic_cutoffs(ev, p, 3000, scanned)
+        return
     scanned = _scan_cutoffs(ev, p, CUTOFF_TOLS, 3000)
     for aim in (lambda p, tol, max_length: 0, lambda p, tol, max_length: max_length):
         monkeypatch.setattr(ev, "_aim_cutoff", aim)
@@ -330,9 +387,6 @@ def test_cutoff_edge_cases_in_reports():
     assert loose.converged and loose.terms_summed == 0
     # no cutoff within max_length: inconclusive after summing every level
     ev = KpEvaluator(parse_model_spec("oplus:3:7/2"))
-    with mp.workprec(ev.precision_bits):
-        verdict, last, tail = ev._cutoff(Fraction(4), 1e-10, 10)
-        assert (verdict, last) == ("inconclusive", 10)
     calls = []
     tail_bound = ev.tail_bound
 
@@ -344,9 +398,8 @@ def test_cutoff_edge_cases_in_reports():
     report = ev.kp_constant(4, tol=1e-10, max_length=10)
     assert report.verdict == "inconclusive"
     assert report.terms_summed == 10
-    # the search's tail at max_length is the report's, not evaluated again
+    # the report's tail is the one at max_length, evaluated once
     assert calls == [10]
-    assert report.tail_bound == tail
     with mp.workprec(ev.precision_bits):
         direct = mp.fsum(ev.level_term_sum(k, Fraction(4)) for k in range(11))
         assert abs(report.partial_sum - direct) < mpmath.mpf("1e-40") * direct
@@ -369,13 +422,20 @@ FLOAT_TAIL_SPECS = [
 def test_double_log_tail_follows_certified_tail(spec):
     # the aim's double formula stands in for the interval one: the same
     # value wherever both are finite, and the ratio test passing at the same
-    # length up to one level of rounding
+    # length up to one level of rounding; for a graded model the aim is the
+    # double width bound of the Euler-Maclaurin tail
     ev = KpEvaluator(parse_model_spec(spec))
     for p in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(16)):
+        if ev._plan.asymptotic:
+            tail = ev._plan.asymptotic_tail(p)
+            for L in [*range(40), *range(40, 1200, 37)]:
+                width = float(mp.log(MpfValue(tail.width_bound(L))))
+                assert math.isclose(tail.log_width_bound(L), width, rel_tol=1e-9), (p, L)
+            continue
         with mp.workprec(ev.precision_bits):
             first_double, first_certified = (
                 next((L for L in range(1200) if tail(L, p) is not None), None)
-                for tail in (ev._log_tail, ev.tail_bound)
+                for tail in (ev._plan.log_tail, ev.tail_bound)
             )
             assert (first_double is None) == (first_certified is None), p
             if first_certified is not None:
@@ -384,7 +444,7 @@ def test_double_log_tail_follows_certified_tail(spec):
             if first_certified is not None:
                 grid += [first_certified, first_certified + 1]
             for L in grid:
-                log_tail, tail = ev._log_tail(L, p), ev.tail_bound(L, p)
+                log_tail, tail = ev._plan.log_tail(L, p), ev.tail_bound(L, p)
                 if log_tail is not None and tail is not None:
                     assert math.isclose(log_tail, float(mp.log(tail)), rel_tol=1e-9), (p, L)
 
@@ -462,7 +522,7 @@ def test_dj_table_sum_matches_exact_level_entries(spec):
 
 def test_dj_table_cache_keyed_by_p_and_precision():
     # the psi tables per p, and the tail constant t_max^(2/p) per 2/p, are kept on
-    # the evaluator, one evaluator per precision
+    # the evaluator and its plan, one evaluator per precision
     model = parse_model_spec("djq:B2:3/4")
     shared = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
@@ -619,9 +679,8 @@ def test_graded_log_cache_keyed_by_p_and_precision(spec):
 
 @pytest.mark.parametrize("spec", GRADED_SPECS)
 def test_graded_tail_constants_cache_bit_identical(spec):
-    # the tail constants (growth bases and (u_n/u_d)^(2/p)) are kept on the evaluator
-    # per (2/p, precision); a tail from an evaluator that has summed other p must
-    # match a fresh one
+    # the Euler-Maclaurin tails are kept on the plan per p, one plan per precision;
+    # a tail bound from an evaluator that has summed other p must match a fresh one
     model = parse_model_spec(spec)
     used = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for ev in used.values():

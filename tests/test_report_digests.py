@@ -2,11 +2,12 @@
 
 The corpus runs every ``K_p`` summation and tail path of both families (the
 graded ``oplus``/``aut`` levels with the Euler-Maclaurin tail, near the Kac
-point too, and with the geometric tail where it is shorter or the other
-cannot certify, and the Drinfeld-Jimbo psi-table blocks), the Kac witnesses,
-inconclusive caps, and precisions other than the default, so a refactor of
-the summation or of the tails that moves one bit of any report fails here.  A deliberate change of a report must update its digest here and
-say why.
+point and at fast decay too, its tail bound on inconclusive caps, and its
+refusal at 64 bits; the Drinfeld-Jimbo psi-table blocks with the geometric
+tail), the Kac witnesses, inconclusive caps, and precisions other than the
+default, so a refactor of the summation or of the tails that moves one bit
+of any report fails here.  A deliberate change of a report must update its
+digest here and say why.
 """
 
 import hashlib
@@ -70,8 +71,10 @@ PINNED = {
     "kp --model djq:A3:0.99 --p 4 --max-length 150": (3, "b6ce5fb25e4de3f4442ca2e48bfbfb4856a20fcc87b33f4d54b9b169da099623"),
     "kp --model oplus:3:7/2 --p 4 --precision-bits 128": (0, "ea2e00ac87d53520b4a5ae46db3eaba4625ff087f10f209670231c47f175cfec"),
     "kp --model djq:B2:3/4 --p 4 --precision-bits 320": (0, "85a5a849dd2274a31102a93786e2fc06f94a1d9f9bfb62e71d7ed15a1cb1a759"),
-    "kp --model oplus:3:100 --p 5/2": (0, "e88a6eee7d3a2a9a04e03a85f6fe3761f0e57e9710903fdf027609d6a15002cc"),
-    "kp --model oplus:3:7/2 --p 4 --max-length 10": (3, "bca66216e10b010dc873164529ebd502db7e3155f1a6810ac9941463ec5bdfc0"),
+    "kp --model oplus:3:100 --p 5/2": (0, "ff486ec377b3fd8d74f28f6e1bfe2668efc69aeb43ad88de014aab1eb66a923f"),
+    "kp --model oplus:3:100 --p 2": (0, "750449fffe2bb8cdcf67d62efcc399beb7ef9571a5dc6e45e8cc159177229b0d"),
+    "kp --model oplus:3:7/2 --p 4 --max-length 10": (3, "ca2772a39f5436fb5afeeef3a27465c0bdfe7d71bb9a4ccd5028b17b27c9b982"),
+    "kp --model oplus:3:7/2 --p 4 --precision-bits 64 --tol 1e-19": (3, "9a6a076ba616e0f609fcbd1b8ad9e5d22e5cd091db8bc3ea816854cf866ad901"),
     "kp --model oplus:3:3.01 --p 4": (0, "e62a6fb204da17bb6207e590e1a48e813dd5dad9e761ad6e314aeca96593b307"),
 }
 
