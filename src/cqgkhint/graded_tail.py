@@ -77,7 +77,10 @@ The cutoff.  ``C S <= C sum_(m >= 1) m^a rho^m <= B``, with
 function over ``m >= 1`` is at most its integral over ``[0, infinity)``
 plus its maximum, taken at ``m = a / c1``.  The spread of ``G`` adds at
 most ``delta B`` to the width, so ``2 delta B <= tol`` leaves at least half
-of ``tol`` to the Euler-Maclaurin part; it is monotone in ``L``.
+of ``tol`` to the Euler-Maclaurin part; it is monotone in ``L``.  A cutoff
+also needs a ``K <= K_MAX`` whose remainder fits in a quarter of ``tol``
+(:meth:`GradedTail.corrections`): when the summand decays fast, ``c >= 2
+pi``, that takes a level or two beyond the one where ``2 delta B`` passes.
 
 The bound.  :meth:`GradedTail.tail_bound` is a plain upper bound on the tail,
 for any ``L``, from the same constants: see its docstring.
@@ -101,7 +104,7 @@ round_floor, round_ceiling = libmp.round_floor, libmp.round_ceiling
 mpf_div, mpf_mul = libmp.mpf_div, libmp.mpf_mul
 
 # the most Euler-Maclaurin corrections tried: beyond, the remainder of a c
-# near 2 pi shrinks too slowly, and the enclosure declines
+# near 2 pi shrinks too slowly, and the cutoff moves to a longer length
 K_MAX = 48
 # guard bits of the enclosure over the caller's precision and the size of B
 GUARD_BITS = 24
@@ -335,9 +338,10 @@ class GradedTail:
 
     Made by :func:`graded_tail`.  :meth:`log_width_bound` and
     :meth:`width_bound` are the cutoff's monotone bound ``2 delta B`` on the
-    width, in doubles to aim and in intervals to decide; :meth:`enclosure`
-    is the Euler-Maclaurin enclosure of the tail (see the module docstring),
-    and :meth:`tail_bound` a monotone upper bound on it.
+    width, in doubles to aim and in intervals to decide, together with
+    :meth:`corrections`; :meth:`enclosure` is the Euler-Maclaurin enclosure
+    of the tail (see the module docstring), and :meth:`tail_bound` a
+    monotone upper bound on it.
     """
 
     def __init__(self, bases, unit: bool, s: int, p: Fraction, prec: int, floats: tuple):
@@ -417,14 +421,21 @@ class GradedTail:
                 bound = series
         return libmp.mpf_pos(iv.mul(G_hi, bound)[1], self.prec, round_ceiling)
 
-    def _choose_K(self, M: int, budget: float) -> int | None:
-        """The fewest corrections whose remainder, in doubles, puts at most
-        ``budget / 4`` on the width; None when ``K_MAX`` do not."""
+    def corrections(self, L: int, budget: float) -> int | None:
+        """The fewest corrections whose remainder beyond ``L``, in doubles, puts
+        at most ``budget / 4`` on the width; None when ``K_MAX`` do not.
+
+        The room for the remainder grows by about ``c1`` per level once
+        ``M c1 > a``, and its estimate falls, so a length that fits stays
+        fitting.  When ``c = s c1 >= 2 pi`` more corrections do not shrink
+        the remainder, and only a longer cutoff makes room for it.
+        """
+        M = self._first_m(L)
         a, s, c1 = float(self.a), self.s, self.c1
         log_c = math.log(s * c1)
         log_vc = math.log(M * c1)
         # the width from the remainder is 2 C e^(-x) M^a |R_K / v^a|
-        log_room = math.log(budget / 8) - self.log_C + M * c1 - a * math.log(M)
+        log_room = math.log(budget) - math.log(8) - self.log_C + M * c1 - a * math.log(M)
         for K in range(1, K_MAX + 1):
             if _log_float_remainder(K, a, log_c, log_vc) <= log_room:
                 return K
@@ -438,11 +449,10 @@ class GradedTail:
         put at most ``budget / 4`` on the width by the double estimate of
         the remainder; None when no ``K <= K_MAX`` does.
         """
-        M = self._first_m(L)
-        K = self._choose_K(M, budget)
+        K = self.corrections(L, budget)
         if K is None:
             return None
-        iv, a, s = self.iv, self.a, self.s
+        iv, a, s, M = self.iv, self.a, self.s, self._first_m(L)
         c1 = self.c1_iv
         x = iv.mul(iv.integer(M), c1)
         c = iv.mul(iv.integer(s), c1)

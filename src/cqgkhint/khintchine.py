@@ -244,18 +244,6 @@ def _first_passing(passes, guess: int, top: int) -> int | None:
     return passing
 
 
-def _aim(log_bound, tol: float, max_length: int) -> int:
-    """The first ``L`` whose double ``log_bound(L)`` (None when infinite) is ``<= log tol``.
-
-    Found by :func:`_first_passing` from 0, ``log_bound`` being monotone in
-    ``L``; ``max_length`` when no ``L <= max_length`` passes.  It only aims
-    a cutoff, which a certified bound then decides.
-    """
-    log_tol = math.log(tol)
-    aim = _first_passing(lambda L: (b := log_bound(L)) is not None and b <= log_tol, 0, max_length)
-    return max_length if aim is None else aim
-
-
 class _GradedPlan:
     """Summation plan of the graded families ``oplus:N:Nq`` and ``aut:dimB:d1``.
 
@@ -267,14 +255,14 @@ class _GradedPlan:
 
     The tail is the Euler-Maclaurin one of :mod:`cqgkhint.graded_tail`, kept
     as one :class:`~cqgkhint.graded_tail.GradedTail` per ``p`` and built from
-    the growth bases ``u = (t + sqrt(t^2 - 4))/2``: it decides the cutoff
-    (see :meth:`KpEvaluator._asymptotic_cutoff`), encloses the tail beyond it,
-    and bounds the tail beyond any length (:meth:`tail_bound`).  The decay
-    base of ``n/d`` per level is ``(u_n/u_d)^s``, with a polynomial factor
-    when ``u_n = 1``.
+    the growth bases ``u = (t + sqrt(t^2 - 4))/2``.  Its width bound ``2
+    delta B`` aims and decides the cutoff (:meth:`log_cutoff_bound`,
+    :meth:`cutoff_bound`), one enclosure puts the tail beyond it in an
+    interval (:meth:`enclose`), and :meth:`tail_bound` bounds the tail
+    beyond any length.  The decay base of ``n/d`` per level is
+    ``(u_n/u_d)^s``, with a polynomial factor when ``u_n = 1``.
     """
 
-    asymptotic = True
     entries_per_label = 1
 
     def __init__(self, model, prec: int):
@@ -325,6 +313,28 @@ class _GradedPlan:
         tail = self.asymptotic_tail(p)
         return None if tail is None else MpfValue(tail.tail_bound(L))
 
+    def log_cutoff_bound(self, L: int, p: Fraction) -> float | None:
+        """``GradedTail.log_width_bound``, or None when :meth:`asymptotic_tail` is."""
+        tail = self.asymptotic_tail(p)
+        return None if tail is None else tail.log_width_bound(L)
+
+    def cutoff_bound(self, L: int, p: Fraction, tol: float) -> MpfValue | None:
+        """The certified width bound ``2 delta B`` beyond ``L``, or None when
+        :meth:`asymptotic_tail` is, or when no ``K`` corrections fit ``tol``
+        there (``GradedTail.corrections``)."""
+        tail = self.asymptotic_tail(p)
+        if tail is None or tail.corrections(L, tol) is None:
+            return None
+        return MpfValue(tail.width_bound(L))
+
+    def enclose(self, L: int, p: Fraction, tol: float, bound: MpfValue) -> tuple | None:
+        """``(lower, width, rounding)``: the Euler-Maclaurin enclosure beyond a
+        cutoff ``L`` that :meth:`cutoff_bound` passed, its ends rounded
+        outward; None when it is wider than ``tol``."""
+        lower, width = self.asymptotic_tail(p).enclosure(L, tol)
+        width = MpfValue(width)
+        return None if width > tol else (lower, width, (libmp.round_floor, libmp.round_ceiling))
+
 
 class _DrinfeldJimboPlan:
     """Summation plan of the Drinfeld-Jimbo deformations ``djq:<type><rank>:q``.
@@ -347,12 +357,11 @@ class _DrinfeldJimboPlan:
     ``C(k0 + r - 1, r - 1) poly(k0)^sigma tau^k0`` at ``k0 = L + 1`` and term
     ratios that decrease in ``k`` from the one at ``k0``.  Once that ratio is
     certifiably below 1 the tail is at most ``first / (1 - ratio)``: in
-    intervals for :meth:`tail_bound`, and in doubles for :meth:`log_tail`,
-    which aims the cutoff.  The decay base of ``n/d`` per length is
-    ``t_max``, with a polynomial factor.
+    intervals for :meth:`tail_bound`, which decides the cutoff and is the
+    enclosure ``[0, tail]`` beyond it, and in doubles for
+    :meth:`log_cutoff_bound`, which aims it.  The decay base of ``n/d`` per
+    length is ``t_max``, with a polynomial factor.
     """
-
-    asymptotic = False
 
     def __init__(self, model, prec: int):
         self.model = model
@@ -361,7 +370,7 @@ class _DrinfeldJimboPlan:
         rs = model.root_system
         self.t_max = model.q ** min(rs.two_rho_pairing)
         self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
-        # the aim's doubles (see log_tail): log t_max, whose terms may overflow a double,
+        # the aim's doubles (see log_cutoff_bound): log t_max, whose terms may overflow a double,
         # and C_beta
         t = self.t_max
         self._floats = math.log(t.numerator) - math.log(t.denominator), tuple(map(float, self.cs))
@@ -436,7 +445,16 @@ class _DrinfeldJimboPlan:
         _, upper = iv.div(first, iv.sub(iv.integer(1), ratio))
         return MpfValue(upper)
 
-    def log_tail(self, L: int, p: Fraction) -> float | None:
+    def cutoff_bound(self, L: int, p: Fraction, tol: float) -> MpfValue | None:
+        """:meth:`tail_bound`, whatever ``tol``."""
+        return self.tail_bound(L, p)
+
+    def enclose(self, L: int, p: Fraction, tol: float, bound: MpfValue) -> tuple:
+        """``(0, bound, rounding)``: the tail beyond ``L`` is in ``[0, bound]``,
+        its ends rounded to nearest."""
+        return libmp.fzero, bound, (round_nearest, round_nearest)
+
+    def log_cutoff_bound(self, L: int, p: Fraction) -> float | None:
         """``log`` of the :meth:`tail_bound` formula in doubles, or None when the
         double term ratio is ``>= 1``.  In logs, as the polynomial of E8 overflows
         a double, and without rounding control: it aims the cutoff, never decides it."""
@@ -479,19 +497,19 @@ class KpEvaluator:
     ``level_sum(k, mans, exps)``, the level's summand read from the table;
     ``entries_per_label``, the table entries one summand reads;
     ``tail_bound(L, p)``, its certified tail beyond length ``L`` or None;
-    ``decay_base()``; and its tail route, ``asymptotic``.  The evaluator owns
-    what is the same for every family:
+    ``decay_base()``; and its tail route: ``log_cutoff_bound(L, p)``, in
+    doubles, aims the cutoff, ``cutoff_bound(L, p, tol)``, certified,
+    decides it, and ``enclose(L, p, tol, bound)`` encloses the tail beyond
+    it.  A ``djq`` plan's route is its geometric tail, decided and enclosed
+    by ``tail_bound``; a graded plan's is the Euler-Maclaurin one of
+    :mod:`cqgkhint.graded_tail`, decided by its width bound and enclosed by
+    one evaluation.  The evaluator owns what is the same for every family:
 
     * the table of terms per ``p`` (see :meth:`_terms`), built from one
       ``log(x/y)`` per term (see :func:`_log_ratio`) and shared by every
       ``p``;
-    * the route, one per family.  A ``djq`` plan has a geometric tail, whose
-      cutoff is aimed in doubles by its ``log_tail`` and decided in
-      intervals by :meth:`tail_bound` (see :meth:`_cutoff`).  A graded plan's
-      ``asymptotic_tail(p)`` sets the cutoff and encloses the tail beyond it
-      with one Euler-Maclaurin evaluation (see :meth:`_asymptotic_cutoff`).
-      Both searches rely on their certified bounds being monotone
-      nonincreasing in the length;
+    * the search for the cutoff (see :meth:`_cutoff`), which relies on the
+      plan's ``cutoff_bound`` being monotone nonincreasing in the length;
     * the summation order (ascending length, then label order), which makes
       reports bit-identical from run to run, the check of ``tol`` against the
       rounding of the sum, and the report.
@@ -568,59 +586,40 @@ class KpEvaluator:
 
     # -- the cutoffs ------------------------------------------------------------
 
-    def _aim_cutoff(self, p: Fraction, tol: float, max_length: int) -> int:
-        """Proposed ``djq`` cutoff: :func:`_aim` over the plan's double ``log_tail``."""
-        return _aim(partial(self._plan.log_tail, p=p), tol, max_length)
+    def _cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple:
+        """``(verdict, L, lower, tail, rounding)``: the summation cutoff and the tail beyond it.
 
-    def _cutoff(
-        self, p: Fraction, tol: float, max_length: int
-    ) -> tuple[str, int, MpfValue | None]:
-        """``(verdict, L, tail)``: the ``djq`` summation cutoff and its certified tail.
-
-        Doubles aim, intervals decide.  :meth:`_aim_cutoff` proposes ``L``
-        from the double log-tails; the certified :meth:`tail_bound` is then
-        evaluated at the proposal and, when that passes, one below it.  A
-        proposal that fails is walked up, and one whose predecessor passes
-        is walked down, by galloping and bisecting (see
-        :func:`_first_passing`).  The certified tail is monotone
-        nonincreasing in ``L`` (see :func:`certified_tail`), so the result is
-        the smallest ``L <= max_length`` with a certified tail ``<= tol``,
-        the one a level-by-level scan would find, with verdict
-        ``"converged"``; a right aim costs two certified tails.  When no
-        ``L <= max_length`` certifies, it is ``("inconclusive", max_length,
-        tail_bound(max_length))``, that tail being None or above ``tol``.
+        Doubles aim, intervals decide.  The proposal is the first ``L`` whose
+        double ``log_cutoff_bound`` (None when infinite) is ``<= log tol``,
+        found by :func:`_first_passing` from 0, or ``max_length`` when none
+        is.  The plan's certified ``cutoff_bound`` is then evaluated at the
+        proposal and, when that passes, one below it; a proposal that fails
+        is walked up, and one whose predecessor passes is walked down, by
+        galloping and bisecting.  The certified bound is monotone
+        nonincreasing in ``L``, so the result is the smallest ``L <=
+        max_length`` whose bound is ``<= tol``, the one a level-by-level scan
+        would find; a right aim costs two certified bounds.  The plan's
+        ``enclose`` then puts the tail beyond ``L`` in ``[lower, lower +
+        tail]``, with verdict ``"converged"`` and the ``rounding`` of the
+        ends of ``K_p^2``.  When no ``L <= max_length`` certifies, or the
+        enclosure declines, it is ``("inconclusive", max_length, 0,
+        tail_bound(max_length), None)``.
         """
-        tails = {}
+        plan, bounds = self._plan, {}
 
         def certified(L: int) -> bool:
-            tail = tails[L] = self.tail_bound(L, p)
-            return tail is not None and tail <= tol
+            bound = bounds[L] = plan.cutoff_bound(L, p, tol)
+            return bound is not None and bound <= tol
 
-        L = _first_passing(certified, self._aim_cutoff(p, tol, max_length), max_length)
-        if L is None:
-            return "inconclusive", max_length, tails[max_length]
-        return "converged", L, tails[L]
-
-    def _asymptotic_cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple:
-        """``(verdict, L, lower, tail)``: the graded cutoff and its Euler-Maclaurin tail.
-
-        The cutoff is the smallest ``L <= max_length`` whose certified width
-        bound (see :mod:`cqgkhint.graded_tail`) is ``<= tol``: aimed by
-        ``log_width_bound`` in doubles (at ``max_length`` when none passes)
-        and decided by ``width_bound`` in intervals, as in :meth:`_cutoff`.
-        One enclosure then puts the tail beyond ``L`` in ``[lower, lower +
-        tail]``, ``"converged"``.  When ``asymptotic_tail(p)`` is None, no
-        ``L <= max_length`` certifies, or the enclosure is None or wider than
-        ``tol``, it is ``("inconclusive", max_length, 0, tail_bound(max_length))``.
-        """
-        tail = self._plan.asymptotic_tail(p)
-        if tail is not None:
-            aim = _aim(tail.log_width_bound, tol, max_length)
-            L = _first_passing(lambda L: MpfValue(tail.width_bound(L)) <= tol, aim, max_length)
-            enclosure = None if L is None else tail.enclosure(L, tol)
-            if enclosure is not None and MpfValue(enclosure[1]) <= tol:
-                return "converged", L, enclosure[0], MpfValue(enclosure[1])
-        return "inconclusive", max_length, libmp.fzero, self.tail_bound(max_length, p)
+        log_tol = math.log(tol)
+        aim = _first_passing(
+            lambda L: (b := plan.log_cutoff_bound(L, p)) is not None and b <= log_tol, 0, max_length
+        )
+        L = _first_passing(certified, max_length if aim is None else aim, max_length)
+        enclosure = None if L is None else plan.enclose(L, p, tol, bounds[L])
+        if enclosure is None:
+            return "inconclusive", max_length, libmp.fzero, self.tail_bound(max_length, p), None
+        return ("converged", L, *enclosure)
 
     def kp_constant(
         self,
@@ -631,14 +630,14 @@ class KpEvaluator:
         """Certified ``K_p`` with a dropped tail enclosed within ``tol``.
 
         A Kac-type model is ``divergent``, with levels ``0..min(max_length,
-        8)`` summed as the witness.  Otherwise the family's route sets the
-        cutoff ``L`` and the enclosure of the tail: for ``oplus`` and ``aut``
-        :meth:`_asymptotic_cutoff`, with one Euler-Maclaurin evaluation; for
-        ``djq`` :meth:`_cutoff`, the first length whose certified geometric
-        tail is ``<= tol``, with the enclosure ``[0, tail]``.  With ``L``
-        known, the table of terms is filled once, and levels ``0..L`` are
-        then summed in order.  When no ``L <= max_length`` certifies, the
-        verdict is ``inconclusive`` with levels ``0..max_length`` summed and
+        8)`` summed as the witness.  Otherwise :meth:`_cutoff` sets the
+        cutoff ``L`` and the enclosure of the tail by the family's one
+        route: for ``oplus`` and ``aut`` the first length whose certified
+        width bound is ``<= tol``, with one Euler-Maclaurin enclosure; for
+        ``djq`` the first length whose certified geometric tail is ``<=
+        tol``, with the enclosure ``[0, tail]``.  With ``L`` known, the table of terms is filled once, and levels ``0..L`` are
+        then summed in order.  When no ``L <= max_length`` certifies, or
+        the enclosure is wider than ``tol``, the verdict is ``inconclusive`` with levels ``0..max_length`` summed and
         the report carries ``tail_bound(max_length)``.
 
         A ``tol`` that is not positive and finite, or is below
@@ -656,15 +655,12 @@ class KpEvaluator:
             raise ValueError(f"max_length must be a positive integer, got {max_length}")
         max_length = int(max_length)
         prec = self.precision_bits
-        lower = libmp.fzero
         if self.model.is_kac():
             # n = d for every label, so each level contributes
             # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
             verdict, last, tail = "divergent", min(max_length, 8), None
-        elif self._plan.asymptotic:
-            verdict, last, lower, tail = self._asymptotic_cutoff(p, tol, max_length)
         else:
-            verdict, last, tail = self._cutoff(p, tol, max_length)
+            verdict, last, lower, tail, rounding = self._cutoff(p, tol, max_length)
         self._terms(p, self._plan.table_top(last))
         partial = libmp.fzero
         for L in range(0, last + 1):
@@ -678,16 +674,13 @@ class KpEvaluator:
             # each running add is rounded once (u of at most partial); the (L + 2) u left
             # over covers the higher orders, as (F + L) u is far below 1
             scale = from_int(self._plan.entries_per_label + last + 2)
-            rounding = libmp.mpf_shift(mpf_mul(scale, partial), 1 - prec)
-            if libmp.mpf_lt(libmp.from_float(tol), rounding):
+            error = libmp.mpf_shift(mpf_mul(scale, partial), 1 - prec)
+            if libmp.mpf_lt(libmp.from_float(tol), error):
                 raise TolBelowRoundingError(
-                    f"tol {tol!r} is below {libmp.to_str(rounding, 3)}, the bound on the "
+                    f"tol {tol!r} is below {libmp.to_str(error, 3)}, the bound on the "
                     f"rounding of the partial sum at {prec} bits; raise the precision"
                 )
-            # [partial + lower, partial + lower + tail]: the Euler-Maclaurin ends are
-            # rounded outward, the geometric ones (lower = 0) to nearest
-            outward = libmp.round_floor, libmp.round_ceiling
-            rounding = outward if self._plan.asymptotic else (round_nearest, round_nearest)
+            # [partial + lower, partial + lower + tail], rounded as the plan's enclosure says
             ends = lower, libmp.mpf_add(lower, tail._mpf_)  # exact
             kp2 = [libmp.mpf_add(partial, x, prec, rnd) for x, rnd in zip(ends, rounding)]
             kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, rnd)) for x, rnd in zip(kp2, rounding))
@@ -715,9 +708,9 @@ def kp_constant(
 ) -> KpReport:
     """Certified ``K_p`` evaluation; see :class:`KpEvaluator`.
 
-    The summation cutoff is aimed in doubles and decided by the certified
-    tail, which relies on that tail being monotone nonincreasing in the
-    length (see :func:`certified_tail`).
+    The summation cutoff is aimed in doubles and decided by the family's
+    certified cutoff bound, which relies on that bound being monotone
+    nonincreasing in the length (see :meth:`KpEvaluator._cutoff`).
     """
     return KpEvaluator(construct_model(model), precision_bits).kp_constant(
         p, tol=tol, max_length=max_length

@@ -6,6 +6,7 @@ against mpmath at a higher precision; the whole enclosure against remainders
 summed level by level, on random small models of every branch.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
@@ -206,6 +207,39 @@ def test_inconclusive_when_the_asymptotic_tail_cannot_certify(monkeypatch):
     del calls[:]
     assert kp_constant("oplus:3:7/2", 4, max_length=12).verdict == "inconclusive"
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["oplus:100:100000", "aut:4:5000"])
+def test_fast_decay_cutoff_waits_for_its_corrections(spec):
+    # with s c1 > 2 pi more corrections do not shrink the Euler-Maclaurin
+    # remainder: the cutoff is the first length from the one where 2 delta B
+    # passes at which some K fits, and the report converges there
+    ev = KpEvaluator(parse_model_spec(spec))
+    p, tol = Fraction(2), 1e-10
+    tail = ev._plan.asymptotic_tail(p)
+    assert tail.s * tail.c1 > 2 * math.pi
+    width_cut = next(L for L in range(100) if MpfValue(tail.width_bound(L)) <= tol)
+    assert tail.corrections(width_cut, tol) is None
+    cut = next(L for L in range(width_cut, 100) if tail.corrections(L, tol) is not None)
+    report = ev.kp_constant(p, tol=tol)
+    assert report.converged and report.terms_summed == cut
+    far, far_tail = _far_cutoff(tail, cut)
+    with mp.workprec(400):
+        lo, hi = (_mpf(x._mpf_) for x in report.kp2_interval)
+        direct = mp.fsum(ev.level_term_sum(k, p) for k in range(far + 1))
+        slack = direct * mp.ldexp(1, -180)
+        assert lo <= direct + far_tail + slack
+        assert direct - slack <= hi
+
+
+def test_corrections_take_a_subnormal_budget():
+    # log(budget / 8) underflowed below about 4e-323; the room is now log(budget) - log(8)
+    budget = 5e-324
+    slow = KpEvaluator(parse_model_spec("oplus:3:7/2"))._plan.asymptotic_tail(Fraction(4))
+    assert slow.corrections(0, budget) is None
+    fast = KpEvaluator(parse_model_spec("oplus:100:100000"))._plan.asymptotic_tail(Fraction(2))
+    assert fast.corrections(0, budget) is None
+    assert fast.corrections(200, budget) is not None
 
 
 def test_enclosure_width_is_monotone_bound():

@@ -1,6 +1,7 @@
 import math
 import operator
 from fractions import Fraction
+from functools import partial
 
 import mpmath
 import pytest
@@ -271,51 +272,23 @@ def test_su_q2_bridge_kp_intervals_overlap():
 
 
 def _scan_cutoffs(ev, p, tols, max_length):
-    """``_cutoff``'s ``(verdict, L, tail)`` for each tol, by a level-by-level scan."""
-    found = {}
-    with mp.workprec(ev.precision_bits):
-        for L in range(max_length + 1):
-            tail = ev.tail_bound(L, p)
-            for tol in tols:
-                if tol not in found and tail is not None and tail <= tol:
-                    found[tol] = ("converged", L, tail)
-            if len(found) == len(tols):
-                break
-    # an unfound tol scanned every level, so tail is the one at max_length
-    return {tol: found.get(tol, ("inconclusive", max_length, tail)) for tol in tols}
-
-
-def _scan_widths(ev, p, tols, max_length):
-    """Per tol, the first ``L <= max_length`` whose certified width bound is
-    ``<= tol``, by a level-by-level scan, or None."""
-    tail = ev._plan.asymptotic_tail(p)
+    """Per tol, the first ``(L, bound)`` with the plan's certified ``cutoff_bound``
+    ``<= tol`` for ``L <= max_length``, by a level-by-level scan, or None."""
     found = {}
     for L in range(max_length + 1):
-        width = MpfValue(tail.width_bound(L))
         for tol in tols:
-            if tol not in found and width <= tol:
-                found[tol] = L
+            if tol not in found:
+                bound = ev._plan.cutoff_bound(L, p, tol)
+                if bound is not None and bound <= tol:
+                    found[tol] = L, bound
         if len(found) == len(tols):
             break
     return {tol: found.get(tol) for tol in tols}
 
 
-def _check_asymptotic_cutoffs(ev, p, cap, scanned):
-    for tol, L in scanned.items():
-        # the cap lands beyond the cutoff, exactly on it, or just before it
-        caps = {cap} if L is None else {cap, max(L, 1), max(L - 1, 1)}
-        for top in caps:
-            expected = ("inconclusive", top, libmp.fzero, ev.tail_bound(top, p))
-            if L is not None and L <= top:
-                enclosure = ev._plan.asymptotic_tail(p).enclosure(L, tol)
-                if enclosure is not None and MpfValue(enclosure[1]) <= tol:
-                    expected = ("converged", L, enclosure[0], MpfValue(enclosure[1]))
-            assert ev._asymptotic_cutoff(p, tol, top) == expected, (tol, top)
-
-
 CUTOFF_TOLS = (1e3, 1e-5, 1e-10, 1e-20)
-# the geometric search of the djq plan against a scan of its certified tail, and
-# the Euler-Maclaurin search of the graded plan against a scan of its width bound
+# the one cutoff search against a scan of each family's certified cutoff bound:
+# the geometric tail for djq, the Euler-Maclaurin width bound for oplus and aut
 CUTOFF_CASES = [
     ("oplus:2:5/2", (Fraction(5, 2), Fraction(4), Fraction(16)), 3000),
     ("oplus:3:7/2", (Fraction(5, 2), Fraction(4)), 3000),
@@ -331,26 +304,26 @@ CUTOFF_CASES = [
 
 
 def _check_cutoffs(ev, p, cap, scanned):
-    with mp.workprec(ev.precision_bits):
-        for tol, expected in scanned.items():
-            assert ev._cutoff(p, tol, cap) == expected
-            verdict, L, _ = expected
-            if verdict == "converged":
-                # the cap lands exactly on the cutoff, or just before it
-                assert ev._cutoff(p, tol, max(L, 1)) == expected
-                if L > 1:
-                    below = ("inconclusive", L - 1, ev.tail_bound(L - 1, p))
-                    assert ev._cutoff(p, tol, L - 1) == below
+    def expected(tol, top):
+        if scanned[tol] is not None and scanned[tol][0] <= top:
+            L, bound = scanned[tol]
+            enclosure = ev._plan.enclose(L, p, tol, bound)
+            if enclosure is not None:
+                return ("converged", L, *enclosure)
+        return "inconclusive", top, libmp.fzero, ev.tail_bound(top, p), None
+
+    for tol, found in scanned.items():
+        # the cap lands beyond the cutoff, exactly on it, or just before it
+        caps = {cap} if found is None else {cap, max(found[0], 1), max(found[0] - 1, 1)}
+        for top in caps:
+            assert ev._cutoff(p, tol, top) == expected(tol, top), (tol, top)
 
 
 @pytest.mark.parametrize("spec,ps,cap", CUTOFF_CASES, ids=[c[0] for c in CUTOFF_CASES])
 def test_cutoff_search_matches_linear_scan(spec, ps, cap):
     ev = KpEvaluator(parse_model_spec(spec))
     for p in ps:
-        if ev._plan.asymptotic:
-            _check_asymptotic_cutoffs(ev, p, cap, _scan_widths(ev, p, CUTOFF_TOLS, cap))
-        else:
-            _check_cutoffs(ev, p, cap, _scan_cutoffs(ev, p, CUTOFF_TOLS, cap))
+        _check_cutoffs(ev, p, cap, _scan_cutoffs(ev, p, CUTOFF_TOLS, cap))
 
 
 @pytest.mark.parametrize(
@@ -366,18 +339,10 @@ def test_cutoff_recovers_from_missed_aims(spec, p, monkeypatch):
     # an aim at 0 must be walked up, and one at the cap walked down, to the
     # cutoff the linear scan finds
     ev = KpEvaluator(parse_model_spec(spec))
-    if ev._plan.asymptotic:
-        # the graded aim is the first length whose double width bound passes
-        scanned = _scan_widths(ev, p, CUTOFF_TOLS, 3000)
-        tail = ev._plan.asymptotic_tail(p)
-        for aim in (0, 3000):
-            passes = lambda L, aim=aim: -math.inf if L >= aim else math.inf  # noqa: E731
-            monkeypatch.setattr(tail, "log_width_bound", passes)
-            _check_asymptotic_cutoffs(ev, p, 3000, scanned)
-        return
     scanned = _scan_cutoffs(ev, p, CUTOFF_TOLS, 3000)
-    for aim in (lambda p, tol, max_length: 0, lambda p, tol, max_length: max_length):
-        monkeypatch.setattr(ev, "_aim_cutoff", aim)
+    for aim in (0, 3000):
+        passes = lambda L, p, aim=aim: -math.inf if L >= aim else math.inf  # noqa: E731
+        monkeypatch.setattr(ev._plan, "log_cutoff_bound", passes)
         _check_cutoffs(ev, p, 3000, scanned)
 
 
@@ -421,21 +386,19 @@ FLOAT_TAIL_SPECS = [
 @pytest.mark.parametrize("spec", FLOAT_TAIL_SPECS)
 def test_double_log_tail_follows_certified_tail(spec):
     # the aim's double formula stands in for the interval one: the same
-    # value wherever both are finite, and the ratio test passing at the same
-    # length up to one level of rounding; for a graded model the aim is the
-    # double width bound of the Euler-Maclaurin tail
+    # value wherever both are finite, and both finite from the same length
+    # up to one level of rounding (the djq ratio test); at a loose tol every
+    # graded length has its Euler-Maclaurin corrections
     ev = KpEvaluator(parse_model_spec(spec))
+    plan, tol = ev._plan, 1e3
     for p in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(16)):
-        if ev._plan.asymptotic:
-            tail = ev._plan.asymptotic_tail(p)
-            for L in [*range(40), *range(40, 1200, 37)]:
-                width = float(mp.log(MpfValue(tail.width_bound(L))))
-                assert math.isclose(tail.log_width_bound(L), width, rel_tol=1e-9), (p, L)
-            continue
         with mp.workprec(ev.precision_bits):
             first_double, first_certified = (
-                next((L for L in range(1200) if tail(L, p) is not None), None)
-                for tail in (ev._plan.log_tail, ev.tail_bound)
+                next((L for L in range(1200) if bound(L) is not None), None)
+                for bound in (
+                    partial(plan.log_cutoff_bound, p=p),
+                    partial(plan.cutoff_bound, p=p, tol=tol),
+                )
             )
             assert (first_double is None) == (first_certified is None), p
             if first_certified is not None:
@@ -444,9 +407,9 @@ def test_double_log_tail_follows_certified_tail(spec):
             if first_certified is not None:
                 grid += [first_certified, first_certified + 1]
             for L in grid:
-                log_tail, tail = ev._plan.log_tail(L, p), ev.tail_bound(L, p)
-                if log_tail is not None and tail is not None:
-                    assert math.isclose(log_tail, float(mp.log(tail)), rel_tol=1e-9), (p, L)
+                log_bound, bound = plan.log_cutoff_bound(L, p), plan.cutoff_bound(L, p, tol)
+                if log_bound is not None and bound is not None:
+                    assert math.isclose(log_bound, float(mp.log(bound)), rel_tol=1e-9), (p, L)
 
 
 @pytest.mark.parametrize(
@@ -459,22 +422,31 @@ def test_double_log_tail_follows_certified_tail(spec):
         ("djq:B2:3/4", 4, 1e-10),
         ("djq:A2:1/2", 16, 1e-10),
         ("djq:G2:1/2", Fraction(5, 2), 1e3),
+        # s c1 > 2 pi: the aim's length has no corrections, the next one does
+        ("oplus:100:100000", 2, 1e-10),
     ],
 )
 def test_kp_constant_tail_call_budget(spec, p, tol):
-    # the aim reads no certified tail; the decision reads at most two
+    # the aim reads no certified bound; the decision reads at most two, and
+    # the tail beyond the cutoff is enclosed once
     ev = KpEvaluator(parse_model_spec(spec))
-    calls = []
-    tail_bound = ev.tail_bound
-
-    def counted(L, p):
-        calls.append(L)
-        return tail_bound(L, p)
-
-    ev.tail_bound = counted
+    bounds, enclosures = (_record_lengths(ev._plan, name) for name in ("cutoff_bound", "enclose"))
     report = ev.kp_constant(p, tol=tol)
     assert report.converged
-    assert len(calls) <= 2
+    assert len(bounds) <= 2
+    assert enclosures == [report.terms_summed]
+
+
+def _record_lengths(plan, name: str) -> list[int]:
+    """Wrap ``plan.name`` to record the length ``L`` of each call."""
+    calls, method = [], getattr(plan, name)
+
+    def recorded(L, *args):
+        calls.append(L)
+        return method(L, *args)
+
+    setattr(plan, name, recorded)
+    return calls
 
 
 def test_interval_precision_is_restored():

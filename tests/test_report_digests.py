@@ -2,7 +2,7 @@
 
 The corpus runs every ``K_p`` summation and tail path of both families (the
 graded ``oplus``/``aut`` levels with the Euler-Maclaurin tail, near the Kac
-point and at fast decay too, its tail bound on inconclusive caps, and its
+point and at fast decay too, where the cutoff waits for its corrections, its tail bound on inconclusive caps, and its
 refusal at 64 bits; the Drinfeld-Jimbo psi-table blocks with the geometric
 tail), the Kac witnesses, inconclusive caps, and precisions other than the
 default, so a refactor of the summation or of the tails that moves one bit
@@ -76,6 +76,8 @@ PINNED = {
     "kp --model oplus:3:7/2 --p 4 --max-length 10": (3, "ca2772a39f5436fb5afeeef3a27465c0bdfe7d71bb9a4ccd5028b17b27c9b982"),
     "kp --model oplus:3:7/2 --p 4 --precision-bits 64 --tol 1e-19": (3, "9a6a076ba616e0f609fcbd1b8ad9e5d22e5cd091db8bc3ea816854cf866ad901"),
     "kp --model oplus:3:3.01 --p 4": (0, "e62a6fb204da17bb6207e590e1a48e813dd5dad9e761ad6e314aeca96593b307"),
+    "kp --model oplus:100:100000 --p 2": (0, "506ac02b73c47eb76243b2922e75f6a862b6d9237b182ac2d8ec63c41bf735bc"),
+    "kp --model aut:4:5000 --p 2": (0, "27242be210e65688822e18ea7cab383df44d7091bccdce517c342503f0a8e9f1"),
 }
 
 
