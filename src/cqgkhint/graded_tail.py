@@ -85,9 +85,10 @@ pi``, that takes a level or two beyond the one where ``2 delta B`` passes.
 The bound.  :meth:`GradedTail.tail_bound` is a plain upper bound on the tail,
 for any ``L``, from the same constants: see its docstring.
 
-Only :class:`cqgkhint.khintchine._GradedPlan` loads this module, for the
-``K_p`` or a tail bound of a non-Kac graded model.  It runs on mpmath's
-``libmp`` alone, and imports no mpmath module.
+Only ``_GradedPlan.tail`` in :mod:`cqgkhint.khintchine` loads this module,
+for the ``K_p`` or a tail bound of a non-Kac graded model, and the
+evaluator keeps the one :class:`GradedTail` per ``p`` it makes.  It runs
+on mpmath's ``libmp`` alone, and imports no mpmath module.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from ._libmp import Intervals, libmp
+from ._libmp import Intervals, MpfValue, libmp
 
 __all__ = ["GradedTail", "graded_tail"]
 
@@ -336,12 +337,13 @@ def _gamma(iv: Intervals, a1: Fraction) -> tuple:
 class GradedTail:
     """The tail of one non-Kac graded model at one ``p``, beyond a length ``L``.
 
-    Made by :func:`graded_tail`.  :meth:`log_width_bound` and
-    :meth:`width_bound` are the cutoff's monotone bound ``2 delta B`` on the
-    width, in doubles to aim and in intervals to decide, together with
-    :meth:`corrections`; :meth:`enclosure` is the Euler-Maclaurin enclosure
-    of the tail (see the module docstring), and :meth:`tail_bound` a
-    monotone upper bound on it.
+    Made by :func:`graded_tail`, it is the whole graded decision of
+    :meth:`cqgkhint.khintchine.KpEvaluator._cutoff`.  :meth:`log_cutoff_bound`
+    and :meth:`cutoff_bound` are the cutoff's monotone bound ``2 delta B`` on
+    the width, in doubles to aim and in intervals to decide, the latter
+    gated by :meth:`corrections`; :meth:`enclose` is the Euler-Maclaurin
+    enclosure of the tail (see the module docstring), and :meth:`tail_bound`
+    a monotone upper bound on it.
     """
 
     def __init__(self, bases, unit: bool, s: int, p: Fraction, prec: int, floats: tuple):
@@ -377,21 +379,24 @@ class GradedTail:
         x = iv.pow(self.u, -2 * M)
         return iv.mul(iv.rational(self.e), iv.div(x, iv.sub(iv.integer(1), x)))
 
-    def log_width_bound(self, L: int) -> float:
+    def log_cutoff_bound(self, L: int) -> float:
         """``log(2 delta B)`` in doubles: it aims the cutoff and decides none."""
         M = self._first_m(L)
         log_x = -self.rate * M
         return math.log(2 * self.e) + self.log_B + log_x - math.log1p(-math.exp(log_x))
 
-    def width_bound(self, L: int) -> tuple:
-        """The upper end of ``2 delta B``, certified, as a raw mpf."""
+    def cutoff_bound(self, L: int, tol: float) -> MpfValue | None:
+        """The upper end of ``2 delta B``, certified, or None when no ``K``
+        corrections fit ``tol`` beyond ``L`` (:meth:`corrections`)."""
+        if self.corrections(L, tol) is None:
+            return None
         iv = self.iv
-        return iv.mul(iv.integer(2), self._delta(self._first_m(L)), self.B)[1]
+        return MpfValue(iv.mul(iv.integer(2), self._delta(self._first_m(L)), self.B)[1])
 
-    def tail_bound(self, L: int) -> tuple:
+    def tail_bound(self, L: int) -> MpfValue:
         """An upper bound on the tail beyond ``L``, nonincreasing in ``L``.
 
-        A raw mpf at the caller's precision, rounded up.  With ``M = s (L + 1)
+        At the caller's precision, rounded up.  With ``M = s (L + 1)
         + 1``, ``G_hi = 1`` when ``u_n > 1`` or ``1 + delta(M)`` when ``u_n = 1``
         (so ``G_m <= G_hi`` for ``m >= M``; see the module docstring) and
         ``y = s (c1 - a/M)``, it is the upper end of ``G_hi B``, or of
@@ -419,7 +424,7 @@ class GradedTail:
             series = iv.div(iv.mul(self.C, iv.pow(iv.integer(M), self.a), decay), gap)
             if libmp.mpf_lt(series[1], bound[1]):
                 bound = series
-        return libmp.mpf_pos(iv.mul(G_hi, bound)[1], self.prec, round_ceiling)
+        return MpfValue(libmp.mpf_pos(iv.mul(G_hi, bound)[1], self.prec, round_ceiling))
 
     def corrections(self, L: int, budget: float) -> int | None:
         """The fewest corrections whose remainder beyond ``L``, in doubles, puts
@@ -441,17 +446,28 @@ class GradedTail:
                 return K
         return None
 
-    def enclosure(self, L: int, budget: float) -> tuple[tuple, tuple] | None:
-        """``(lower, width)``: the tail beyond ``L`` lies in ``[lower, lower + width]``.
+    def enclose(self, L: int, tol: float, bound: MpfValue) -> tuple | None:
+        """``(lower, width, rounding)``: the tail beyond ``L`` lies in ``[lower, lower + width]``.
 
-        Raw mpfs at the caller's precision, ``lower`` rounded down and
-        ``width`` up.  The number of corrections ``K`` is the fewest that
-        put at most ``budget / 4`` on the width by the double estimate of
-        the remainder; None when no ``K <= K_MAX`` does.
+        ``lower`` is a raw mpf at the caller's precision, rounded down, and
+        ``width`` is rounded up; the ends of ``K_p^2`` are rounded outward,
+        ``rounding = (round_floor, round_ceiling)``.  The number of
+        corrections ``K`` is the fewest that put at most ``tol / 4`` on the
+        width by the double estimate of the remainder.  None when no ``K <=
+        K_MAX`` does, or when the width is above ``tol``, as when the
+        caller's precision cannot hold ``lower`` to ``tol``.  ``bound``, the
+        cutoff's :meth:`cutoff_bound`, is not read.
         """
-        K = self.corrections(L, budget)
+        K = self.corrections(L, tol)
         if K is None:
             return None
+        lo, hi = self._enclosure(L, K)
+        lower = libmp.mpf_pos(lo, self.prec, round_floor)
+        width = MpfValue(libmp.mpf_sub(hi, lower, self.prec, round_ceiling))
+        return None if width > tol else (lower, width, (round_floor, round_ceiling))
+
+    def _enclosure(self, L: int, K: int) -> tuple:
+        """The tail beyond ``L`` with ``K`` corrections, enclosed at the working precision."""
         iv, a, s, M = self.iv, self.a, self.s, self._first_m(L)
         c1 = self.c1_iv
         x = iv.mul(iv.integer(M), c1)
@@ -470,10 +486,7 @@ class GradedTail:
         S = iv.add(integral, edge)
         one, delta = iv.integer(1), self._delta(M)
         G = (one[0], iv.add(one, delta)[1]) if self.unit else (iv.sub(one, delta)[0], one[1])
-        lo, hi = iv.mul(self.C, G, S)
-        prec = self.prec
-        lower = libmp.mpf_pos(lo, prec, round_floor)
-        return lower, libmp.mpf_sub(hi, lower, prec, round_ceiling)
+        return iv.mul(self.C, G, S)
 
 
 def _spread(iv: Intervals, u: tuple) -> tuple:

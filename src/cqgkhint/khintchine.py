@@ -9,14 +9,14 @@ summed here by ascending length.  The evaluator returns a *certified
 interval*: an exact-ordered partial sum at a fixed precision (so results are
 bit-stable) plus a rigorous enclosure of the dropped tail, computed with
 interval arithmetic: for ``djq`` from growth envelopes, by a geometric
-series, and for ``oplus`` and ``aut`` from the closed-form asymptotics of the
-summand (:mod:`cqgkhint.graded_tail`), one tail route per family.  What a
-family knows, its table of terms, its level sums, its tail and its decay
-base, is one summation plan (:class:`_GradedPlan` for ``oplus`` and ``aut``,
+series (:class:`_GeometricTail`), and for ``oplus`` and ``aut`` from the
+closed-form asymptotics of the summand (:mod:`cqgkhint.graded_tail`), one
+tail object per family and ``p``.  What a family knows, its table of terms,
+its level sums, its tail at each ``p`` and its decay base, is one summation
+plan (:class:`_GradedPlan` for ``oplus`` and ``aut``,
 :class:`_DrinfeldJimboPlan` for ``djq``), and :class:`KpEvaluator` runs
-every plan.  Kac-type models are reported divergent
-with a certified witness (every level contributes a term >= 1), never via
-timeout.
+every plan.  Kac-type models are reported divergent with a certified
+witness (every level contributes a term >= 1), never via timeout.
 
 The ``K_p`` path, the decay rates and the norm-equivalence constants run on
 mpmath's ``libmp`` alone (see :mod:`cqgkhint._libmp`), at the caller's
@@ -30,8 +30,10 @@ mpmath module, when it is loaded or when it runs.  Their results are
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import partial, reduce
+from itertools import count, islice
 from numbers import Real
 from operator import add, lshift, mul
 
@@ -253,13 +255,9 @@ class _GradedPlan:
     ``aut``, which the model gives as ``traces(iv)``.  Its summand is table
     entry ``k``, ``s^2 r^(2/p)`` with ``s = chi`` and ``r = n / (d chi^2)``.
 
-    The tail is the Euler-Maclaurin one of :mod:`cqgkhint.graded_tail`, kept
-    as one :class:`~cqgkhint.graded_tail.GradedTail` per ``p`` and built from
-    the growth bases ``u = (t + sqrt(t^2 - 4))/2``.  Its width bound ``2
-    delta B`` aims and decides the cutoff (:meth:`log_cutoff_bound`,
-    :meth:`cutoff_bound`), one enclosure puts the tail beyond it in an
-    interval (:meth:`enclose`), and :meth:`tail_bound` bounds the tail
-    beyond any length.  The decay base of ``n/d`` per level is
+    Its tail at ``p`` (:meth:`tail`) is the Euler-Maclaurin one of
+    :mod:`cqgkhint.graded_tail`, built from the growth bases ``u = (t +
+    sqrt(t^2 - 4))/2``.  The decay base of ``n/d`` per level is
     ``(u_n/u_d)^s``, with a polynomial factor when ``u_n = 1``.
     """
 
@@ -270,8 +268,6 @@ class _GradedPlan:
         self.prec = prec
         self.iv = Intervals(prec)
         self.s = model.chi_slope
-        # the GradedTail (or None) per p
-        self._tails: dict = {}
 
     def _bases(self, iv: Intervals | None = None) -> tuple:
         """Interval growth bases ``(u_n, u_d)``, in ``iv`` or at the plan's precision."""
@@ -281,10 +277,11 @@ class _GradedPlan:
         four, two = iv.integer(4), iv.integer(2)
         return tuple(iv.div(iv.add(t, iv.sqrt(iv.sub(t2, four))), two) for t, t2 in traces)
 
-    def ratio(self, i: int) -> tuple[int, int, int]:
-        data = self.model.irr_data(i)
-        chi = data.chi_sup
-        return data.n * data.d.denominator, data.d.numerator * chi * chi, chi
+    def ratios(self, start: int) -> Iterator[tuple[int, int, int]]:
+        for i in count(start):
+            data = self.model.irr_data(i)
+            chi = data.chi_sup
+            yield data.n * data.d.denominator, data.d.numerator * chi * chi, chi
 
     def table_top(self, k: int) -> int:
         return k
@@ -299,41 +296,12 @@ class _GradedPlan:
         base = iv.pow(iv.div(u_n, u_d), self.s)
         return base, libmp.mpi_mid(base, self.prec), u_n == iv.integer(1)
 
-    def asymptotic_tail(self, p: Fraction):
+    def tail(self, p: Fraction):
         """The Euler-Maclaurin tail at ``p`` (see :mod:`cqgkhint.graded_tail`), or None
         when its doubles cannot aim a cutoff.  The model is not of Kac type."""
-        if p not in self._tails:
-            from .graded_tail import graded_tail
+        from .graded_tail import graded_tail
 
-            self._tails[p] = graded_tail(self._bases, self.s, p, self.prec)
-        return self._tails[p]
-
-    def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
-        """``GradedTail.tail_bound`` at ``p``, or None when :meth:`asymptotic_tail` is."""
-        tail = self.asymptotic_tail(p)
-        return None if tail is None else MpfValue(tail.tail_bound(L))
-
-    def log_cutoff_bound(self, L: int, p: Fraction) -> float | None:
-        """``GradedTail.log_width_bound``, or None when :meth:`asymptotic_tail` is."""
-        tail = self.asymptotic_tail(p)
-        return None if tail is None else tail.log_width_bound(L)
-
-    def cutoff_bound(self, L: int, p: Fraction, tol: float) -> MpfValue | None:
-        """The certified width bound ``2 delta B`` beyond ``L``, or None when
-        :meth:`asymptotic_tail` is, or when no ``K`` corrections fit ``tol``
-        there (``GradedTail.corrections``)."""
-        tail = self.asymptotic_tail(p)
-        if tail is None or tail.corrections(L, tol) is None:
-            return None
-        return MpfValue(tail.width_bound(L))
-
-    def enclose(self, L: int, p: Fraction, tol: float, bound: MpfValue) -> tuple | None:
-        """``(lower, width, rounding)``: the Euler-Maclaurin enclosure beyond a
-        cutoff ``L`` that :meth:`cutoff_bound` passed, its ends rounded
-        outward; None when it is wider than ``tol``."""
-        lower, width = self.asymptotic_tail(p).enclosure(L, tol)
-        width = MpfValue(width)
-        return None if width > tol else (lower, width, (libmp.round_floor, libmp.round_ceiling))
+        return graded_tail(self._bases, self.s, p, self.prec)
 
 
 class _DrinfeldJimboPlan:
@@ -346,21 +314,9 @@ class _DrinfeldJimboPlan:
     entries ``psi(m) = m^(2-2/p) (q^-m - q^m)^(-2/p)``: ``s = m`` and, with
     ``q = a/b``, ``r = (ab)^m / (m (b^2m - a^2m))``.
 
-    The tail.  At length ``k``, ``n_mu <= poly(k) = prod_beta (1 + C_beta k)``
-    with ``C_beta = max_i (omega_i, beta) / (rho, beta)``;
-    ``d_mu >= t_max^(-k)`` with ``t_max = q^(min_i (omega_i, 2 rho))``, by the
-    modular-matrix sup-norm identity ``||Q_mu||_inf = prod t_i^(-mu_i)``; and
-    the level holds ``C(k + r - 1, r - 1)`` dominant weights.  With
-    ``sigma = 2 - 2/p`` a summand ``n^(2-4/p) (n/d)^(2/p)`` is at most
-    ``poly(k)^sigma tau^k``, ``tau = t_max^(2/p)``, so beyond length ``L``
-    the dominating series has first term
-    ``C(k0 + r - 1, r - 1) poly(k0)^sigma tau^k0`` at ``k0 = L + 1`` and term
-    ratios that decrease in ``k`` from the one at ``k0``.  Once that ratio is
-    certifiably below 1 the tail is at most ``first / (1 - ratio)``: in
-    intervals for :meth:`tail_bound`, which decides the cutoff and is the
-    enclosure ``[0, tail]`` beyond it, and in doubles for
-    :meth:`log_cutoff_bound`, which aims it.  The decay base of ``n/d`` per
-    length is ``t_max``, with a polynomial factor.
+    Its tail at ``p`` (:meth:`tail`) is the geometric :class:`_GeometricTail`,
+    from ``t_max = q^(min_i (omega_i, 2 rho))``, which is also the decay base
+    of ``n/d`` per length, with a polynomial factor.
     """
 
     def __init__(self, model, prec: int):
@@ -369,21 +325,20 @@ class _DrinfeldJimboPlan:
         self.iv = Intervals(prec)
         rs = model.root_system
         self.t_max = model.q ** min(rs.two_rho_pairing)
-        self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
-        # the aim's doubles (see log_cutoff_bound): log t_max, whose terms may overflow a double,
-        # and C_beta
-        t = self.t_max
-        self._floats = math.log(t.numerator) - math.log(t.denominator), tuple(map(float, self.cs))
         # a label's summand reads one table entry per positive root, over one per root
         self.entries_per_label = 2 * len(model.rho_pairing)
-        # the tail constant tau = t_max^(2/p) per 2/p
-        self._taus: dict[Fraction, tuple] = {}
 
-    def ratio(self, i: int) -> tuple[int, int, int]:
-        if i == 0:
-            return 1, 1, 0  # psi(0) is never read; its entry is 0
+    def ratios(self, start: int) -> Iterator[tuple[int, int, int]]:
+        """``(ab)^i`` and ``i (b^2i - a^2i)`` carried from ``i`` to ``i + 1`` as three powers."""
         a, b = self.model.q.numerator, self.model.q.denominator
-        return (a * b) ** i, i * (b ** (2 * i) - a ** (2 * i)), i
+        if start == 0:
+            yield 1, 1, 0  # psi(0) is never read; its entry is 0
+            start = 1
+        ab, a2, b2 = a * b, a * a, b * b
+        x, y_a, y_b = ab**start, a2**start, b2**start
+        for i in count(start):
+            yield x, i * (y_b - y_a), i
+            x, y_a, y_b = x * ab, y_a * a2, y_b * b2
 
     def table_top(self, k: int) -> int:
         # pairings grow with mu: the level's largest is max_beta h_beta + k max_i (omega_i, beta)
@@ -420,19 +375,54 @@ class _DrinfeldJimboPlan:
         denom = from_man_exp(math.prod(mans[h] for h in rho), sum(exps[h] for h in rho))
         return mpf_div(total, denom, self.prec, round_nearest)
 
+    def tail(self, p: Fraction) -> _GeometricTail:
+        return _GeometricTail(self.model, self.t_max, p, self.prec)
+
+    def decay_base(self) -> tuple:
+        return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
+
+
+class _GeometricTail:
+    """The geometric tail of a ``djq`` model at one ``p``, beyond a length ``L``.
+
+    At length ``k``, ``n_mu <= poly(k) = prod_beta (1 + C_beta k)`` with
+    ``C_beta = max_i (omega_i, beta) / (rho, beta)``; ``d_mu >= t_max^(-k)``
+    with ``t_max = q^(min_i (omega_i, 2 rho))``, by the modular-matrix
+    sup-norm identity ``||Q_mu||_inf = prod t_i^(-mu_i)``; and the level
+    holds ``C(k + r - 1, r - 1)`` dominant weights.  With ``sigma = 2 - 2/p``
+    a summand ``n^(2-4/p) (n/d)^(2/p)`` is at most ``poly(k)^sigma tau^k``,
+    ``tau = t_max^(2/p)``, so beyond length ``L`` the dominating series has
+    first term ``C(k0 + r - 1, r - 1) poly(k0)^sigma tau^k0`` at ``k0 = L +
+    1`` and term ratios that decrease in ``k`` from the one at ``k0``.  Once
+    that ratio is certifiably below 1 the tail is at most ``first / (1 -
+    ratio)``: in intervals for :meth:`tail_bound`, which is also
+    :meth:`cutoff_bound`, deciding the cutoff, and the enclosure ``[0,
+    tail]`` beyond it (:meth:`enclose`), and in doubles for
+    :meth:`log_cutoff_bound`, which aims it.  ``2/p``, ``sigma`` and ``tau``,
+    and the doubles of the aim, are computed once, when the tail is made.
+    """
+
+    def __init__(self, model: DrinfeldJimboModel, t_max: Fraction, p: Fraction, prec: int):
+        self.rank = model.rank
+        rs = model.root_system
+        self.cs = tuple(map(Fraction, map(max, rs.root_weight_pairing), model.rho_pairing))
+        iv = self.iv = Intervals(prec)
+        e2 = Fraction(2) / p
+        self.sigma, self.tau = 2 - e2, iv.pow(iv.rational(t_max), e2)
+        # the aim's doubles (see log_cutoff_bound): log t_max, whose terms may overflow a
+        # double, C_beta, 2/p and sigma
+        log_t_max = math.log(t_max.numerator) - math.log(t_max.denominator)
+        e2_float = float(e2)
+        self._floats = log_t_max, tuple(map(float, self.cs)), e2_float, float(2 - 4 / p) + e2_float
+
     def _count_poly(self, k: int) -> tuple[int, Fraction]:
         """The number of labels of length ``k``, and ``poly(k)``."""
-        rank = self.model.rank
+        rank = self.rank
         return math.comb(k + rank - 1, rank - 1), math.prod((1 + c * k for c in self.cs), start=1)
 
-    def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
+    def tail_bound(self, L: int) -> MpfValue | None:
         """The certified tail beyond ``L``, or None while the term ratio is not certainly < 1."""
-        iv = self.iv
-        e2 = Fraction(2) / p
-        sigma = 2 - e2
-        tau = self._taus.get(e2)
-        if tau is None:
-            tau = self._taus[e2] = iv.pow(iv.rational(self.t_max), e2)
+        iv, sigma, tau = self.iv, self.sigma, self.tau
         (count, poly), (count_next, poly_next) = map(self._count_poly, (L + 1, L + 2))
         first = iv.mul(iv.integer(count), iv.pow(iv.rational(poly), sigma), iv.pow(tau, L + 1))
         ratio = iv.mul(
@@ -445,23 +435,21 @@ class _DrinfeldJimboPlan:
         _, upper = iv.div(first, iv.sub(iv.integer(1), ratio))
         return MpfValue(upper)
 
-    def cutoff_bound(self, L: int, p: Fraction, tol: float) -> MpfValue | None:
+    def cutoff_bound(self, L: int, tol: float) -> MpfValue | None:
         """:meth:`tail_bound`, whatever ``tol``."""
-        return self.tail_bound(L, p)
+        return self.tail_bound(L)
 
-    def enclose(self, L: int, p: Fraction, tol: float, bound: MpfValue) -> tuple:
+    def enclose(self, L: int, tol: float, bound: MpfValue) -> tuple:
         """``(0, bound, rounding)``: the tail beyond ``L`` is in ``[0, bound]``,
         its ends rounded to nearest."""
         return libmp.fzero, bound, (round_nearest, round_nearest)
 
-    def log_cutoff_bound(self, L: int, p: Fraction) -> float | None:
+    def log_cutoff_bound(self, L: int) -> float | None:
         """``log`` of the :meth:`tail_bound` formula in doubles, or None when the
         double term ratio is ``>= 1``.  In logs, as the polynomial of E8 overflows
         a double, and without rounding control: it aims the cutoff, never decides it."""
-        log_t_max, cs = self._floats
-        rank = self.model.rank
-        e2 = float(2 / p)
-        sigma = float(2 - 4 / p) + e2
+        log_t_max, cs, e2, sigma = self._floats
+        rank = self.rank
         k0 = L + 1
         log_first = (
             math.log(math.comb(k0 + rank - 1, rank - 1))
@@ -477,9 +465,6 @@ class _DrinfeldJimboPlan:
             return None
         return log_first - math.log1p(-ratio)
 
-    def decay_base(self) -> tuple:
-        return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
-
 
 def _summation_plan(model, prec: int):
     """The summation plan of ``model``'s family at ``prec`` bits."""
@@ -492,24 +477,24 @@ class KpEvaluator:
     """Certified summation of ``K_p^2`` over one model, by its family's plan.
 
     The plan (:class:`_GradedPlan` or :class:`_DrinfeldJimboPlan`) knows the
-    family: ``ratio(i)``, the exact ``(x, y, s)`` of table term ``i``,
-    ``s^2 (x/y)^(2/p)``; ``table_top(k)``, the last term level ``k`` reads;
-    ``level_sum(k, mans, exps)``, the level's summand read from the table;
-    ``entries_per_label``, the table entries one summand reads;
-    ``tail_bound(L, p)``, its certified tail beyond length ``L`` or None;
-    ``decay_base()``; and its tail route: ``log_cutoff_bound(L, p)``, in
-    doubles, aims the cutoff, ``cutoff_bound(L, p, tol)``, certified,
-    decides it, and ``enclose(L, p, tol, bound)`` encloses the tail beyond
-    it.  A ``djq`` plan's route is its geometric tail, decided and enclosed
-    by ``tail_bound``; a graded plan's is the Euler-Maclaurin one of
-    :mod:`cqgkhint.graded_tail`, decided by its width bound and enclosed by
-    one evaluation.  The evaluator owns what is the same for every family:
+    family: ``ratios(start)``, the exact ``(x, y, s)`` of table terms
+    ``start, start + 1, ...``, each ``s^2 (x/y)^(2/p)``; ``table_top(k)``,
+    the last term level ``k`` reads; ``level_sum(k, mans, exps)``, the
+    level's summand read from the table; ``entries_per_label``, the table
+    entries one summand reads; ``decay_base()``; and ``tail(p)``, its tail at
+    ``p``: a :class:`_GeometricTail` for ``djq``, a
+    :class:`~cqgkhint.graded_tail.GradedTail` for ``oplus`` and ``aut``, or
+    None when that cannot be aimed.  A tail has four methods:
+    ``log_cutoff_bound(L)``, in doubles, aims the cutoff, ``cutoff_bound(L,
+    tol)``, certified, decides it, ``enclose(L, tol, bound)`` encloses the
+    tail beyond it, or declines, and ``tail_bound(L)`` bounds the tail beyond
+    any length.  The evaluator owns what is the same for every family:
 
     * the table of terms per ``p`` (see :meth:`_terms`), built from one
       ``log(x/y)`` per term (see :func:`_log_ratio`) and shared by every
-      ``p``;
+      ``p``, and the tail per ``p`` (see :meth:`_tail`);
     * the search for the cutoff (see :meth:`_cutoff`), which relies on the
-      plan's ``cutoff_bound`` being monotone nonincreasing in the length;
+      tail's ``cutoff_bound`` being monotone nonincreasing in the length;
     * the summation order (ascending length, then label order), which makes
       reports bit-identical from run to run, the check of ``tol`` against the
       rounding of the sum, and the report.
@@ -523,15 +508,10 @@ class KpEvaluator:
         self.precision_bits = _check_precision(precision_bits)
         self.model = construct_model(model)
         self._plan = _summation_plan(self.model, self.precision_bits)
-        # summands: (wp, log r_i, s_i^2) per term, raw terms per p
+        # summands: (wp, log r_i, s_i^2) per term, raw terms per p, the plan's tail per p
         self._logs: list[tuple[int, tuple, tuple]] = []
         self._tables: dict[tuple[int, int], tuple[list[int], list[int], dict]] = {}
-
-    # -- exact level data --------------------------------------------------
-
-    def level_entries(self, k: int) -> list[tuple[int, Fraction, int]]:
-        """Exact ``(n, d, chi_sup)`` for every label of length ``k``."""
-        return [(data.n, data.d, data.chi_sup) for data in self.model.level_data(k)]
+        self._tails: dict[Fraction, object] = {}
 
     # -- floating accumulation ----------------------------------------------
 
@@ -539,9 +519,9 @@ class KpEvaluator:
         """Raw mantissas and exponents of the table entries ``0..top``.
 
         Entry ``i`` is ``s^2 exp((2/p) log(x/y))`` for ``(x, y, s)`` the plan's
-        ``ratio(i)``, rounded once (the budget is in :func:`_log_ratio`).  The
-        logarithms are shared by every ``p``, and ``2/p`` is rounded once per
-        ``(p, wp)``.
+        ``ratios`` at ``i``, rounded once (the budget is in :func:`_log_ratio`).
+        The logarithms are shared by every ``p``, and ``2/p`` is rounded once
+        per ``(p, wp)``.
         """
         prec = self.precision_bits
         table = self._tables.get(key := (p.numerator, p.denominator))
@@ -550,9 +530,9 @@ class KpEvaluator:
         mans, exps, exponents = table
         if len(mans) <= top:
             logs = self._logs
-            for i in range(len(logs), top + 1):
-                x, y, s = self._plan.ratio(i)
-                logs.append((*_log_ratio(x, y, prec), from_int(s * s)))
+            if len(logs) <= top:
+                ratios = islice(self._plan.ratios(len(logs)), top + 1 - len(logs))
+                logs.extend((*_log_ratio(x, y, prec), from_int(s * s)) for x, y, s in ratios)
             for wp, log_r, s2 in logs[len(mans) : top + 1]:
                 e2 = exponents.get(wp)
                 if e2 is None:
@@ -572,54 +552,60 @@ class KpEvaluator:
 
     # -- certified tails ------------------------------------------------------
 
+    def _tail(self, p: Fraction):
+        """The plan's tail at ``p``, made once per ``p``, or None."""
+        if p not in self._tails:
+            self._tails[p] = self._plan.tail(p)
+        return self._tails[p]
+
     def tail_bound(self, L: int, p: Fraction) -> MpfValue | None:
         """The plan's certified upper bound on the sum of all terms of length > L, or None.
 
         None for ``djq`` while its geometric ratio test is not yet conclusive,
-        and for ``oplus`` and ``aut`` when ``asymptotic_tail(p)`` is None.
+        and for ``oplus`` and ``aut`` when the tail cannot be aimed.
         """
         if self.model.is_kac():
             raise KacDivergenceError(
                 "Kac-type model: terms do not vanish, no finite tail bound exists"
             )
-        return self._plan.tail_bound(L, p)
+        tail = self._tail(p)
+        return None if tail is None else tail.tail_bound(L)
 
     # -- the cutoffs ------------------------------------------------------------
 
     def _cutoff(self, p: Fraction, tol: float, max_length: int) -> tuple:
-        """``(verdict, L, lower, tail, rounding)``: the summation cutoff and the tail beyond it.
+        """``(L, enclosure)``: the summation cutoff and the tail beyond it.
 
         Doubles aim, intervals decide.  The proposal is the first ``L`` whose
         double ``log_cutoff_bound`` (None when infinite) is ``<= log tol``,
         found by :func:`_first_passing` from 0, or ``max_length`` when none
-        is.  The plan's certified ``cutoff_bound`` is then evaluated at the
+        is.  The tail's certified ``cutoff_bound`` is then evaluated at the
         proposal and, when that passes, one below it; a proposal that fails
         is walked up, and one whose predecessor passes is walked down, by
         galloping and bisecting.  The certified bound is monotone
-        nonincreasing in ``L``, so the result is the smallest ``L <=
+        nonincreasing in ``L``, so ``L`` is the smallest length ``<=
         max_length`` whose bound is ``<= tol``, the one a level-by-level scan
-        would find; a right aim costs two certified bounds.  The plan's
-        ``enclose`` then puts the tail beyond ``L`` in ``[lower, lower +
-        tail]``, with verdict ``"converged"`` and the ``rounding`` of the
-        ends of ``K_p^2``.  When no ``L <= max_length`` certifies, or the
-        enclosure declines, it is ``("inconclusive", max_length, 0,
-        tail_bound(max_length), None)``.
+        would find; a right aim costs two certified bounds.  The tail's
+        ``enclose`` then gives ``enclosure = (lower, width, rounding)``: the
+        tail beyond ``L`` is in ``[lower, lower + width]``, and ``rounding``
+        rounds the ends of ``K_p^2``; None when it declines.  ``(None,
+        None)`` when no ``L <= max_length`` certifies, or the model has no
+        tail at ``p``.
         """
-        plan, bounds = self._plan, {}
+        tail, bounds = self._tail(p), {}
+        if tail is None:
+            return None, None
 
         def certified(L: int) -> bool:
-            bound = bounds[L] = plan.cutoff_bound(L, p, tol)
+            bound = bounds[L] = tail.cutoff_bound(L, tol)
             return bound is not None and bound <= tol
 
         log_tol = math.log(tol)
         aim = _first_passing(
-            lambda L: (b := plan.log_cutoff_bound(L, p)) is not None and b <= log_tol, 0, max_length
+            lambda L: (b := tail.log_cutoff_bound(L)) is not None and b <= log_tol, 0, max_length
         )
         L = _first_passing(certified, max_length if aim is None else aim, max_length)
-        enclosure = None if L is None else plan.enclose(L, p, tol, bounds[L])
-        if enclosure is None:
-            return "inconclusive", max_length, libmp.fzero, self.tail_bound(max_length, p), None
-        return ("converged", L, *enclosure)
+        return L, None if L is None else tail.enclose(L, tol, bounds[L])
 
     def kp_constant(
         self,
@@ -631,20 +617,24 @@ class KpEvaluator:
 
         A Kac-type model is ``divergent``, with levels ``0..min(max_length,
         8)`` summed as the witness.  Otherwise :meth:`_cutoff` sets the
-        cutoff ``L`` and the enclosure of the tail by the family's one
-        route: for ``oplus`` and ``aut`` the first length whose certified
-        width bound is ``<= tol``, with one Euler-Maclaurin enclosure; for
-        ``djq`` the first length whose certified geometric tail is ``<=
-        tol``, with the enclosure ``[0, tail]``.  With ``L`` known, the table of terms is filled once, and levels ``0..L`` are
-        then summed in order.  When no ``L <= max_length`` certifies, or
-        the enclosure is wider than ``tol``, the verdict is ``inconclusive`` with levels ``0..max_length`` summed and
-        the report carries ``tail_bound(max_length)``.
+        cutoff ``L`` and the enclosure of the tail by the family's tail: for
+        ``oplus`` and ``aut`` the first length whose certified width bound is
+        ``<= tol``, with one Euler-Maclaurin enclosure; for ``djq`` the first
+        length whose certified geometric tail is ``<= tol``, with the
+        enclosure ``[0, tail]``.  With ``L`` known, the table of terms is
+        filled once, and levels ``0..L`` are then summed in order.  When no
+        ``L <= max_length`` certifies, or the enclosure declines, the verdict
+        is ``inconclusive`` with levels ``0..max_length`` summed and the
+        report carries ``tail_bound(max_length)``.
 
         A ``tol`` that is not positive and finite, or is below
         ``2^-precision_bits``, or a ``max_length`` that is not a positive
         integer, raises :class:`ValueError`.  A ``tol`` below a proved bound
-        on the rounding of the partial sum makes a report that would be
-        ``converged`` raise :class:`TolBelowRoundingError`.
+        on the rounding of the partial sum at a certified cutoff ``L`` raises
+        :class:`TolBelowRoundingError`, also when the enclosure there
+        declines: a report converged at any ``L' >= L`` would have a larger
+        partial sum and length, and so a larger bound.  Such a refusal sums
+        levels ``0..L`` only.
         """
         p = _check_p(p)
         if not 0 < tol < math.inf:
@@ -658,29 +648,36 @@ class KpEvaluator:
         if self.model.is_kac():
             # n = d for every label, so each level contributes
             # chi^(2-4/p) * 1 >= 1; infinitely many terms are >= 1
-            verdict, last, tail = "divergent", min(max_length, 8), None
+            verdict, last, tail, cut = "divergent", min(max_length, 8), None, None
         else:
-            verdict, last, lower, tail, rounding = self._cutoff(p, tol, max_length)
-        self._terms(p, self._plan.table_top(last))
+            cut, enclosure = self._cutoff(p, tol, max_length)
+            if enclosure is None:
+                verdict, last, tail = "inconclusive", max_length, self.tail_bound(max_length, p)
+            else:
+                verdict, last = "converged", cut
+                lower, tail, rounding = enclosure
+        self._terms(p, self._plan.table_top(last if cut is None else cut))
         partial = libmp.fzero
         for L in range(0, last + 1):
             partial = libmp.mpf_add(partial, self.level_term_sum(L, p)._mpf_, prec, round_nearest)
+            if L == cut:
+                # the rounding of the partial sum is at most (F + L + 2) 2^(1 - prec) partial,
+                # F = entries_per_label: with u = 2^-prec, each table entry is within one ulp,
+                # a relative 2u (see _log_ratio), so a summand, an exact product and quotient
+                # of F entries, is within 2Fu before its level sum is rounded once (u), and
+                # each running add is rounded once (u of at most partial); the (L + 2) u left
+                # over covers the higher orders, as (F + L) u is far below 1
+                scale = from_int(self._plan.entries_per_label + L + 2)
+                error = libmp.mpf_shift(mpf_mul(scale, partial), 1 - prec)
+                if libmp.mpf_lt(libmp.from_float(tol), error):
+                    raise TolBelowRoundingError(
+                        f"tol {tol!r} is below {libmp.to_str(error, 3)}, the bound on the "
+                        f"rounding of the partial sum at {prec} bits; raise the precision"
+                    )
+                self._terms(p, self._plan.table_top(last))
         kp2 = kp = None
         if verdict == "converged":
-            # the rounding of the partial sum is at most (F + L + 2) 2^(1 - prec) partial,
-            # F = entries_per_label: with u = 2^-prec, each table entry is within one ulp,
-            # a relative 2u (see _log_ratio), so a summand, an exact product and quotient
-            # of F entries, is within 2Fu before its level sum is rounded once (u), and
-            # each running add is rounded once (u of at most partial); the (L + 2) u left
-            # over covers the higher orders, as (F + L) u is far below 1
-            scale = from_int(self._plan.entries_per_label + last + 2)
-            error = libmp.mpf_shift(mpf_mul(scale, partial), 1 - prec)
-            if libmp.mpf_lt(libmp.from_float(tol), error):
-                raise TolBelowRoundingError(
-                    f"tol {tol!r} is below {libmp.to_str(error, 3)}, the bound on the "
-                    f"rounding of the partial sum at {prec} bits; raise the precision"
-                )
-            # [partial + lower, partial + lower + tail], rounded as the plan's enclosure says
+            # [partial + lower, partial + lower + tail], rounded as the tail's enclosure says
             ends = lower, libmp.mpf_add(lower, tail._mpf_)  # exact
             kp2 = [libmp.mpf_add(partial, x, prec, rnd) for x, rnd in zip(ends, rounding)]
             kp = tuple(MpfValue(libmp.mpf_sqrt(x, prec, rnd)) for x, rnd in zip(kp2, rounding))

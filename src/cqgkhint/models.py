@@ -252,23 +252,6 @@ def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _strip_common(num: int, den: int, b: int) -> tuple[int, int]:
-    """``num/den`` in lowest terms, for ``den`` a divisor of a power of ``b >= 1``.
-
-    A prime common to ``num`` and ``den`` divides ``b``, so it divides
-    ``gcd(num mod b, b)``; the loop divides out ``g = gcd(num, b, den)`` until
-    it is 1, each round costing one pass over ``num`` and ``den`` by an
-    integer no larger than ``b``.
-    """
-    while True:
-        g = math.gcd(num % b, b)
-        if g > 1:
-            g = math.gcd(den % g, g)
-        if g == 1:
-            return num, den
-        num, den = num // g, den // g
-
-
 class _Coprime:
     """A numerator and denominator already in lowest terms, as a ``numbers.Rational``.
 
@@ -295,11 +278,10 @@ class _GradedModel(QuantumGroupModel):
     ``K`` costs ``K - 1`` steps in total.  ``chi_sup = chi_slope * k + 1``.
     The steps run in integers: with ``c_d = a/b`` in lowest terms,
     ``d_k = D_k / b^k`` where ``D_{k+1} = a D_k - b^2 D_{k-1}``, and each
-    record's ``d`` is reduced by the primes of ``b`` alone (see
-    :func:`_strip_common`), without a gcd of the full-length numbers.  In
-    fact nothing is removed: ``D_0 = 1`` and ``D_1 = d1.numerator`` is ``a``
-    modulo ``b`` (``d1 - c_d`` is an integer), so ``D_k = a^k`` modulo ``b``
-    for every ``k``, which is prime to ``b``.
+    record's ``d`` is ``D_k / b^k`` as it stands, with no gcd: it is in
+    lowest terms, as ``D_0 = 1`` and ``D_1 = d1.numerator`` is ``a`` modulo
+    ``b`` (``d1 - c_d`` is an integer), so ``D_k = a^k`` modulo ``b`` for
+    every ``k``, which is prime to ``b``.
 
     ``chi_slope`` is also the index stride: level ``k`` is ``(f_j(t_n),
     f_j(t_d))`` with ``j = chi_slope * k``, Chebyshev polynomials at the two
@@ -329,7 +311,7 @@ class _GradedModel(QuantumGroupModel):
         n, d = c_n * n_cur - n_prev, a * d_cur - b2 * d_prev
         self._last_two = (n_cur, d_cur), (n, d)
         self._power *= b
-        d = Fraction(_Coprime(*_strip_common(d, self._power, b)))
+        d = Fraction(_Coprime(d, self._power))
         self._stream.append(self._record(len(self._stream), n, d))
 
     def irr_data(self, label) -> IrrData:

@@ -17,7 +17,7 @@ from mpmath import mp
 
 from cqgkhint import graded_tail
 from cqgkhint._libmp import Intervals, MpfValue, libmp
-from cqgkhint.khintchine import KpEvaluator, kp_constant
+from cqgkhint.khintchine import KpEvaluator, TolBelowRoundingError, kp_constant
 from cqgkhint.models import parse_model_spec
 
 
@@ -103,16 +103,17 @@ P_GRID = st.sampled_from([Fraction(p) for p in ("2", "5/2", "3", "4", "13/3", "6
 @example(spec="oplus:3:7/2", p=Fraction(13, 3), L=30, budget_exp=-3)
 @example(spec="aut:4:5", p=Fraction(5, 2), L=30, budget_exp=-3)
 def test_enclosure_contains_summed_remainder(spec, p, L, budget_exp):
+    # the enclosure at the working precision, however wide: enclose would
+    # decline most of these lengths, the width being above the budget
     ev = KpEvaluator(parse_model_spec(spec))
-    tail = ev._plan.asymptotic_tail(p)
+    tail = ev._tail(p)
     assert tail is not None
-    enclosure = tail.enclosure(L, 10.0**budget_exp)
-    if enclosure is None:  # no K <= K_MAX fits the budget: declined, never wrong
+    K = tail.corrections(L, 10.0**budget_exp)
+    if K is None:  # no K <= K_MAX fits the budget: declined, never wrong
         return
     far, far_tail = _far_cutoff(tail, L)
     with mp.workprec(400):
-        lo = _mpf(enclosure[0])
-        hi = lo + _mpf(enclosure[1])
+        lo, hi = map(_mpf, tail._enclosure(L, K))
         direct = mp.fsum(ev.level_term_sum(k, p) for k in range(L + 1, far + 1))
         # every level term is within one unit in the last place of 192 bits
         slack = direct * mp.ldexp(1, -188)
@@ -123,9 +124,9 @@ def test_enclosure_contains_summed_remainder(spec, p, L, budget_exp):
 def _far_cutoff(tail, L: int) -> tuple[int, mpmath.mpf]:
     """A length beyond ``L`` whose tail bound is below 1e-36, and that bound."""
     far = L + 1
-    while _mpf(tail.tail_bound(far)) > 1e-36:
+    while tail.tail_bound(far) > 1e-36:
         far *= 2
-    return far, _mpf(tail.tail_bound(far))
+    return far, _mpf(tail.tail_bound(far)._mpf_)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -137,9 +138,9 @@ def _far_cutoff(tail, L: int) -> tuple[int, mpmath.mpf]:
 @example(spec="aut:4:5", p=Fraction(5, 2), L=40)
 def test_tail_bound_covers_summed_remainder_and_falls(spec, p, L):
     ev = KpEvaluator(parse_model_spec(spec))
-    tail = ev._plan.asymptotic_tail(p)
+    tail = ev._tail(p)
     assert tail is not None
-    bounds = [tail.tail_bound(k) for k in range(L, L + 8)]
+    bounds = [tail.tail_bound(k)._mpf_ for k in range(L, L + 8)]
     # finite, and nonincreasing in L
     assert all(libmp.mpf_lt(b, libmp.finf) for b in bounds)
     assert all(libmp.mpf_ge(a, b) for a, b in zip(bounds, bounds[1:]))
@@ -153,15 +154,17 @@ def test_tail_bound_covers_summed_remainder_and_falls(spec, p, L):
 # -- the route in kp_constant ------------------------------------------------------------
 
 
-def _count_enclosures(monkeypatch) -> list:
+def _count_enclosures(monkeypatch, declined: bool = False) -> list:
+    """Record the length of each ``GradedTail.enclose``; with ``declined`` every
+    enclosure is declined."""
     calls = []
-    enclosure = graded_tail.GradedTail.enclosure
+    enclose = graded_tail.GradedTail.enclose
 
-    def counted(self, L, budget):
+    def counted(self, L, tol, bound):
         calls.append(L)
-        return enclosure(self, L, budget)
+        return None if declined else enclose(self, L, tol, bound)
 
-    monkeypatch.setattr(graded_tail.GradedTail, "enclosure", counted)
+    monkeypatch.setattr(graded_tail.GradedTail, "enclose", counted)
     return calls
 
 
@@ -195,13 +198,24 @@ def test_no_enclosure_for_drinfeld_jimbo_or_kac(spec, monkeypatch):
 def test_inconclusive_when_the_asymptotic_tail_cannot_certify(monkeypatch):
     calls = _count_enclosures(monkeypatch)
     ev = KpEvaluator(parse_model_spec("oplus:3:7/2"), 64)
+    summed = []
+    level_term_sum = ev.level_term_sum
+    ev.level_term_sum = lambda k, p: summed.append(k) or level_term_sum(k, p)
     # 64 bits cannot hold a tail lower end near 34 to 1e-19: the enclosure is
-    # tried once and refused, and the report is inconclusive, with every level
-    # summed and the tail bound at max_length
-    report = ev.kp_constant(4, tol=1e-19, max_length=2000)
+    # tried once and declined at the cutoff L = 24, where the rounding of the
+    # partial sum is above tol too, so it is refused with levels 0..24 summed
+    with pytest.raises(TolBelowRoundingError):
+        ev.kp_constant(4, tol=1e-19, max_length=2000)
+    assert calls == [24]
+    assert summed == list(range(25))
+    # an enclosure declined where the sum's rounding fits tol: inconclusive,
+    # with every level summed and the tail bound at max_length
+    calls = _count_enclosures(monkeypatch, declined=True)
+    ev = KpEvaluator(parse_model_spec("oplus:3:7/2"))
+    report = ev.kp_constant(4, tol=1e-19, max_length=100)
     assert len(calls) == 1
-    assert (report.verdict, report.terms_summed) == ("inconclusive", 2000)
-    assert report.tail_bound == ev.tail_bound(2000, Fraction(4))
+    assert (report.verdict, report.terms_summed) == ("inconclusive", 100)
+    assert report.tail_bound == ev.tail_bound(100, Fraction(4))
     assert report.kp2_interval is None
     # below the asymptotic cutoff nothing is tried
     del calls[:]
@@ -216,9 +230,9 @@ def test_fast_decay_cutoff_waits_for_its_corrections(spec):
     # passes at which some K fits, and the report converges there
     ev = KpEvaluator(parse_model_spec(spec))
     p, tol = Fraction(2), 1e-10
-    tail = ev._plan.asymptotic_tail(p)
+    tail = ev._tail(p)
     assert tail.s * tail.c1 > 2 * math.pi
-    width_cut = next(L for L in range(100) if MpfValue(tail.width_bound(L)) <= tol)
+    width_cut = next(L for L in range(100) if _width_bound(tail, L) <= tol)
     assert tail.corrections(width_cut, tol) is None
     cut = next(L for L in range(width_cut, 100) if tail.corrections(L, tol) is not None)
     report = ev.kp_constant(p, tol=tol)
@@ -235,17 +249,25 @@ def test_fast_decay_cutoff_waits_for_its_corrections(spec):
 def test_corrections_take_a_subnormal_budget():
     # log(budget / 8) underflowed below about 4e-323; the room is now log(budget) - log(8)
     budget = 5e-324
-    slow = KpEvaluator(parse_model_spec("oplus:3:7/2"))._plan.asymptotic_tail(Fraction(4))
+    slow = KpEvaluator(parse_model_spec("oplus:3:7/2"))._tail(Fraction(4))
     assert slow.corrections(0, budget) is None
-    fast = KpEvaluator(parse_model_spec("oplus:100:100000"))._plan.asymptotic_tail(Fraction(2))
+    fast = KpEvaluator(parse_model_spec("oplus:100:100000"))._tail(Fraction(2))
     assert fast.corrections(0, budget) is None
     assert fast.corrections(200, budget) is not None
 
 
 def test_enclosure_width_is_monotone_bound():
     # the cutoff's bound 2 delta B falls with L, and the doubles follow the intervals
-    tail = KpEvaluator(parse_model_spec("aut:5:5"))._plan.asymptotic_tail(Fraction(13, 2))
-    bounds = [MpfValue(tail.width_bound(L)) for L in range(60)]
+    tail = KpEvaluator(parse_model_spec("aut:5:5"))._tail(Fraction(13, 2))
+    bounds = [_width_bound(tail, L) for L in range(60)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
     for L in (0, 10, 40):
-        assert tail.log_width_bound(L) == pytest.approx(float(mpmath.log(bounds[L])), rel=1e-9)
+        assert tail.log_cutoff_bound(L) == pytest.approx(float(mpmath.log(bounds[L])), rel=1e-9)
+
+
+def _width_bound(tail, L: int) -> MpfValue:
+    """The certified width bound ``2 delta B`` beyond ``L``: ``cutoff_bound`` at a
+    tol so loose that one correction always fits it."""
+    bound = tail.cutoff_bound(L, 1e300)
+    assert bound is not None
+    return bound

@@ -2,6 +2,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import mpmath
 import pytest
@@ -9,8 +10,10 @@ from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
 from conftest import q_integer
-from cqgkhint._libmp import MpfValue, libmp
+from cqgkhint import graded_tail, khintchine
+from cqgkhint._libmp import MpfValue
 from cqgkhint.chebyshev import envelope
+from cqgkhint.cli import main
 from cqgkhint.khintchine import (
     KacDivergenceError,
     KpEvaluator,
@@ -68,8 +71,8 @@ def test_k2_equals_sum_of_dimension_ratios():
     with mp.workprec(192):
         direct = mp.mpf(0)
         for k in range(report.terms_summed + 1):
-            (n, d, chi) = ev.level_entries(k)[0]
-            direct += mp.mpf(n) * d.denominator / d.numerator
+            (data,) = ev.model.level_data(k)
+            direct += mp.mpf(data.n) * data.d.denominator / data.d.numerator
         assert abs(report.partial_sum - direct) < 1e-25
 
 
@@ -125,9 +128,10 @@ def test_tol_below_working_precision_rejected():
         kp_constant("oplus:3:7/2", 4, tol=1e-300)
     with pytest.raises(ValueError, match="precision"):
         kp_constant("djq:A2:1/2", 4, tol=2.0**-65, precision_bits=64)
-    # the boundary tol is accepted, not refused up front; 64 bits cannot hold the
-    # Euler-Maclaurin tail's lower end to it, so the report is inconclusive
-    assert kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64).verdict == "inconclusive"
+    # the boundary tol is accepted, not refused up front; 64 bits cannot round the
+    # partial sum at the Euler-Maclaurin cutoff to it, so it is refused there
+    with pytest.raises(TolBelowRoundingError):
+        kp_constant("oplus:3:7/2", 4, tol=2.0**-64, precision_bits=64)
 
 
 def test_tol_below_the_rounding_of_the_sum_refused():
@@ -272,13 +276,13 @@ def test_su_q2_bridge_kp_intervals_overlap():
 
 
 def _scan_cutoffs(ev, p, tols, max_length):
-    """Per tol, the first ``(L, bound)`` with the plan's certified ``cutoff_bound``
+    """Per tol, the first ``(L, bound)`` with the tail's certified ``cutoff_bound``
     ``<= tol`` for ``L <= max_length``, by a level-by-level scan, or None."""
-    found = {}
+    found, tail = {}, ev._tail(p)
     for L in range(max_length + 1):
         for tol in tols:
             if tol not in found:
-                bound = ev._plan.cutoff_bound(L, p, tol)
+                bound = tail.cutoff_bound(L, tol)
                 if bound is not None and bound <= tol:
                     found[tol] = L, bound
         if len(found) == len(tols):
@@ -307,10 +311,8 @@ def _check_cutoffs(ev, p, cap, scanned):
     def expected(tol, top):
         if scanned[tol] is not None and scanned[tol][0] <= top:
             L, bound = scanned[tol]
-            enclosure = ev._plan.enclose(L, p, tol, bound)
-            if enclosure is not None:
-                return ("converged", L, *enclosure)
-        return "inconclusive", top, libmp.fzero, ev.tail_bound(top, p), None
+            return L, ev._tail(p).enclose(L, tol, bound)
+        return None, None
 
     for tol, found in scanned.items():
         # the cap lands beyond the cutoff, exactly on it, or just before it
@@ -341,8 +343,8 @@ def test_cutoff_recovers_from_missed_aims(spec, p, monkeypatch):
     ev = KpEvaluator(parse_model_spec(spec))
     scanned = _scan_cutoffs(ev, p, CUTOFF_TOLS, 3000)
     for aim in (0, 3000):
-        passes = lambda L, p, aim=aim: -math.inf if L >= aim else math.inf  # noqa: E731
-        monkeypatch.setattr(ev._plan, "log_cutoff_bound", passes)
+        passes = lambda L, aim=aim: -math.inf if L >= aim else math.inf  # noqa: E731
+        monkeypatch.setattr(ev._tail(p), "log_cutoff_bound", passes)
         _check_cutoffs(ev, p, 3000, scanned)
 
 
@@ -389,16 +391,13 @@ def test_double_log_tail_follows_certified_tail(spec):
     # value wherever both are finite, and both finite from the same length
     # up to one level of rounding (the djq ratio test); at a loose tol every
     # graded length has its Euler-Maclaurin corrections
-    ev = KpEvaluator(parse_model_spec(spec))
-    plan, tol = ev._plan, 1e3
+    ev, tol = KpEvaluator(parse_model_spec(spec)), 1e3
     for p in (Fraction(2), Fraction(5, 2), Fraction(4), Fraction(16)):
+        tail = ev._tail(p)
         with mp.workprec(ev.precision_bits):
             first_double, first_certified = (
                 next((L for L in range(1200) if bound(L) is not None), None)
-                for bound in (
-                    partial(plan.log_cutoff_bound, p=p),
-                    partial(plan.cutoff_bound, p=p, tol=tol),
-                )
+                for bound in (tail.log_cutoff_bound, partial(tail.cutoff_bound, tol=tol))
             )
             assert (first_double is None) == (first_certified is None), p
             if first_certified is not None:
@@ -407,7 +406,7 @@ def test_double_log_tail_follows_certified_tail(spec):
             if first_certified is not None:
                 grid += [first_certified, first_certified + 1]
             for L in grid:
-                log_bound, bound = plan.log_cutoff_bound(L, p), plan.cutoff_bound(L, p, tol)
+                log_bound, bound = tail.log_cutoff_bound(L), tail.cutoff_bound(L, tol)
                 if log_bound is not None and bound is not None:
                     assert math.isclose(log_bound, float(mp.log(bound)), rel_tol=1e-9), (p, L)
 
@@ -430,22 +429,23 @@ def test_kp_constant_tail_call_budget(spec, p, tol):
     # the aim reads no certified bound; the decision reads at most two, and
     # the tail beyond the cutoff is enclosed once
     ev = KpEvaluator(parse_model_spec(spec))
-    bounds, enclosures = (_record_lengths(ev._plan, name) for name in ("cutoff_bound", "enclose"))
+    tail = ev._tail(Fraction(p))
+    bounds, enclosures = (_record_lengths(tail, name) for name in ("cutoff_bound", "enclose"))
     report = ev.kp_constant(p, tol=tol)
     assert report.converged
     assert len(bounds) <= 2
     assert enclosures == [report.terms_summed]
 
 
-def _record_lengths(plan, name: str) -> list[int]:
-    """Wrap ``plan.name`` to record the length ``L`` of each call."""
-    calls, method = [], getattr(plan, name)
+def _record_lengths(tail, name: str) -> list[int]:
+    """Wrap ``tail.name`` to record the length ``L`` of each call."""
+    calls, method = [], getattr(tail, name)
 
     def recorded(L, *args):
         calls.append(L)
         return method(L, *args)
 
-    setattr(plan, name, recorded)
+    setattr(tail, name, recorded)
     return calls
 
 
@@ -470,8 +470,8 @@ def _oracle_level_sum(ev, k, p):
     e1 = _mpf(2 - 4 / p)
     e2 = _mpf(2 / p)
     return mp.fsum(
-        mp.power(n, e1) * mp.power(mp.mpf(n) * d.denominator / d.numerator, e2)
-        for n, d, _ in ev.level_entries(k)
+        mp.power(x.n, e1) * mp.power(mp.mpf(x.n) * x.d.denominator / x.d.numerator, e2)
+        for x in ev.model.level_data(k)
     )
 
 
@@ -493,8 +493,8 @@ def test_dj_table_sum_matches_exact_level_entries(spec):
 
 
 def test_dj_table_cache_keyed_by_p_and_precision():
-    # the psi tables per p, and the tail constant t_max^(2/p) per 2/p, are kept on
-    # the evaluator and its plan, one evaluator per precision
+    # the psi tables per p, and the geometric tail per p, are kept on the
+    # evaluator, one evaluator per precision
     model = parse_model_spec("djq:B2:3/4")
     shared = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
     for p, bits in ((4, 192), (6, 192), (4, 192), (4, 128), (6, 128), (4, 192)):
@@ -507,6 +507,42 @@ def test_dj_table_cache_keyed_by_p_and_precision():
             ref = KpEvaluator(model, bits).tail_bound(L, Fraction(p))
             assert (got is None) == (ref is None)
             assert got is None or got._mpf_ == ref._mpf_
+
+
+@pytest.mark.parametrize("q", ["1/2", "3/4", "99/100"])
+def test_dj_ratios_carried_match_from_scratch(q):
+    # the psi-table ratios (ab)^i and i (b^2i - a^2i), carried as three powers
+    # from any start, against the formula evaluated afresh at every i
+    model = parse_model_spec(f"djq:A1:{q}")
+    a, b = model.q.numerator, model.q.denominator
+    plan = KpEvaluator(model)._plan
+    for start, n in ((0, 300), (1, 5), (257, 40)):
+        expected = [
+            (1, 1, 0) if i == 0 else ((a * b) ** i, i * (b ** (2 * i) - a ** (2 * i)), i)
+            for i in range(start, start + n)
+        ]
+        assert list(islice(plan.ratios(start), n)) == expected, start
+
+
+@pytest.mark.parametrize("spec", ["oplus:3:7/2", "aut:5:5", "djq:A2:1/2"])
+def test_one_tail_per_p(spec, capsys, monkeypatch):
+    # a p repeated in a table, and a tail bound after a K_p, make no second tail
+    made = []
+
+    def counted(make):
+        return lambda *args: made.append(args) or make(*args)
+
+    monkeypatch.setattr(graded_tail, "graded_tail", counted(graded_tail.graded_tail))
+    monkeypatch.setattr(khintchine, "_GeometricTail", counted(khintchine._GeometricTail))
+    assert main(["table", "--model", spec, "--kind", "kp", "--p-list", "4,6,4,6"]) == 0
+    capsys.readouterr()
+    assert len(made) == 2
+    del made[:]
+    ev = KpEvaluator(parse_model_spec(spec))
+    assert ev.kp_constant(4).converged
+    for L in (0, 40, 200):
+        ev.tail_bound(L, Fraction(4))
+    assert len(made) == 1
 
 
 def _row_by_row_level_sum(model, k: int, p: Fraction, bits: int) -> mpmath.mpf:
@@ -604,7 +640,9 @@ def test_so_q3_bridge_per_summand(q):
     dj = KpEvaluator(parse_model_spec(f"djq:A1:{q}"))
     aut = KpEvaluator(parse_model_spec(f"aut:4:{q * q + 1 + 1 / q**2}"))
     for k in range(60):
-        assert aut.level_entries(k) == dj.level_entries(2 * k), k
+        assert [(x.n, x.d, x.chi_sup) for x in aut.model.level_data(k)] == [
+            (x.n, x.d, x.chi_sup) for x in dj.model.level_data(2 * k)
+        ], k
     ps = list(map(Fraction, (3, 4, "13/2", 16)))
     with mp.workprec(192):
         for p in ps:
@@ -628,7 +666,8 @@ def test_graded_term_matches_power_reference(spec):
     # its guard bits misses one unit at k = 599, but not 1e-54)
     ev = KpEvaluator(parse_model_spec(spec))
     for k in (0, 1, 2, 40, 599):
-        ((n, d, chi),) = ev.level_entries(k)
+        (data,) = ev.model.level_data(k)
+        n, d, chi = data.n, data.d, data.chi_sup
         for p in map(Fraction, (2, "5/2", 3, 4, "13/2", 16)):
             with mp.workprec(192):
                 got = ev.level_term_sum(k, p)
@@ -651,7 +690,7 @@ def test_graded_log_cache_keyed_by_p_and_precision(spec):
 
 @pytest.mark.parametrize("spec", GRADED_SPECS)
 def test_graded_tail_constants_cache_bit_identical(spec):
-    # the Euler-Maclaurin tails are kept on the plan per p, one plan per precision;
+    # the Euler-Maclaurin tails are kept on the evaluator per p, one per precision;
     # a tail bound from an evaluator that has summed other p must match a fresh one
     model = parse_model_spec(spec)
     used = {bits: KpEvaluator(model, bits) for bits in (128, 192)}
@@ -719,8 +758,8 @@ def test_decay_envelope_dominates_all_levels():
     report = decay_rate("aut:4:5", horizon=40)
     ev = KpEvaluator(parse_model_spec("aut:4:5"))
     for k in range(41):
-        n, d, _ = ev.level_entries(k)[0]
-        ratio = mp.mpf(n) * d.denominator / d.numerator
+        (data,) = ev.model.level_data(k)
+        ratio = mp.mpf(data.n) * data.d.denominator / data.d.numerator
         bound = report.constant_envelope * mp.power(report.theoretical_base, k)
         assert ratio <= bound * (1 + mp.mpf(10) ** -30)
 
@@ -768,36 +807,17 @@ def test_constants_reject_bad_p_and_propagate_divergence():
 # -- level data sanity ------------------------------------------------------------------
 
 
-def test_dj_level_entries_match_models_api():
-    model = parse_model_spec("djq:A2:1/2")
-    ev = KpEvaluator(model)
-    for k in range(5):
-        entries = ev.level_entries(k)
-        expected = [(d.n, d.d, d.chi_sup) for d in model.level_data(k)]
-        assert entries == expected
-
-
-def test_graded_level_entries_match_models_api():
-    for spec in ("oplus:3:3.5", "aut:5:5"):
-        model = parse_model_spec(spec)
-        ev = KpEvaluator(model)
-        for k in range(30):
-            (n, d, chi) = ev.level_entries(k)[0]
-            data = model.irr_data(k)
-            assert (n, d, chi) == (data.n, data.d, data.chi_sup)
-
-
 def test_polynomial_character_sums_drinfeld_jimbo():
     # sum of chi_sup^2 = sum n^2 per level grows polynomially:
     # exactly (k+1)^2 for A1; log-log slope stabilises for A2
     ev1 = KpEvaluator(parse_model_spec("djq:A1:1/2"))
     for k in (1, 5, 20, 50):
-        total = sum(n * n for n, _, _ in ev1.level_entries(k))
+        total = sum(x.n * x.n for x in ev1.model.level_data(k))
         assert total == (k + 1) ** 2
     ev2 = KpEvaluator(parse_model_spec("djq:A2:1/2"))
 
     def level_sum(k):
-        return sum(n * n for n, _, _ in ev2.level_entries(k))
+        return sum(x.n * x.n for x in ev2.model.level_data(k))
 
     import math
 

@@ -74,7 +74,8 @@ PINNED = {
     "kp --model oplus:3:100 --p 5/2": (0, "ff486ec377b3fd8d74f28f6e1bfe2668efc69aeb43ad88de014aab1eb66a923f"),
     "kp --model oplus:3:100 --p 2": (0, "750449fffe2bb8cdcf67d62efcc399beb7ef9571a5dc6e45e8cc159177229b0d"),
     "kp --model oplus:3:7/2 --p 4 --max-length 10": (3, "ca2772a39f5436fb5afeeef3a27465c0bdfe7d71bb9a4ccd5028b17b27c9b982"),
-    "kp --model oplus:3:7/2 --p 4 --precision-bits 64 --tol 1e-19": (3, "9a6a076ba616e0f609fcbd1b8ad9e5d22e5cd091db8bc3ea816854cf866ad901"),
+    # refused at its cutoff L = 24, where 64 bits cannot round the sum to 1e-19: no report
+    "kp --model oplus:3:7/2 --p 4 --precision-bits 64 --tol 1e-19": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "kp --model oplus:3:3.01 --p 4": (0, "e62a6fb204da17bb6207e590e1a48e813dd5dad9e761ad6e314aeca96593b307"),
     "kp --model oplus:100:100000 --p 2": (0, "506ac02b73c47eb76243b2922e75f6a862b6d9237b182ac2d8ec63c41bf735bc"),
     "kp --model aut:4:5000 --p 2": (0, "27242be210e65688822e18ea7cab383df44d7091bccdce517c342503f0a8e9f1"),
