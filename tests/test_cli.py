@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import gc
+import io
 import json
 import os
 import subprocess
@@ -11,6 +14,7 @@ import pytest
 from cqgkhint.cli import main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -22,6 +26,18 @@ def run_cli_to_file(tmp_path, name, *argv):
     path = tmp_path / name
     code = main(list(argv) + ["--output", str(path)])
     return code, path.read_bytes()
+
+
+def _fresh_python(*args: str, text: bool = True) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with the package sources importable."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=text,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 # -- dims -----------------------------------------------------------------------
@@ -513,17 +529,130 @@ def test_verify_reports_byte_identical(tmp_path):
     assert run1 == run2
 
 
-def test_console_entry_point():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cqgkhint.cli", "fusion", "--rule", "su2", "--k", "1", "--l", "1"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+def test_console_entry_point(tmp_path, capsys):
+    proc = _fresh_python("-m", "cqgkhint.cli", "fusion", "--rule", "su2", "--k", "1", "--l", "1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["decomposition"] == [[0, 1], [2, 1]]
+    # the one-shot process writes the same bytes and exit code as main() in process
+    codes = []
+    for argv in (
+        ["kp", "--model", "djq:A2:1/2", "--p", "4"],
+        ["table", "--model", "oplus:3:7/2", "--kind", "kp", "--p-list", "3,4", "--format", "csv"],
+        ["kp", "--model", "djq:A2:1/2", "--p", "4", "--precision-bits", "64", "--tol", "1e-18"],
+        ["kp", "--model", "oplus:3:7/2", "--p", "4", "--max-length", "10"],
+    ):
+        proc = _fresh_python("-m", "cqgkhint.cli", *argv, text=False)
+        code, out, err = run_cli(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (code, out.encode(), err)
+        codes.append((code, err.split("]")[0]))
+    assert codes == [(0, ""), (0, ""), (2, "error[tol-below-rounding"), (3, "")]
+    argv = ["dims", "--model", "aut:5:5"]
+    proc = _fresh_python("-m", "cqgkhint.cli", *argv, "--output", str(tmp_path / "a.json"))
+    code, in_process = run_cli_to_file(tmp_path, "b.json", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", "")
+    assert (tmp_path / "a.json").read_bytes() == in_process
+
+
+# -- the collector in one-shot processes and in library calls ---------------------
+
+_GC_STATE = "(gc.isenabled(), gc.get_freeze_count() > 0)"
+
+
+def test_run_exits_with_the_collector_off_and_the_heap_frozen():
+    # atexit handlers still run under run(), and the exit code is main()'s
+    script = (
+        "import atexit, gc, sys\n"
+        f"atexit.register(lambda: print({_GC_STATE}))\n"
+        f"print({_GC_STATE})\n"
+        "sys.argv = ['cqgkhint', 'kp', '--model', 'oplus:3:7/2', '--p', '4', '--max-length', '10']\n"
+        "from cqgkhint.cli import run\n"
+        "run()\n"
+    )
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 3, proc.stderr
+    first, *report, last = proc.stdout.splitlines()
+    assert (first, json.loads("".join(report))["verdict"], last) == (
+        "(True, False)", "inconclusive", "(False, True)"
+    )
+
+
+def test_importing_the_cli_leaves_the_collector_alone():
+    script = f"import gc\nbefore = {_GC_STATE}\nimport cqgkhint.cli\nprint(before == {_GC_STATE})\n"
+    proc = _fresh_python("-c", script)
+    assert proc.stdout.strip() == "True", proc.stderr
+
+
+def _main_quietly(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], 0),
+        (["kp", "--model", "djq:A2:1/2", "--p", "4", "--precision-bits", "64", "--tol", "1e-18"], 2),
+        (["kp", "--model", "oplus:3:7/2", "--p", "4", "--max-length", "10"], 3),
+    ],
+)
+def test_main_leaves_the_collector_alone(argv, code):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert _main_quietly(argv) == code
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# run() is safe without the collector because a command leaves a fixed amount
+# of cyclic garbage, whatever its input: the argparse parser, and the closures
+# of the one JSON encoder when the report is JSON.  A cycle made per level,
+# label or p would make the large input of a pair leave more than the small.
+@pytest.mark.parametrize(
+    "small, large",
+    [
+        (["kp", "--model", "djq:A1:1/2", "--p", "4"], ["kp", "--model", "djq:A3:1/2", "--p", "4"]),
+        (["kp", "--model", "oplus:3:7/2", "--p", "4"], ["kp", "--model", "aut:6:7", "--p", "8", "--tol", "1e-30"]),
+        (["kp", "--model", "oplus:3:3", "--p", "4"], ["kp", "--model", "aut:4:4", "--p", "6"]),
+        (
+            ["table", "--model", "oplus:3:7/2", "--kind", "kp", "--p-list", "4"],
+            ["table", "--model", "djq:A2:1/2", "--kind", "kp", "--p-list", "3,4,6,8,12"],
+        ),
+        (
+            ["table", "--model", "oplus:3:7/2", "--kind", "ratios", "--max-length", "5"],
+            ["table", "--model", "aut:5:5", "--kind", "ratios", "--max-length", "600"],
+        ),
+        (["dims", "--model", "djq:A1:1/2", "--max-length", "3"], ["dims", "--model", "djq:A2:1/2", "--max-length", "60"]),
+        (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,0"], ["spectrum", "--model", "djq:A3:1/2", "--mu", "6,6,6"]),
+        (["verify", "--model", "oplus:3:7/2", "--horizon", "2"], ["verify", "--model", "djq:C3:3/4"]),
+        (["decay", "--model", "aut:5:5", "--horizon", "5"], ["decay", "--model", "djq:B2:3/4", "--horizon", "40"]),
+        (
+            ["constants", "--model", "djq:A1:1/2", "--p", "4", "--r", "3"],
+            ["constants", "--model", "djq:B2:3/4", "--p", "4", "--r", "3"],
+        ),
+        (["fusion", "--rule", "su2", "--k", "1", "--l", "1"], ["fusion", "--rule", "so3", "--k", "40", "--l", "30"]),
+        (
+            ["kp", "--model", "djq:A1:1/2", "--p", "4", "--precision-bits", "64", "--tol", "1e-18"],
+            ["kp", "--model", "djq:A2:1/2", "--p", "4", "--precision-bits", "64", "--tol", "1e-18"],
+        ),
+        (
+            ["kp", "--model", "oplus:3:7/2", "--p", "4", "--max-length", "3"],
+            ["kp", "--model", "oplus:3:7/2", "--p", "4", "--max-length", "10"],
+        ),
+    ],
+)
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(small, large):
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _main_quietly(small)  # warm-up: first-use imports and caches
+        gc.collect()
+        found = []
+        for argv in (small, large):
+            _main_quietly(argv)
+            found.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert found[0] == found[1], found
 
 
 def test_spectrum_rank_two_weight(capsys):
@@ -559,7 +688,6 @@ def test_kp_csv_divergent_row(capsys):
 
 def test_cli_commands_do_not_import_numpy():
     # numpy is loaded only when schur.CentralSeries is built; no CLI command needs it
-    src = str(Path(__file__).resolve().parent.parent / "src")
     script = (
         "import contextlib, io, sys\n"
         "from cqgkhint.cli import main\n"
@@ -568,14 +696,7 @@ def test_cli_commands_do_not_import_numpy():
         "    assert main(['dims', '--model', 'aut:5:5', '--max-length', '20']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
     )
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -658,15 +779,7 @@ def test_graded_kp_loads_the_asymptotic_tail(argv):
 
 def _loaded_by(argv: list[str]) -> list[str]:
     """The modules a fresh CLI process loads for ``argv``, once it exits 0."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _LOADED_BY_COMMAND, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    proc = _fresh_python("-c", _LOADED_BY_COMMAND, *argv)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
     assert code == 0, proc.stderr
     return loaded
