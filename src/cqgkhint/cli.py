@@ -19,8 +19,14 @@ byte-identical across runs and worker counts for a fixed configuration.
 Each handler formats its values once and returns them as a JSON payload plus
 one ``(header, rows)`` table.  The CSV form writes that table; list-valued
 payload fields are its rows zipped with the header (``verify`` names the
-``check`` column ``name`` in JSON).  A JSON config file (``--config``) may
-supply defaults under the flag name of any subcommand; explicit flags win.
+``check`` column ``name`` in JSON).
+
+Each command is defined once, in ``_COMMANDS`` (help and handler), and each
+option once, in ``_OPTIONS`` (argparse keywords, default and the commands
+that take it); the parser, the config file and the defaults all read these
+two tables.  A JSON config file (``--config``) may supply any option under
+its ``_OPTIONS`` name (the flag with ``_`` for ``-``), read as its flag
+reads ``str(value)``; explicit flags win over it, and it over the defaults.
 
 Each handler imports what it runs, and no command imports an mpmath module.
 ``fusion``, ``dims``, ``spectrum`` and ``verify`` are exact and load no
@@ -337,30 +343,45 @@ def _cmd_table(args, fmt):
     return model.spec_string(), payload, (header, rows), exit_code
 
 
-_HANDLERS = {
-    "dims": _cmd_dims,
-    "spectrum": _cmd_spectrum,
-    "fusion": _cmd_fusion,
-    "kp": _cmd_kp,
-    "decay": _cmd_decay,
-    "constants": _cmd_constants,
-    "verify": _cmd_verify,
-    "table": _cmd_table,
+# name -> (help, handler), in the order ``cqgkhint --help`` lists them
+_COMMANDS = {
+    "dims": ("per-level dimension table", _cmd_dims),
+    "spectrum": ("modular-matrix spectrum of one djq label", _cmd_spectrum),
+    "fusion": ("tensor decomposition in the su2/so3 fusion rings", _cmd_fusion),
+    "kp": ("certified K_p evaluation", _cmd_kp),
+    "decay": ("decay base of n/d", _cmd_decay),
+    "constants": ("norm-equivalence constants", _cmd_constants),
+    "verify": ("per-model invariant suite", _cmd_verify),
+    "table": ("plot-ready tables", _cmd_table),
 }
 
-_DEFAULTS = {
-    "p": Fraction(4),
-    "r": Fraction(2),
-    "tol": 1e-10,
-    "max_length": 2000,
-    "format": "json",
-    "output": None,
-    "precision_bits": DEFAULT_PRECISION_BITS,
-    "workers": 1,
-    "horizon": 12,
-    "kind": "ratios",
-    "p_list": "2,4,8,16",
+# dest -> (argparse kwargs, default, commands or None for all), in the order
+# each ``--help`` lists them; the flag is ``--dest`` with ``-`` for ``_``, and
+# the dest is the option's config key
+_OPTIONS = {
+    "model": ({"help": "djq:<type><rank>:<q> | oplus:<N>:<Nq> | aut:<dimB>:<d1>"}, None, None),
+    "format": ({"choices": ["json", "csv"]}, "json", None),
+    "output": ({"help": "write the report to this path"}, None, None),
+    "precision_bits": ({"type": int}, DEFAULT_PRECISION_BITS, None),
+    "config": ({"help": "JSON file with default options"}, None, None),
+    "workers": ({"type": int, "help": "accepted and ignored; summation is serial"}, 1, None),
+    "max_length": ({"type": int}, 2000, ("dims", "table", "kp", "constants")),
+    "p": ({"type": _rational}, Fraction(4), ("kp", "constants")),
+    "tol": ({"type": float}, 1e-10, ("kp", "constants", "table")),
+    "r": ({"type": _rational}, Fraction(2), ("constants",)),
+    "mu": ({"help": "comma-separated dominant weight"}, None, ("spectrum",)),
+    "rule": ({"choices": list(FUSION_RULES)}, None, ("fusion",)),
+    "k": ({"type": int}, None, ("fusion",)),
+    "l": ({"type": int}, None, ("fusion",)),
+    "horizon": ({"type": int}, 12, ("decay", "verify")),
+    "kind": ({"choices": ["ratios", "kp"]}, "ratios", ("table",)),
+    "p_list": ({}, "2,4,8,16", ("table",)),
 }
+
+
+def _options_of(command: str) -> list[tuple[str, tuple]]:
+    """The ``(dest, row)`` pairs of :data:`_OPTIONS` that ``command`` takes, in order."""
+    return [(dest, row) for dest, row in _OPTIONS.items() if row[2] is None or command in row[2]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -370,63 +391,28 @@ def _build_parser() -> argparse.ArgumentParser:
         "for non-Kac compact quantum groups.",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, help_text in [
-        ("dims", "per-level dimension table"),
-        ("spectrum", "modular-matrix spectrum of one djq label"),
-        ("fusion", "tensor decomposition in the su2/so3 fusion rings"),
-        ("kp", "certified K_p evaluation"),
-        ("decay", "decay base of n/d"),
-        ("constants", "norm-equivalence constants"),
-        ("verify", "per-model invariant suite"),
-        ("table", "plot-ready tables"),
-    ]:
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", help="djq:<type><rank>:<q> | oplus:<N>:<Nq> | aut:<dimB>:<d1>")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--output", default=None, help="write the report to this path")
-        p.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
-        p.add_argument("--config", default=None, help="JSON file with default options")
-        p.add_argument(
-            "--workers", type=int, default=None, help="accepted and ignored; summation is serial"
-        )
-        if name in ("dims", "table", "kp", "constants"):
-            p.add_argument("--max-length", dest="max_length", type=int, default=None)
-        if name in ("kp", "constants"):
-            p.add_argument("--p", type=_rational, default=None)
-        if name in ("kp", "constants", "table"):
-            p.add_argument("--tol", type=float, default=None)
-        if name == "constants":
-            p.add_argument("--r", type=_rational, default=None)
-        if name == "spectrum":
-            p.add_argument("--mu", default=None, help="comma-separated dominant weight")
-        if name == "fusion":
-            p.add_argument("--rule", choices=list(FUSION_RULES), default=None)
-            p.add_argument("--k", type=int, default=None)
-            p.add_argument("--l", type=int, default=None)
-        if name in ("decay", "verify"):
-            p.add_argument("--horizon", type=int, default=None)
-        if name == "table":
-            p.add_argument("--kind", choices=["ratios", "kp"], default=None)
-            p.add_argument("--p-list", dest="p_list", default=None)
+        for dest, (kwargs, _, _) in _options_of(name):
+            # None until _apply_config, where a flag given wins over config and default
+            p.add_argument("--" + dest.replace("_", "-"), default=None, **kwargs)
     return parser
 
 
-def _config_value(action: argparse.Action, value):
+def _config_value(key: str, kwargs: dict, value):
     """A config value read as its flag would read ``str(value)`` on the command line."""
-    key = action.dest
     try:
-        value = action.type(str(value)) if action.type else str(value)
+        value = kwargs.get("type", str)(str(value))
     except ValueError as exc:
         raise _CliError(f"config key {key!r}: cannot read {value!r}", "bad-config") from exc
-    if action.choices is not None and value not in action.choices:
-        message = f"config key {key!r}: {value!r} is not one of {list(action.choices)}"
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        message = f"config key {key!r}: {value!r} is not one of {list(choices)}"
         raise _CliError(message, "bad-config")
     return value
 
 
-def _apply_config(args, parser: argparse.ArgumentParser):
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    flags = {action.dest: action for action in commands.choices[args.command]._actions}
+def _apply_config(args):
     config = {}
     if args.config:
         try:
@@ -436,16 +422,14 @@ def _apply_config(args, parser: argparse.ArgumentParser):
             raise _CliError(f"cannot read config {args.config!r}: {exc}", "bad-config") from exc
         if not isinstance(config, dict):
             raise _CliError(f"config {args.config!r} is not a JSON object", "bad-config")
-        known = {a.dest for command in commands.choices.values() for a in command._actions}
-        unknown = set(config) - (known - {"help", "config"})
+        unknown = set(config) - (set(_OPTIONS) - {"config"})
         if unknown:
             raise _CliError(f"unknown config keys: {sorted(unknown)}", "bad-config")
-    for key, action in flags.items():
+    for key, (kwargs, default, _) in _options_of(args.command):
         if config.get(key) is not None and getattr(args, key) is None:
-            setattr(args, key, _config_value(action, config[key]))
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+            setattr(args, key, _config_value(key, kwargs, config[key]))
+        if getattr(args, key) is None:
+            setattr(args, key, default)
     if args.precision_bits < 64:
         raise _CliError("precision_bits must be at least 64", "bad-precision")
     if hasattr(args, "tol") and not 0 < args.tol < float("inf"):
@@ -467,10 +451,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_OK
     try:
-        args = _apply_config(args, parser)
+        args = _apply_config(args)
         digits = max(17, int(args.precision_bits * 0.3010299956639812) - 2)
         fmt = functools.partial(_fmt, digits=digits)
-        model_spec, payload, table, exit_code = _HANDLERS[args.command](args, fmt)
+        model_spec, payload, table, exit_code = _COMMANDS[args.command][1](args, fmt)
         report = {
             "schema": SCHEMA,
             "command": args.command,

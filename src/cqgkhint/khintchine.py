@@ -161,12 +161,6 @@ class ConstantsReport(Record):
     precision_bits: int
 
 
-def _mpf_from_fraction(x: Fraction, prec: int) -> tuple:
-    """Raw ``mp.mpf(x.numerator) / x.denominator`` at ``prec`` bits."""
-    numerator = from_int(x.numerator, prec, round_nearest)
-    return mpf_div(numerator, from_int(x.denominator), prec, round_nearest)
-
-
 def _log_ratio(x: int, y: int, prec: int) -> tuple[int, tuple]:
     """``(wp, log(x/y))`` for positive integers ``x, y``, raw mpf at ``wp`` bits.
 
@@ -379,7 +373,8 @@ class _DrinfeldJimboPlan:
         return _GeometricTail(self.model, self.t_max, p, self.prec)
 
     def decay_base(self) -> tuple:
-        return self.iv.rational(self.t_max), _mpf_from_fraction(self.t_max, self.prec), True
+        t = self.t_max
+        return self.iv.rational(t), n_over_d(t.numerator, Fraction(t.denominator), self.prec), True
 
 
 class _GeometricTail:
@@ -833,7 +828,7 @@ def constants_from_kp(report: KpReport, r) -> ConstantsReport:
     upper = report.kp_interval[1]
 
     def power(e: Fraction) -> MpfValue:
-        exponent = _mpf_from_fraction(e, prec)
+        exponent = n_over_d(e.numerator, Fraction(e.denominator), prec)
         return MpfValue(libmp.mpf_pow(upper._mpf_, exponent, prec, round_nearest))
 
     return ConstantsReport(

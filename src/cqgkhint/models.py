@@ -183,16 +183,18 @@ class DrinfeldJimboModel(QuantumGroupModel):
         if self.rank == 1:
             (column,) = self._columns
             return iter([(1, tuple(map(add, self.rho_pairing, map(k.__mul__, column))))])
-        return self._blocks(0, k, self.rho_pairing)
+        return ((n, starts) for _, n, starts in self._blocks(0, k, self.rho_pairing, ()))
 
-    def _blocks(self, j: int, t: int, acc: tuple[int, ...]):
-        """Blocks below ``acc = rho_pairing + sum_{i < j} mu_i column_i`` with ``t`` left."""
+    def _blocks(self, j: int, t: int, acc: tuple[int, ...], prefix: tuple[int, ...]):
+        """Blocks ``(prefix, count, starts)`` below the first ``j`` parts ``prefix`` of a
+        label, with ``acc = rho_pairing + sum_{i < j} prefix[i] column_i`` and ``t`` left."""
         column = self._columns[j]
         if j == self.rank - 2:
-            yield t + 1, tuple(map(add, acc, map(t.__mul__, column)))
+            yield prefix, t + 1, tuple(map(add, acc, map(t.__mul__, column)))
             return
         for c in range(t, -1, -1):
-            yield from self._blocks(j + 1, t - c, tuple(map(add, acc, map(c.__mul__, column))))
+            acc_c = tuple(map(add, acc, map(c.__mul__, column)))
+            yield from self._blocks(j + 1, t - c, acc_c, (*prefix, c))
 
     def level_pairings(self, k: int) -> Iterator[tuple[int, ...]]:
         """``m_b = (mu + rho, b)`` over the positive roots ``b``, one row per label of
@@ -232,24 +234,19 @@ class DrinfeldJimboModel(QuantumGroupModel):
         return level
 
     def enumerate_level(self, k: int) -> list[tuple[int, ...]]:
+        """The labels of length ``k`` in descending lex order, walked as
+        :meth:`level_blocks` walks them: block by block, ``(*prefix, t - i, i)``."""
         k = _check_length(k)
-        return list(_compositions_desc(k, self.rank))
+        if self.rank == 1:
+            return [(k,)]
+        blocks = self._blocks(0, k, self.rho_pairing, ())
+        return [(*prefix, n - 1 - i, i) for prefix, n, _ in blocks for i in range(n)]
 
     def trivial_label(self):
         return (0,) * self.rank
 
     def spec_string(self) -> str:
         return f"djq:{self.lie_type}{self.rank}:{self.q}"
-
-
-def _compositions_desc(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into ``parts`` slots, descending lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions_desc(total - first, parts - 1):
-            yield (first,) + rest
 
 
 class _Coprime:

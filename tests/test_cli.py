@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -403,6 +404,157 @@ def test_config_values_read_like_their_flags(
     assert err.startswith(expected_err)
     if flags is not None:
         assert (code, out) == run_cli(capsys, "kp", *flags, *model)[:2]
+
+
+# -- one definition per command and per option --------------------------------------------------
+
+# the option strings each subcommand's --help lists, in order
+_COMMON = [
+    "-h", "--help", "--model", "--format", "--output", "--precision-bits", "--config", "--workers"
+]
+_HELP_OPTIONS = {
+    "dims": [*_COMMON, "--max-length"],
+    "spectrum": [*_COMMON, "--mu"],
+    "fusion": [*_COMMON, "--rule", "--k", "--l"],
+    "kp": [*_COMMON, "--max-length", "--p", "--tol"],
+    "decay": [*_COMMON, "--horizon"],
+    "constants": [*_COMMON, "--max-length", "--p", "--tol", "--r"],
+    "verify": [*_COMMON, "--horizon"],
+    "table": [*_COMMON, "--max-length", "--tol", "--kind", "--p-list"],
+}
+
+
+def _help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    usage = _help_text(capsys).split("\n\n")[0]
+    assert re.search(r"\{([\w,]+)\}", usage).group(1).split(",") == list(_HELP_OPTIONS)
+
+
+@pytest.mark.parametrize("command", _HELP_OPTIONS)
+def test_help_lists_each_commands_options_in_order(capsys, command):
+    # an option line starts with its flags ("  -h, --help", "  --model MODEL"); read them
+    # off those lines, so that where argparse wraps the usage and the help does not matter
+    lines = _help_text(capsys, command).splitlines()
+    found = [
+        flag
+        for line in lines
+        if re.match(r"\s+-", line)
+        for flag in re.findall(r"(?:^\s+|, )(-[\w-]+)", line)
+    ]
+    assert found == _HELP_OPTIONS[command]
+
+
+# a cheap run of each command; an option under test replaces its entry here
+_BASE = {
+    "dims": {"model": "oplus:3:3.5", "max_length": "3"},
+    "spectrum": {"model": "djq:A2:1/2", "mu": "1,1"},
+    "fusion": {"rule": "so3", "k": "3", "l": "2"},
+    "kp": {"model": "oplus:3:3.5"},
+    "decay": {"model": "oplus:3:3.5", "horizon": "6"},
+    "constants": {"model": "oplus:3:3.5", "r": "3"},
+    "verify": {"model": "oplus:3:3.5", "horizon": "3"},
+    "table": {"model": "oplus:3:3.5", "kind": "kp", "p_list": "3"},
+}
+# a value of each option that changes the report of every base run that takes it
+_VALUES = {
+    "model": "djq:B2:1/2",
+    "format": "csv",
+    "output": "report.out",
+    "precision_bits": "128",
+    "workers": "2",  # accepted and ignored
+    "max_length": "9",
+    "p": "5",
+    "tol": "1e-8",
+    "r": "5/2",
+    "mu": "2,1",
+    "rule": "su2",
+    "k": "4",
+    "l": "1",
+    "horizon": "5",
+    "kind": "ratios",
+    "p_list": "3,6",
+}
+
+
+def _takes(command: str, option: str) -> bool:
+    return "--" + option.replace("_", "-") in _HELP_OPTIONS[command]
+
+
+def _run_with(capsys, command: str, flags: dict, config: dict | None = None):
+    """Exit code, stdout, stderr and ``--output`` bytes of ``command`` run in the
+    current directory with ``flags`` given as flags and ``config`` as its config file."""
+    argv = [command]
+    for option, value in flags.items():
+        argv += ["--" + option.replace("_", "-"), value]
+    if config is not None:
+        Path("conf.json").write_text(json.dumps(config))
+        argv += ["--config", "conf.json"]
+    code, out, err = run_cli(capsys, *argv)
+    output = Path(_VALUES["output"])
+    written = output.read_bytes() if output.exists() else None
+    output.unlink(missing_ok=True)
+    return code, out, err, written
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(c, o) for c in _BASE for o in _VALUES if _takes(c, o)],
+)
+def test_flag_and_config_key_give_the_same_report(tmp_path, monkeypatch, capsys, command, option):
+    monkeypatch.chdir(tmp_path)
+    base = {key: value for key, value in _BASE[command].items() if key != option}
+    by_flag = _run_with(capsys, command, {**base, option: _VALUES[option]})
+    assert by_flag == _run_with(capsys, command, base, {option: _VALUES[option]})
+    assert option == "workers" or by_flag != _run_with(capsys, command, _BASE[command])
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [(c, o) for c in _BASE for o in _VALUES if not _takes(c, o)],
+)
+def test_config_key_of_an_option_the_command_lacks_is_ignored(
+    tmp_path, monkeypatch, capsys, command, option
+):
+    monkeypatch.chdir(tmp_path)
+    expected = _run_with(capsys, command, _BASE[command])
+    assert _run_with(capsys, command, _BASE[command], {option: _VALUES[option]}) == expected
+
+
+@pytest.mark.parametrize(
+    "command,option,shown",
+    [(command, "precision_bits", 192) for command in _BASE]
+    + [
+        ("dims", "max_length", 2000),
+        ("kp", "max_length", 2000),
+        ("decay", "horizon", 12),
+        ("verify", "horizon", 12),
+        ("kp", "tol", "1e-10"),
+        ("kp", "p", "4"),
+        ("constants", "p", "4"),
+        ("constants", "r", "2"),
+        ("table", "kind", "ratios"),
+    ],
+)
+def test_default_shows_in_the_report(tmp_path, monkeypatch, capsys, command, option, shown):
+    monkeypatch.chdir(tmp_path)
+    base = {key: value for key, value in _BASE[command].items() if key != option}
+    code, out, err, _ = _run_with(capsys, command, base)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[option] == shown  # a JSON report: the default format
+
+
+@pytest.mark.parametrize("key", ["config", "help", "command"])
+def test_config_keys_that_name_no_option_refused(tmp_path, monkeypatch, capsys, key):
+    monkeypatch.chdir(tmp_path)
+    code, out, err, _ = _run_with(capsys, "kp", _BASE["kp"], {key: "x"})
+    assert (code, out) == (2, "")
+    assert err == f"error[bad-config]: unknown config keys: ['{key}']\n"
 
 
 # -- one table for JSON and CSV -----------------------------------------------------------------

@@ -59,6 +59,19 @@ def test_addition_same_monomial_only():
         _ = sqrt_exact(5) + sqrt_exact(3)
 
 
+def test_subtraction_with_a_fraction_on_either_side():
+    a = Radical(Fraction(3, 2))
+    assert a - Fraction(1, 2) == 1 and isinstance(a - Fraction(1, 2), Radical)
+    assert Fraction(1, 2) - a == -1 and isinstance(Fraction(1, 2) - a, Radical)
+    r = 3 * sqrt_exact(5)
+    assert r - sqrt_exact(5) == 2 * sqrt_exact(5)
+    assert r - r == 0
+    with pytest.raises(ExactArithmeticError):
+        _ = sqrt_exact(2) - Fraction(1)
+    with pytest.raises(ExactArithmeticError):
+        _ = Fraction(1) - sqrt_exact(2)
+
+
 def test_abs_squared_is_rational_for_half_integer_exponents():
     x = sqrt_exact(Fraction(7, 2))
     assert x.abs_squared().as_fraction() == Fraction(7, 2)

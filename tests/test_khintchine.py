@@ -847,3 +847,30 @@ def test_kp_converges_on_other_cartan_types(spec):
     rep = kp_constant(spec, 4, tol=1e-10, max_length=1500)
     assert rep.verdict == "converged"
     assert rep.tail_bound < 1e-10
+
+
+# -- MpfValue: the raw-float result type ---------------------------------------------
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, 2.5, -0.75, 1e300, 2**70 + 2**18, -(2**-60)])
+def test_mpf_value_int_bool_hash_repr_agree_with_python_and_mpmath(value):
+    x = mpmath.mpf(value)
+    v = MpfValue(x._mpf_)
+    assert int(v) == int(x) == int(value)
+    assert bool(v) is bool(x) is bool(value)
+    assert hash(v) == hash(x) == hash(value)
+    assert repr(v) == "MpfValue" + repr(x)[len("mpf") :]
+
+
+def test_mpf_value_zero_is_falsy_and_infinity_hashes_like_the_float():
+    assert not MpfValue(mpmath.libmp.fzero)
+    assert MpfValue(mpmath.libmp.finf) and hash(MpfValue(mpmath.libmp.finf)) == hash(float("inf"))
+
+
+def test_mpf_value_repr_reads_back_at_its_own_precision():
+    raw = mpmath.libmp.from_rational(1, 3, 192, round_nearest)
+    v = MpfValue(raw)
+    assert hash(v) == hash(mpmath.mp.make_mpf(raw))
+    digits = repr(v)[len("MpfValue('") : -len("')")]
+    with mpmath.workprec(192):
+        assert mpmath.mpf(digits)._mpf_ == raw

@@ -122,6 +122,12 @@ def test_d_dominates_n():
                     assert data.d > data.n
 
 
+@pytest.mark.parametrize("spec", ["djq:B2:3/4", "oplus:3:7/2", "aut:5:5"])
+def test_model_repr_names_its_class_and_spec(spec):
+    model = parse_model_spec(spec)
+    assert repr(model) == f"{type(model).__name__}({spec!r})"
+
+
 # -- level enumeration ---------------------------------------------------------------
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,3 +126,14 @@ def test_the_cli_catches_the_khintchine_divergence_error():
     assert khintchine.KacDivergenceError is cli.KacDivergenceError is exact.KacDivergenceError
     assert khintchine.HorizonError is exact.HorizonError
     assert khintchine.DEFAULT_PRECISION_BITS == cli.DEFAULT_PRECISION_BITS == 192
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(cqgkhint.__file__).parent).glob("*.py")), ids=lambda path: path.name
+)
+def test_module_compiles_without_warnings(path):
+    # a CLI process compiles every module it imports when no bytecode is cached, so a
+    # compile-time warning (an invalid escape, say) would print on every command's stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(path.read_text(encoding="utf-8"), str(path), "exec")

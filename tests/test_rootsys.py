@@ -24,6 +24,11 @@ def test_a1_has_one_positive_root_and_rho_is_omega():
     assert rs.rho == (1,)
 
 
+def test_root_system_repr_names_its_type():
+    assert repr(build_root_system("G", 2)) == "RootSystem(G2)"
+    assert repr(build_root_system("b", 3)) == "RootSystem(B3)"
+
+
 def test_a2_positive_root_count_matches_euclidean_closure(a2_euclidean_positive_count):
     rs = build_root_system("A", 2)
     assert len(rs.positive_roots) == 3 == a2_euclidean_positive_count

@@ -122,6 +122,28 @@ def test_empty_vector_has_zero_norm():
     assert schur.l2_norm(vec) == 0
 
 
+def test_adding_vectors_sums_the_coefficients_they_share():
+    spectra = {1: a1_spectrum()}
+    half = Radical(Fraction(1, 2))
+    a = schur.CoefficientVector(
+        spectra, {(1, 0, 0): Fraction(1, 4), (1, 0, 1): half, (1, 1, 1): sqrt_exact(2)}
+    )
+    b = schur.CoefficientVector(
+        spectra, {(1, 0, 0): Fraction(3, 4), (1, 0, 1): Fraction(1, 2), (1, 1, 1): -sqrt_exact(2)}
+    )
+    total = (a + b).entries
+    # exact sums stay exact; a rational one comes back as a Fraction, a zero one is dropped
+    assert total == {(1, 0, 0): 1, (1, 0, 1): 1}
+    assert all(type(value) is Fraction for value in total.values())
+    c = schur.CoefficientVector(spectra, {(1, 0, 0): 1 + 2j, (1, 1, 0): 0.5})
+    assert (a + c).entries == {
+        (1, 0, 0): 1.25 + 2j,
+        (1, 0, 1): Fraction(1, 2),
+        (1, 1, 0): 0.5,
+        (1, 1, 1): sqrt_exact(2),
+    }
+
+
 def test_parseval_additivity_disjoint_labels():
     rng = random.Random(9)
     s1 = schur.random_symmetric_spectrum(rng, 3)
