@@ -29,6 +29,8 @@ its ``_OPTIONS`` name (the flag with ``_`` for ``-``), read as its flag
 reads ``str(value)``; explicit flags win over it, and it over the defaults.
 
 Each handler imports what it runs, and no command imports an mpmath module.
+Only the commands that read ``--model`` load :mod:`cqgkhint.models`, so
+``fusion`` loads neither it nor :mod:`cqgkhint.record`.
 ``fusion``, ``dims``, ``spectrum`` and ``verify`` are exact and load no
 high-precision code; only ``fusion`` and ``verify`` load
 :mod:`cqgkhint.fusion` and :mod:`cqgkhint.verify`, and only Drinfeld-Jimbo
@@ -50,7 +52,6 @@ import sys
 from fractions import Fraction
 
 from .exact import DEFAULT_PRECISION_BITS, ExactArithmeticError, KacDivergenceError
-from .models import DrinfeldJimboModel, parse_model_spec
 
 __all__ = ["main", "run"]
 
@@ -138,6 +139,8 @@ def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str, path) -> 
 
 
 def _require_model(args) -> object:
+    from .models import parse_model_spec
+
     if not getattr(args, "model", None):
         raise _CliError("--model is required for this command", "missing-model")
     return parse_model_spec(args.model)
@@ -177,6 +180,8 @@ def _cmd_dims(args, fmt):
 
 
 def _cmd_spectrum(args, fmt):
+    from .models import DrinfeldJimboModel
+
     model = _require_model(args)
     if not isinstance(model, DrinfeldJimboModel):
         raise _CliError(

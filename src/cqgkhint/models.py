@@ -120,8 +120,8 @@ def _check_horizon(horizon: int) -> int:
 class DrinfeldJimboModel(QuantumGroupModel):
     """Drinfeld-Jimbo deformation ``G_q`` of a simple compact Lie group.
 
-    The model owns the one source of root pairings: ``rho_pairing`` holds
-    ``h_beta = (rho, beta)``, and :meth:`level_blocks` gives
+    ``rho_pairing`` is the root system's ``h_beta = (rho, beta)``, and
+    :meth:`level_blocks` gives
     ``m_beta = (mu + rho, beta)`` over a level as arithmetic progressions with
     steps ``block_steps``.  :meth:`level_data` forms the Weyl and q-Weyl
     products from the rows of :meth:`level_pairings`.
@@ -147,9 +147,7 @@ class DrinfeldJimboModel(QuantumGroupModel):
         self.q = q
         rs = self.root_system
         # h_b = (rho, b) per positive root, and column i of the pairing matrix: (omega_i, b)
-        self.rho_pairing: tuple[int, ...] = tuple(
-            rs.root_pairing(rs.rho, i) for i in range(len(rs.positive_roots))
-        )
+        self.rho_pairing: tuple[int, ...] = rs.rho_pairing
         self._columns = tuple(zip(*rs.root_weight_pairing))
         # step of m_b along a block: (omega_r, b) - (omega_{r-1}, b), with omega_0 = 0
         self.block_steps = tuple(w[-1] - (0, *w)[-2] for w in rs.root_weight_pairing)

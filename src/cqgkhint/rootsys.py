@@ -8,6 +8,10 @@ parameter ``q`` come out as exact :class:`fractions.Fraction` values.
 The normalisation matters: the exponents ``(omega_i, 2 rho)`` driving the
 modular-matrix eigenvalues scale with the form.  The short-root convention is
 recorded in every report emitted by the CLI.
+
+:class:`RootSystem` finds the positive roots by reflecting the simple roots
+upward, and stores each root's weight coordinates and its pairings with
+``rho`` and the fundamental weights, which the Weyl products read.
 """
 
 from __future__ import annotations
@@ -244,12 +248,6 @@ class RootSystem:
         )
         self.rho: Weight = (1,) * rank
 
-        # (omega_i, 2 rho) = d_i * (sum of the i-th coefficients of all positive roots)
-        self.two_rho_pairing = tuple(
-            self.d[i] * sum(root[i] for root in self.positive_roots)
-            for i in range(rank)
-        )
-
     # -- root generation -------------------------------------------------
 
     def _omega_coords(self, root: Sequence[int]) -> Weight:
@@ -259,35 +257,34 @@ class RootSystem:
         )
 
     def _generate_positive_roots(self):
+        """Positive roots by closing the simple roots upward under simple reflections.
+
+        A root ``beta`` has weight coordinates ``w_j = <beta, alpha_j^v>``.  Where
+        ``c = w_i < 0``, ``s_i beta = beta - c alpha_i`` is a positive root of
+        larger height, with weight coordinates ``w - c A[i]``.
+        Every positive root ``beta`` above height 1 is such an image: as
+        ``(beta, beta) > 0`` and ``beta >= 0``, some ``<beta, alpha_i^v> > 0``,
+        and ``s_i`` permutes the positive roots other than ``alpha_i``
+        (Humphreys, *Introduction to Lie Algebras and Representation Theory*,
+        §10.2, Lemmas A and B), so ``gamma = s_i beta`` is a positive root of
+        lower height with ``<gamma, alpha_i^v> < 0``.  By induction on the
+        height the closure finds every positive root; it needs no connected
+        diagram.
+        """
         rank = self.rank
-        simple = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-        roots = set(simple)
-        frontier = list(simple)
-        while frontier:
-            new = []
-            for beta in frontier:
-                m = self._omega_coords(beta)
-                for i in range(rank):
-                    # alpha_i-string through beta: p - q = <beta, alpha_i v> = m[i]
-                    p = 0
-                    gamma = list(beta)
-                    while True:
-                        gamma[i] -= 1
-                        t = tuple(gamma)
-                        if t in roots or tuple(-x for x in t) in roots:
-                            p += 1
-                        else:
-                            break
-                    if p - m[i] > 0:
-                        up = list(beta)
-                        up[i] += 1
-                        t = tuple(up)
-                        if t not in roots:
-                            roots.add(t)
-                            new.append(t)
-            frontier = new
-        ordered = sorted(roots, key=lambda r: (sum(r), r))
+        simple = (tuple(int(i == j) for j in range(rank)) for i in range(rank))
+        queue = list(zip(simple, self.cartan))
+        weights = dict(queue)
+        for beta, w in queue:  # the loop also reaches the roots appended to the queue
+            for i, c in enumerate(w):
+                if c < 0:
+                    up = tuple(b - c * (j == i) for j, b in enumerate(beta))
+                    if up not in weights:
+                        weights[up] = tuple(a - c * b for a, b in zip(w, self.cartan[i]))
+                        queue.append((up, weights[up]))
+        ordered = sorted(weights, key=lambda r: (sum(r), r))
         self.positive_roots: tuple[tuple[int, ...], ...] = tuple(ordered)
+        self.positive_root_weights: tuple[Weight, ...] = tuple(map(weights.get, ordered))
         # pairing vectors: (v, beta) = sum_i v_i * w_beta[i] for v in weight coords
         self.root_weight_pairing = tuple(
             tuple(root[i] * self.d[i] for i in range(rank)) for root in ordered
@@ -297,6 +294,9 @@ class RootSystem:
             raise InvalidRootSystemError(
                 f"generated {len(ordered)} positive roots, expected {expected}"
             )
+        # (rho, beta) = the row sums, (omega_i, 2 rho) = the column sums
+        self.rho_pairing = tuple(map(sum, self.root_weight_pairing))
+        self.two_rho_pairing = tuple(map(sum, zip(*self.root_weight_pairing)))
 
     # -- bilinear form ----------------------------------------------------
 
@@ -355,18 +355,16 @@ class RootSystem:
 
     # -- dimensions and weight systems --------------------------------------
 
+    def _shifted_pairing(self, mu: Sequence[int]) -> list[int]:
+        """``(mu + rho, beta)`` for each positive root ``beta``, ``mu`` dominant."""
+        shifted = tuple(c + 1 for c in self._check_dominant(mu))
+        return [self.root_pairing(shifted, idx) for idx in range(len(self.positive_roots))]
+
     def weyl_dimension(self, mu: Sequence[int]) -> int:
         """Classical dimension ``prod (mu+rho, beta) / (rho, beta)``."""
-        mu = self._check_dominant(mu)
-        shifted = tuple(c + 1 for c in mu)
-        num = 1
-        den = 1
-        for idx in range(len(self.positive_roots)):
-            num *= self.root_pairing(shifted, idx)
-            den *= self.root_pairing(self.rho, idx)
-        dim, rem = divmod(num, den)
+        dim, rem = divmod(math.prod(self._shifted_pairing(mu)), math.prod(self.rho_pairing))
         if rem:
-            raise ArithmeticError(f"Weyl dimension of {mu} is not an integer")
+            raise ArithmeticError(f"Weyl dimension of {tuple(mu)} is not an integer")
         return dim
 
     def weight_system(self, mu: Sequence[int]) -> dict[Weight, int]:
@@ -398,7 +396,7 @@ class RootSystem:
         mu = self._check_dominant(mu)
 
         # 1. dominant weights, each with the simple-root coordinates of mu - nu
-        roots = list(zip(self.positive_roots, map(self._omega_coords, self.positive_roots)))
+        roots = list(zip(self.positive_roots, self.positive_root_weights))
         coords = {mu: (0,) * self.rank}
         frontier = [mu]
         while frontier:
@@ -480,14 +478,11 @@ class RootSystem:
         divides ``m``.  :meth:`weight_system` gives the same histogram by
         Freudenthal's formula, an independent route kept as the oracle.
         """
-        mu = self._check_dominant(mu)
-        shifted = tuple(c + 1 for c in mu)
-        roots = range(len(self.positive_roots))
         coeffs = [1]
-        for idx in roots:
-            coeffs = _times_sine(coeffs, self.root_pairing(shifted, idx))
-        for idx in roots:
-            coeffs = _divide_by_sine(coeffs, self.root_pairing(self.rho, idx))
+        for m in self._shifted_pairing(mu):
+            coeffs = _times_sine(coeffs, m)
+        for h in self.rho_pairing:
+            coeffs = _divide_by_sine(coeffs, h)
         top = len(coeffs) // 2
         return tuple((top - j, c) for j, c in enumerate(reversed(coeffs)) if c)
 
@@ -509,13 +504,10 @@ class RootSystem:
         over positive roots b, in rationals; :meth:`quantum_dimension` evaluates
         the same quotient as a Laurent polynomial at ``q^-1``.
         """
-        mu = self._check_dominant(mu)
+        shifted = self._shifted_pairing(mu)
         q = self._check_q(q)
-        shifted = tuple(c + 1 for c in mu)
         result = Fraction(1)
-        for idx in range(len(self.positive_roots)):
-            m = self.root_pairing(shifted, idx)
-            h = self.root_pairing(self.rho, idx)
+        for m, h in zip(shifted, self.rho_pairing):
             result *= (q**m - q**-m) / (q**h - q**-h)
         return result
 

@@ -70,8 +70,7 @@ def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[Veri
     ok = True
     for i in range(rs.rank):
         ei = tuple(1 if k == i else 0 for k in range(rs.rank))
-        for j in range(rs.rank):
-            alpha_j = rs._omega_coords(tuple(1 if k == j else 0 for k in range(rs.rank)))
+        for j, alpha_j in enumerate(rs.cartan):
             want = Fraction(rs.d[j]) if i == j else Fraction(0)
             ok = ok and rs.inner_product(ei, alpha_j) == want
     out.append(
@@ -83,8 +82,7 @@ def _drinfeld_jimbo_checks(model: DrinfeldJimboModel, horizon: int) -> list[Veri
     )
 
     half_sum = [Fraction(0)] * rs.rank
-    for root in rs.positive_roots:
-        coords = rs._omega_coords(root)
+    for coords in rs.positive_root_weights:
         for i in range(rs.rank):
             half_sum[i] += Fraction(coords[i], 2)
     out.append(

@@ -54,6 +54,14 @@ def euclidean_positive_roots(simple_roots: list[tuple[Fraction, ...]]) -> set:
     return positive
 
 
+def euclidean_positive_root_coordinates(simple_roots: list[tuple[Fraction, ...]]) -> set:
+    """The roots of :func:`euclidean_positive_roots` in simple-root coordinates."""
+    return {
+        tuple(int(c) for c in _solve_nonneg(simple_roots, v))
+        for v in euclidean_positive_roots(simple_roots)
+    }
+
+
 def _solve_nonneg(basis, target):
     """Solve ``sum c_i b_i = target`` by Gaussian elimination; require c >= 0."""
     rows = len(target)

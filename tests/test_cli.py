@@ -856,9 +856,10 @@ def test_cli_commands_do_not_import_numpy():
 # Modules the command itself loads, beyond those of the interpreter's start-up:
 # no command loads mpmath, chebyshev, radical, schur or dataclasses/inspect;
 # exact commands load neither the private copy of mpmath's libmp nor
-# khintchine; only fusion and verify load fusion or verify; only
-# Drinfeld-Jimbo models load rootsys; and only the K_p of a non-Kac graded
-# model loads graded_tail.
+# khintchine; only the commands given --model load models (fusion loads
+# neither models nor record); only fusion and verify load fusion or verify;
+# only Drinfeld-Jimbo models load rootsys; and only the K_p of a non-Kac
+# graded model loads graded_tail.
 _LOADED_BY_COMMAND = (
     "import json, runpy, sys\n"
     "before = set(sys.modules)\n"
@@ -880,6 +881,7 @@ _ASYMPTOTIC = {"cqgkhint.graded_tail"}
 _NUMERIC = {"cqgkhint._libmp", "cqgkhint.khintchine"} | _ASYMPTOTIC
 _REPORT = {"cqgkhint.fusion", "cqgkhint.verify"}
 _ROOTSYS = {"cqgkhint.rootsys"}
+_MODEL = {"cqgkhint.models", "cqgkhint.record"}
 _EXACT = _ANY | _NUMERIC | _REPORT
 _K_P = _ANY | _REPORT
 
@@ -889,7 +891,7 @@ _K_P = _ANY | _REPORT
     [
         (
             ["fusion", "--rule", "su2", "--k", "1", "--l", "1"],
-            _ANY | _NUMERIC | _ROOTSYS | {"cqgkhint.verify"},
+            _ANY | _NUMERIC | _ROOTSYS | _MODEL | {"cqgkhint.verify"},
         ),
         (["dims", "--model", "djq:A2:1/2", "--max-length", "3"], _EXACT),
         (["spectrum", "--model", "djq:A2:1/2", "--mu", "1,1"], _EXACT),
@@ -911,7 +913,7 @@ _K_P = _ANY | _REPORT
 )
 def test_cli_commands_load_only_what_they_run(argv, unused):
     loaded = _loaded_by(argv)
-    assert "cqgkhint.models" in loaded
+    assert ("cqgkhint.models" in loaded) == ("--model" in argv)
     # a name in unused stands for itself and every submodule under it
     found = [m for m in loaded if any(m == u or m.startswith(f"{u}.") for u in unused)]
     assert not found, found

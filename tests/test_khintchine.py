@@ -3,9 +3,12 @@ import operator
 from fractions import Fraction
 from functools import partial
 from itertools import islice
+from typing import NamedTuple
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import from_man_exp, mpf_div, round_nearest
 
@@ -273,6 +276,79 @@ def test_su_q2_bridge_kp_intervals_overlap():
         lo = max(a.kp_interval[0], b.kp_interval[0])
         hi = min(a.kp_interval[1], b.kp_interval[1])
         assert lo <= hi + 1e-10
+
+
+# -- monotone in p and in the deformation: a soundness oracle ------------------------
+#
+# K_p is nondecreasing in p, since a summand is chi^2 (n / (d chi^2))^(2/p) with
+# n <= d and chi >= 1.  It is nondecreasing in q, since each factor of
+# d_mu = prod_b sinh(m_b x) / sinh(h_b x), m_b >= h_b > 0, grows with
+# x = -log q.  It is nonincreasing in Nq and in d1, since f_j(t) grows with
+# t >= 2.  Reports at two ordered values come from
+# different cutoffs and often different routes, so an upper end set too low
+# shows as lower(K_smaller) > upper(K_larger), with no high-precision reference.
+# The close pairs put the true gap below the widths of the reports.
+
+
+class _Axis(NamedTuple):
+    """A parameter ``x`` in ``[lo, hi)``: the ``p`` of ``spec`` when ``spec`` is a
+    full spec, else its last field at ``p = 4``; ``grows`` when ``K_p`` does."""
+
+    spec: str
+    lo: Fraction
+    hi: Fraction
+    grows: bool
+
+    def kp_interval(self, x: Fraction, tol: float) -> tuple:
+        spec, p = (self.spec, x) if self.spec.count(":") == 2 else (f"{self.spec}:{x}", 4)
+        report = kp_constant(spec, p, tol=tol)
+        assert report.converged, report
+        return report.kp_interval
+
+
+# each range stays away from the Kac point: q = 1, Nq = 3 on oplus:3, d1 = 4 on aut:5
+AXES = [
+    _Axis("djq:A2:1/2", Fraction(2), Fraction(8), True),
+    _Axis("oplus:3:7/2", Fraction(2), Fraction(8), True),
+    _Axis("aut:5:5", Fraction(2), Fraction(8), True),
+    _Axis("djq:A1", Fraction(1, 10), Fraction(9, 10), True),
+    _Axis("djq:A2", Fraction(1, 10), Fraction(3, 4), True),
+    _Axis("oplus:3", Fraction(31, 10), Fraction(10), False),
+    _Axis("aut:5", Fraction(41, 10), Fraction(20), False),
+]
+
+
+@st.composite
+def _ordered_values(draw) -> tuple:
+    """An axis and two values ``a < b`` on it, ``b - a`` as small as 1e-27 of the range."""
+    axis = draw(st.sampled_from(AXES))
+    a = axis.lo + (axis.hi - axis.lo) * Fraction(draw(st.integers(0, 999)), 1000)
+    closeness = Fraction(1, 10 ** draw(st.sampled_from([0, 6, 12, 18, 24])))
+    b = a + (axis.hi - a) * closeness * Fraction(draw(st.integers(1, 1000)), 1000)
+    return axis, a, b
+
+
+# each side at its own tol, so the two reports have their own cutoffs
+TOL_EXPONENTS = st.integers(4, 24)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(values=_ordered_values(), exponents=st.tuples(TOL_EXPONENTS, TOL_EXPONENTS))
+@example(values=(AXES[3], Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**15)), exponents=(20, 6))
+@example(values=(AXES[5], Fraction(31, 10), Fraction(31, 10) + Fraction(1, 10**15)), exponents=(6, 20))
+def test_kp_monotone_in_p_and_the_deformation(values, exponents):
+    axis, a, b = values
+    smaller, larger = (a, b) if axis.grows else (b, a)
+    (lower, _), (_, upper) = map(axis.kp_interval, (smaller, larger), (10.0**-e for e in exponents))
+    assert lower <= upper
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(values=_ordered_values(), exponents=st.tuples(TOL_EXPONENTS, TOL_EXPONENTS))
+def test_kp_intervals_at_two_tolerances_intersect(values, exponents):
+    axis, x, _ = values
+    (lo_a, hi_a), (lo_b, hi_b) = (axis.kp_interval(x, 10.0**-e) for e in exponents)
+    assert lo_a <= hi_b and lo_b <= hi_a
 
 
 def _scan_cutoffs(ev, p, tols, max_length):

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import euclidean_positive_root_coordinates
 from cqgkhint.exact import rational_inverse
 from cqgkhint.rootsys import (
     POSITIVE_ROOT_COUNTS,
+    VALID_RANKS,
     DomainError,
     InvalidRootSystemError,
     NonDominantWeightError,
@@ -37,6 +39,51 @@ def test_a2_positive_root_count_matches_euclidean_closure(a2_euclidean_positive_
 def test_g2_positive_root_count_matches_euclidean_closure(g2_euclidean_positive_count):
     rs = build_root_system("G", 2)
     assert len(rs.positive_roots) == 6 == g2_euclidean_positive_count
+
+
+def _vectors(*rows):
+    return [tuple(Fraction(c) for c in row) for row in rows]
+
+
+# simple roots in R^n, ordered as the Cartan matrices of rootsys (Bourbaki labels)
+EUCLIDEAN_SIMPLE_ROOTS = {
+    ("B", 3): _vectors((1, -1, 0), (0, 1, -1), (0, 0, 1)),
+    ("C", 3): _vectors((1, -1, 0), (0, 1, -1), (0, 0, 2)),
+    ("D", 4): _vectors((1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 1, 1)),
+    ("G", 2): _vectors((-2, 1, 1), (1, -1, 0)),
+    ("F", 4): _vectors((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (HALF, -HALF, -HALF, -HALF)),
+}
+
+
+@pytest.mark.parametrize("lie_type,rank", list(EUCLIDEAN_SIMPLE_ROOTS))
+def test_positive_roots_match_euclidean_closure(lie_type, rank):
+    simple = EUCLIDEAN_SIMPLE_ROOTS[lie_type, rank]
+    rs = build_root_system(lie_type, rank)
+
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    # the Euclidean basis has the Cartan matrix A[i][j] = 2 (a_i, a_j) / (a_j, a_j)
+    assert [[2 * dot(a, b) / dot(b, b) for b in simple] for a in simple] == [
+        list(row) for row in rs.cartan
+    ]
+    assert set(rs.positive_roots) == euclidean_positive_root_coordinates(simple)
+
+
+# the 31 simple types of rank <= 8
+SIMPLE_TYPES_UP_TO_RANK_8 = [(t, r) for t in "ABCDEFG" for r in range(1, 9) if VALID_RANKS[t](r)]
+
+
+@pytest.mark.parametrize("lie_type,rank", SIMPLE_TYPES_UP_TO_RANK_8)
+def test_stored_root_data_matches_its_definitions(lie_type, rank):
+    rs = build_root_system(lie_type, rank)
+    roots = rs.positive_roots
+    assert rs.positive_root_weights == tuple(map(rs._omega_coords, roots))
+    assert rs.rho_pairing == tuple(rs.root_pairing(rs.rho, i) for i in range(len(roots)))
+    # (omega_i, 2 rho) = d_i times the sum of the i-th coefficients of the positive roots
+    assert rs.two_rho_pairing == tuple(
+        d * sum(root[i] for root in roots) for i, d in enumerate(rs.d)
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -104,7 +105,34 @@ def test_sigma_float_mode_matches_exact_mode():
         assert abs(complex(float(exact.entries[key])) - floating.entries[key]) < 1e-12
 
 
+@pytest.mark.parametrize("s", [Fraction(1, 4), Fraction(-3, 2), Fraction(2)])
+def test_sigma_imaginary_on_float_coefficients_matches_float_mode(s):
+    spec = a1_spectrum(m=2)
+    vec = schur.CoefficientVector(
+        {"a": spec}, {("a", 0, 1): 0.5 - 2j, ("a", 2, 0): -1.25, ("a", 2, 2): 3j}
+    )
+    floating = schur.apply_modular_imaginary(vec, s).entries
+    expected = schur.apply_modular_automorphism(vec, -1j * float(s)).entries
+    assert floating.keys() == expected.keys()
+    for key, value in expected.items():
+        assert type(floating[key]) is complex
+        assert abs(floating[key] - value) <= 1e-12 * abs(value)
+
+
 # -- L2 norms -----------------------------------------------------------------------
+
+
+def test_l2_norm_of_complex_coefficients_is_the_float_of_the_exact_value():
+    rng = random.Random(13)
+    spec = schur.random_symmetric_spectrum(rng, 5)
+    exact = {("a", 0, 1): Fraction(3, 2), ("a", 4, 2): Fraction(-2, 7), ("a", 3, 3): Fraction(5)}
+    # unit phases leave |c|^2 unchanged
+    phases = (1j, (3 - 4j) / 5, -1.0)
+    floating = {key: complex(c) * u for (key, c), u in zip(exact.items(), phases)}
+    want = schur.l2_norm_squared(schur.CoefficientVector({"a": spec}, exact))
+    got = schur.l2_norm_squared(schur.CoefficientVector({"a": spec}, floating))
+    assert type(got) is float
+    assert math.isclose(got, float(want), rel_tol=1e-12)
 
 
 def test_character_is_unit_vector():
